@@ -138,10 +138,10 @@ def _serialize_factorization(f):
     return {
         "cliques": [
             {
-                "vars": list(clique),
+                "vars": list(factor.schema.variables),
                 "entries": [_plain(v) for v in factor.values.ravel()],
             }
-            for clique, factor in sorted(f.factors.items())
+            for _, factor in sorted(f.factors.items())
         ]
     }
 

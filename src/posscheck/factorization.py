@@ -234,7 +234,8 @@ def construct_strict_positive(table: PossibilityTable, graph: UndirectedGraph,
     values = table.values.astype(float).ravel()
     phi = tn.transform.apply if tn.transform is not None else (lambda x: x)
     phi_inv = tn.transform.inverse if tn.transform is not None else (lambda x: x)
-    matrix, sub_schemas, offsets = _design_matrix(table.schema, graph.cliques())
+    cliques = graph.cliques()
+    matrix, sub_schemas, offsets = _design_matrix(table.schema, cliques)
     n_cells = len(values)
 
     if family == STRICT:
@@ -269,9 +270,9 @@ def construct_strict_positive(table: PossibilityTable, graph: UndirectedGraph,
         factor_values = phi_inv(rho)
 
     factors = {}
-    for k, sub in enumerate(sub_schemas):
+    for k, (clique, sub) in enumerate(zip(cliques, sub_schemas)):
         chunk = factor_values[offsets[k]:offsets[k + 1]]
-        factors[sub.variables] = PossibilityTable(
+        factors[tuple(clique)] = PossibilityTable(
             sub, np.clip(chunk, 0.0, 1.0).reshape(sub.shape)
         )
     candidate = Factorization(tn, factors)

@@ -6,9 +6,23 @@ t-norm reproduces the joint marginal of A, B, S at every assignment.  For
 continuous t-norms this pointwise test is equivalent to the almost-everywhere
 form stated on conditional distributions; ``independent_via_ae_equality``
 implements that slower form for cross-checking.
+
+How a statement is decided: the table's memo supplies the one marginal
+pi(A, B, S).  The marginals pi(A, S), pi(B, S) and pi(S) are maxima of it
+over its own A and B axes, kept as size-1 axes, so the residual, the
+recombination and the comparison all broadcast on the joint's axes.  A max
+of maxima is exact, so the result equals the one computed from separately
+marginalized tables, bit for bit and for exact ``Fraction`` tables too.  The
+witness is the first mismatching cell of the joint, first variable cycling
+fastest.
+
+Axiom scans enumerate their instances once per (variable names, axiom) into
+a table-independent plan; a scan then only decides the plan's statements on
+its table, each distinct statement once.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import Optional
 
@@ -100,23 +114,17 @@ def _evaluate(table, tn, statement, eps, cache=None):
         hit = cache.get(statement)
         if hit is not None:
             return hit
-    schema = table.schema
-    a = schema.in_order(statement.a)
-    b = schema.in_order(statement.b)
-    s = schema.in_order(statement.given)
-    joint = table.marginalize(set(a) | set(b) | set(s))
-    m_as = table.marginalize(set(a) | set(s))
-    m_s = table.marginalize(s)
-    m_bs = table.marginalize(set(b) | set(s))
-    conditional = tn.residual_array(
-        m_as.values,
-        np.broadcast_to(m_s.extend_values(m_as.schema), m_as.values.shape),
-    )
-    lhs = tn.apply_array(
-        _expand(conditional, m_as.schema, joint.schema),
-        m_bs.extend_values(joint.schema),
-    )
-    idx = first_true(mismatch_mask(lhs, joint.values, eps))
+    a, b = set(statement.a), set(statement.b)
+    joint = table.marginalize(a | b | set(statement.given))
+    names = joint.schema.variables
+    a_axes = tuple(i for i, name in enumerate(names) if name in a)
+    b_axes = tuple(i for i, name in enumerate(names) if name in b)
+    pi = joint.values
+    m_as = pi.max(axis=b_axes, keepdims=True)
+    m_bs = pi.max(axis=a_axes, keepdims=True)
+    m_s = m_as.max(axis=a_axes, keepdims=True)
+    lhs = tn.apply_array(tn.residual_array(m_as, m_s), m_bs)
+    idx = first_true(mismatch_mask(lhs, pi, eps))
     if idx is None:
         result = IndependenceResult(statement, True)
     else:
@@ -124,15 +132,6 @@ def _evaluate(table, tn, statement, eps, cache=None):
     if cache is not None:
         cache[statement] = result
     return result
-
-
-def _expand(values, schema, superschema):
-    arr = values
-    own = set(schema.variables)
-    for i, name in enumerate(superschema.variables):
-        if name not in own:
-            arr = np.expand_dims(arr, axis=i)
-    return arr
 
 
 def independent_via_ae_equality(table: PossibilityTable, tn: TNorm,
@@ -150,16 +149,18 @@ def independent_via_ae_equality(table: PossibilityTable, tn: TNorm,
     b = schema.in_order(statement.b)
     s = schema.in_order(statement.given)
     cond_ab = table.condition(tn, tuple(a) + tuple(b), s)
-    cond_a = table.condition(tn, a, s)
-    cond_b = table.condition(tn, b, s)
-    m_s = table.marginalize(s)
     union_schema = cond_ab.schema
-    pi_s = np.broadcast_to(m_s.extend_values(union_schema), union_schema.shape)
+
+    def on_union(cond):
+        return PossibilityTable(cond.schema, cond.values).extend_values(union_schema)
+
+    pi_s = np.broadcast_to(
+        table.marginalize(s).extend_values(union_schema), union_schema.shape
+    )
     lhs = tn.apply_array(cond_ab.values, pi_s)
     rhs = tn.apply_array(
         tn.apply_array(
-            _expand(cond_a.values, cond_a.schema, union_schema),
-            _expand(cond_b.values, cond_b.schema, union_schema),
+            on_union(table.condition(tn, a, s)), on_union(table.condition(tn, b, s))
         ),
         pi_s,
     )
@@ -190,43 +191,41 @@ class AxiomReport:
     witness: Optional[dict] = None
 
 
+# Each axiom over the groups (X, Y, Z, W), numbered 0..3: its antecedents and
+# its consequent, each an (a, b, given) triple whose sides join the listed groups.
+_AXIOM_FORMS = {
+    SYMMETRY: ((((0,), (1,), (2,)),), ((1,), (0,), (2,))),
+    DECOMPOSITION: ((((0,), (1, 2), (3,)),), ((0,), (2,), (3,))),
+    WEAK_UNION: ((((0,), (1, 2), (3,)),), ((0,), (1,), (2, 3))),
+    CONTRACTION: ((((0,), (1,), (2, 3)), ((0,), (2,), (3,))), ((0,), (1, 2), (3,))),
+    INTERSECTION: ((((0,), (1,), (2, 3)), ((0,), (2,), (1, 3))), ((0,), (1, 2), (3,))),
+}
+
+
 def _axiom_statements(axiom, groups):
-    if axiom == SYMMETRY:
-        x, y, z = groups
-        return [IndependenceStatement(x, y, z)], IndependenceStatement(y, x, z)
-    x, y, z, w = groups
-    if axiom == DECOMPOSITION:
-        return [IndependenceStatement(x, y + z, w)], IndependenceStatement(x, z, w)
-    if axiom == WEAK_UNION:
-        return [IndependenceStatement(x, y + z, w)], IndependenceStatement(x, y, z + w)
-    if axiom == CONTRACTION:
-        return (
-            [IndependenceStatement(x, y, z + w), IndependenceStatement(x, z, w)],
-            IndependenceStatement(x, y + z, w),
-        )
-    # intersection
-    return (
-        [IndependenceStatement(x, y, z + w), IndependenceStatement(x, z, y + w)],
-        IndependenceStatement(x, y + z, w),
+    """(antecedent statements, consequent statement) of one axiom instance."""
+    antecedents, consequent = _AXIOM_FORMS[axiom]
+
+    def statement(form):
+        return IndependenceStatement(*(sum((groups[k] for k in side), ()) for side in form))
+
+    return [statement(form) for form in antecedents], statement(consequent)
+
+
+def _instance_report(table, tn, eps, cache, axiom, groups, antecedent_stmts,
+                     consequent_stmt, lazy):
+    antecedents = tuple(
+        (stmt, _evaluate(table, tn, stmt, eps, cache).holds) for stmt in antecedent_stmts
     )
-
-
-def _check_instance(table, tn, axiom, groups, eps, cache, lazy):
-    antecedent_stmts, consequent_stmt = _axiom_statements(axiom, groups)
-    antecedents = []
-    all_true = True
-    for stmt in antecedent_stmts:
-        res = _evaluate(table, tn, stmt, eps, cache)
-        antecedents.append((stmt, res.holds))
-        all_true = all_true and res.holds
+    all_true = all(holds for _, holds in antecedents)
     if lazy and not all_true:
-        return AxiomReport(axiom, groups, tuple(antecedents), consequent_stmt, None, True)
+        return AxiomReport(axiom, groups, antecedents, consequent_stmt, None, True)
     cons = _evaluate(table, tn, consequent_stmt, eps, cache)
     violated = all_true and not cons.holds
     return AxiomReport(
         axiom,
         groups,
-        tuple(antecedents),
+        antecedents,
         consequent_stmt,
         cons.holds,
         not violated,
@@ -251,7 +250,48 @@ def check_axiom(table: PossibilityTable, tn: TNorm, axiom, groups,
     flat = [v for g in groups for v in g]
     if len(flat) != len(set(flat)):
         raise DisjointnessError("axiom groups must be pairwise disjoint")
-    return _check_instance(table, tn, axiom, groups, eps, cache={}, lazy=False)
+    antecedents, consequent = _axiom_statements(axiom, groups)
+    return _instance_report(table, tn, eps, {}, axiom, groups, antecedents, consequent,
+                            lazy=False)
+
+
+@lru_cache(maxsize=len(AXIOMS))
+def _scan_plan(names, axiom):
+    """Every instance of ``axiom`` over the variables ``names``, in scan order.
+
+    Each instance is (groups, antecedent statements, consequent statement).
+    The plan depends only on the names, so one plan serves every table on
+    them.  While the plan is built, groups are bitmasks over ``names``, and
+    each distinct statement is built once and shared.
+    """
+    n_roles = 3 if axiom == SYMMETRY else 4
+    subsets = [
+        tuple(v for i, v in enumerate(names) if mask >> i & 1)
+        for mask in range(1 << len(names))
+    ]
+    antecedent_forms, consequent_form = _AXIOM_FORMS[axiom]
+    shared = {}
+
+    def statement(masks, form):
+        # the groups are disjoint, so the sum of their masks is their union
+        key = tuple([sum(map(masks.__getitem__, side)) for side in form])
+        stmt = shared.get(key)
+        if stmt is None:
+            stmt = shared[key] = IndependenceStatement(*(subsets[m] for m in key))
+        return stmt
+
+    plan = []
+    for roles in iter_product(range(n_roles + 1), repeat=len(names)):
+        masks = [0] * (n_roles + 1)  # role n_roles marks unused variables
+        for i, r in enumerate(roles):
+            masks[r] |= 1 << i
+        if masks[0] and masks[1] and masks[2]:
+            plan.append((
+                tuple(subsets[m] for m in masks[:n_roles]),
+                tuple(statement(masks, form) for form in antecedent_forms),
+                statement(masks, consequent_form),
+            ))
+    return tuple(plan)
 
 
 def scan_axioms(table: PossibilityTable, tn: TNorm, axioms=None, scan_limit=6,
@@ -273,20 +313,12 @@ def scan_axioms(table: PossibilityTable, tn: TNorm, axioms=None, scan_limit=6,
         axioms = AXIOMS
     axioms = [canonical_axiom(a) for a in axioms]
     cache = {}
-    reports = []
-    for axiom in axioms:
-        n_roles = 3 if axiom == SYMMETRY else 4
-        for roles in iter_product(range(n_roles + 1), repeat=len(names)):
-            groups = tuple(
-                tuple(v for v, r in zip(names, roles) if r == k)
-                for k in range(n_roles)
-            )
-            if not groups[0] or not groups[1] or not groups[2]:
-                continue
-            reports.append(
-                _check_instance(table, tn, axiom, groups, eps, cache, lazy=True)
-            )
-    return reports
+    return [
+        _instance_report(table, tn, eps, cache, axiom, groups, antecedents, consequent,
+                         lazy=True)
+        for axiom in axioms
+        for groups, antecedents, consequent in _scan_plan(names, axiom)
+    ]
 
 
 def violations(reports):

@@ -33,15 +33,17 @@ def first_true(mask):
     "First" means the first hit when the leading axis varies fastest, i.e.
     the smallest index tuple read right-to-left.  This matches the order in
     which assignments of a product space are conventionally listed when the
-    first variable cycles quickest.
+    first variable cycles quickest.  Flattening in Fortran order lists the
+    cells in exactly that order, so ``argmax`` finds the cell.
     """
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    flat = mask.ravel(order="F")
+    if not flat.size:
         return None
-    if mask.ndim == 0:
-        return ()
-    best = min(tuple(row[::-1]) for row in np.argwhere(mask))
-    return tuple(int(i) for i in best[::-1])
+    i = int(flat.argmax())
+    if not flat[i]:
+        return None
+    return tuple(int(k) for k in np.unravel_index(i, mask.shape, order="F"))
 
 
 def require_unit(value, name="value"):
@@ -52,8 +54,12 @@ def require_unit(value, name="value"):
 
 
 def require_unit_array(values, name="values"):
-    """Raise DomainError unless every entry of ``values`` lies in [0, 1]."""
+    """Raise DomainError unless every entry of ``values`` lies in [0, 1].
+
+    The test is written so that NaN, which compares False to everything,
+    fails it.
+    """
     arr = np.asarray(values)
-    if arr.size and (bool((arr < 0).any()) or bool((arr > 1).any())):
+    if not bool(((arr >= 0) & (arr <= 1)).all()):
         raise DomainError(f"{name} must lie in [0, 1]")
     return arr

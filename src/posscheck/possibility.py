@@ -15,7 +15,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import DisjointnessError, DomainError, NormalityError, SchemaError
-from .numeric import DEFAULT_EPSILON, first_true, mismatch_mask, values_equal
+from .numeric import (
+    DEFAULT_EPSILON,
+    first_true,
+    mismatch_mask,
+    require_unit_array,
+    values_equal,
+)
 from .tnorm import TNorm
 
 
@@ -138,8 +144,7 @@ class PossibilityTable:
     def __init__(self, schema, values):
         self.schema = schema
         arr = _as_value_array(values, schema.shape).copy()
-        if arr.size and (bool((arr < 0).any()) or bool((arr > 1).any())):
-            raise DomainError("table entries must lie in [0, 1]")
+        require_unit_array(arr, "table entries")
         arr.flags.writeable = False
         self.values = arr
         self._marginals = {}

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from posscheck import Factorization, PossibilityTable, Schema, TNorm, UndirectedGraph
 from posscheck.cli import EX_FAILS, EX_MODEL, EX_OK, EX_UNKNOWN, EX_USAGE, main, run
 from posscheck.corpus import builtin_example
 
@@ -141,6 +143,40 @@ class TestFactorize:
         assert cliques[0]["entries"] == [1.0, 0.25, 0.25, 0.25]
 
 
+    @pytest.mark.parametrize("base", ["godel", "product"])
+    def test_factors_fold_back_when_names_do_not_sort_in_schema_order(self, base, tmp_path):
+        # V10 sorts before V9 by name; entries follow each factor's "vars"
+        names = [f"V{i}" for i in range(12)]
+        rng = np.random.default_rng(11)
+        schema = Schema.binary(*names)
+        graph = UndirectedGraph.from_edges(list(zip(names, names[1:])))
+        tn = TNorm(base)
+        factors = {}
+        for clique in graph.cliques():
+            values = rng.uniform(0.5, 1.0, (2, 2))
+            values[0, 0] = 1.0
+            factors[clique] = PossibilityTable(schema.project(clique), values)
+        table = Factorization(tn, factors).combine(schema)
+        doc = {
+            "variables": [{"name": n, "domain": ["0", "1"]} for n in names],
+            "table": {"entries": [
+                {"assignment": a, "value": float(table.values[schema.multi_index(a)])}
+                for a in schema.assignments()
+            ]},
+            "graph": {"edges": [list(e) for e in zip(names, names[1:])]},
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        code, report = run(["factorize", "--model", str(path), "--tnorm", base])
+        assert code == EX_OK
+        rebuilt = np.ones(schema.shape)
+        for entry in report["checks"][0]["factorization"]["cliques"]:
+            local = PossibilityTable(schema.project(entry["vars"]), entry["entries"])
+            assert local.schema.variables == tuple(entry["vars"])
+            rebuilt = tn.apply_array(rebuilt, local.extend_values(schema))
+        assert np.abs(rebuilt - table.values).max() <= 1e-7
+
+
 class TestExamples:
     def test_example_one_exits_one_with_witness(self):
         code, report = run(["examples", "--id", "1", "--tnorm", "product"])
@@ -186,6 +222,18 @@ class TestValidate:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", "--model", str(path)]) == EX_MODEL
+
+
+    def test_nan_default_exits_as_a_model_error(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(
+            '{"variables": [{"name": "X", "domain": ["0", "1"]}],'
+            ' "table": {"default": NaN, "entries":'
+            ' [{"assignment": {"X": "0"}, "value": 1.0}]}}'
+        )
+        assert main(["validate", "--model", str(path)]) == EX_MODEL
+        err = capsys.readouterr().err
+        assert "[0, 1]" in err and "maximum" not in err
 
 
 class TestGlobalFlags:

@@ -259,6 +259,39 @@ class TestStrictPositiveConstructor:
             construct_strict_positive(t, chain_graph(), TNorm.product())
 
 
+class TestCliqueKeys:
+    """Factors are keyed by the graph's cliques whatever the schema order."""
+
+    TNORMS = (TNorm.product(), TNorm.lukasiewicz(), TNorm.godel())
+
+    def _planted(self, schema, graph, tn, rng):
+        factors = {}
+        for clique in graph.cliques():
+            values = rng.uniform(0.95, 1.0, (2,) * len(clique))
+            values.flat[0] = 1.0
+            factors[clique] = PossibilityTable(schema.project(clique), values)
+        return Factorization(tn, factors).combine(schema)
+
+    def _assert_factorizes(self, schema, graph, tn, rng):
+        t = self._planted(schema, graph, tn, rng)
+        result = factorizes(t, graph, tn)
+        assert result.is_yes
+        assert result.factorization.cliques() == tuple(graph.cliques())
+        ok, _ = verify(t, graph, result.factorization, 1e-7)
+        assert ok
+
+    @pytest.mark.parametrize("tn", TNORMS, ids=lambda t: t.describe())
+    def test_chain_over_a_reversed_schema(self, tn, rng):
+        self._assert_factorizes(Schema.binary("Z", "Y", "X"), chain_graph(), tn, rng)
+
+    @pytest.mark.parametrize("tn", TNORMS, ids=lambda t: t.describe())
+    def test_chain_whose_names_do_not_sort_naturally(self, tn, rng):
+        # ("V10", "V9") is the name-sorted clique of V9 and V10
+        names = [f"V{i}" for i in range(12)]
+        graph = UndirectedGraph.from_edges(list(zip(names, names[1:])))
+        self._assert_factorizes(Schema.binary(*names), graph, tn, rng)
+
+
 class TestFactorizes:
     def test_single_clique_graph_always_factorizes(self):
         t = builtin_example(2).table()

@@ -4,6 +4,9 @@ The key cross-check pits the vectorized engine against the loop-based
 definition oracle in conftest on random tables, for every t-norm family.
 """
 
+from fractions import Fraction
+from itertools import product as iter_product
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,7 @@ from conftest import (
     ALL_TNORMS,
     ARCHIMEDEAN_TNORMS,
     BASE_TNORMS,
+    GRID_VALUES,
     oracle_independent,
     random_table,
 )
@@ -178,6 +182,137 @@ class TestOracleAgreement:
                 independent(t, tn, IndependenceStatement(a, b, s)).holds
                 == independent(t, tn, IndependenceStatement(b, a, s)).holds
             )
+
+
+def random_statement(rng, names):
+    """Random disjoint (A, B, S) over ``names``; variables may stay unused."""
+    while True:
+        roles = rng.integers(0, 4, len(names))
+        a, b, s = (tuple(n for n, r in zip(names, roles) if r == k) for k in range(3))
+        if a and b:
+            return IndependenceStatement(a, b, s)
+
+
+def permuted(table, rng):
+    order = rng.permutation(len(table.schema))
+    names = [table.schema.variables[i] for i in order]
+    schema = Schema([(n, table.schema.domain(n)) for n in names])
+    return PossibilityTable(schema, np.transpose(table.values, order))
+
+
+def exact(table):
+    values = [Fraction(str(v)) for v in table.values.ravel()]
+    return PossibilityTable(
+        table.schema, np.array(values, dtype=object).reshape(table.values.shape)
+    )
+
+
+class TestOracleAgreementOnRandomStatements:
+    @pytest.mark.parametrize("tn", ALL_TNORMS, ids=lambda t: t.describe())
+    def test_permuted_schema_order(self, tn, rng):
+        for _ in range(40):
+            t = random_table(rng, max_vars=4, max_domain=3)
+            p = permuted(t, rng)
+            stmt = random_statement(rng, t.schema.variables)
+            want = oracle_independent(t, tn, stmt.a, stmt.b, stmt.given)
+            assert independent(t, tn, stmt).holds == want
+            assert independent(p, tn, stmt).holds == want
+            assert oracle_independent(p, tn, stmt.a, stmt.b, stmt.given) == want
+            assert independent_via_ae_equality(p, tn, stmt).holds == want
+
+    @pytest.mark.parametrize("tn", BASE_TNORMS, ids=lambda t: t.describe())
+    def test_exact_fraction_tables(self, tn, rng):
+        # transforms force floating point, so exact mode covers the base t-norms
+        for _ in range(40):
+            t = random_table(rng, max_vars=4, max_domain=3)
+            x = exact(t)
+            stmt = random_statement(rng, t.schema.variables)
+            got = independent(x, tn, stmt, eps=0)
+            assert got.holds == oracle_independent(t, tn, stmt.a, stmt.b, stmt.given)
+            assert got.holds == independent_via_ae_equality(x, tn, stmt, eps=0).holds
+            # grid values keep every exact mismatch far above float round-off
+            floating = independent(t, tn, stmt)
+            assert (got.holds, got.witness) == (floating.holds, floating.witness)
+
+
+def naive_scan(table, tn, axioms, eps=EPS):
+    """Scan reports as tuples, from a direct enumeration that decides every
+    statement afresh through ``independent``."""
+    names = table.schema.variables
+    reports = []
+    for axiom in axioms:
+        n_roles = 3 if axiom == "symmetry" else 4
+        for roles in iter_product(range(n_roles + 1), repeat=len(names)):
+            groups = tuple(
+                tuple(v for v, r in zip(names, roles) if r == k) for k in range(n_roles)
+            )
+            if not (groups[0] and groups[1] and groups[2]):
+                continue
+            if axiom == "symmetry":
+                x, y, z = groups
+                forms = ([(x, y, z)], (y, x, z))
+            else:
+                x, y, z, w = groups
+                forms = {
+                    "decomposition": ([(x, y + z, w)], (x, z, w)),
+                    "weak_union": ([(x, y + z, w)], (x, y, z + w)),
+                    "contraction": ([(x, y, z + w), (x, z, w)], (x, y + z, w)),
+                    "intersection": ([(x, y, z + w), (x, z, y + w)], (x, y + z, w)),
+                }[axiom]
+            antecedents = tuple(
+                (IndependenceStatement(*f), independent(
+                    table, tn, IndependenceStatement(*f), eps).holds)
+                for f in forms[0]
+            )
+            consequent = IndependenceStatement(*forms[1])
+            if not all(h for _, h in antecedents):
+                reports.append((axiom, groups, antecedents, consequent, None, True, None))
+                continue
+            res = independent(table, tn, consequent, eps)
+            reports.append((axiom, groups, antecedents, consequent, res.holds, res.holds,
+                            None if res.holds else res.witness))
+    return reports
+
+
+def scan_tuples(table, tn, axioms, eps=EPS):
+    return [
+        (r.axiom, r.groups, r.antecedents, r.consequent, r.consequent_holds, r.holds,
+         r.witness)
+        for r in scan_axioms(table, tn, axioms, eps=eps)
+    ]
+
+
+def grid_table(schema, rng):
+    values = rng.choice(GRID_VALUES, size=schema.shape)
+    values.flat[int(rng.integers(0, values.size))] = 1.0
+    return PossibilityTable(schema, values)
+
+
+class TestScanAgainstNaiveEnumeration:
+    AXIOM_NAMES = ["symmetry", "decomposition", "weak_union", "contraction",
+                   "intersection"]
+
+    @pytest.mark.parametrize("tn", ALL_TNORMS, ids=lambda t: t.describe())
+    def test_schemas_sharing_names_with_different_domains(self, tn, rng):
+        # both scans run on one plan, which depends on the names alone
+        first = Schema([("A", "01"), ("B", "012"), ("C", "01"), ("D", "01")])
+        second = Schema([("A", "012"), ("B", "01"), ("C", "01"), ("D", "012")])
+        tables = [grid_table(first, rng), grid_table(second, rng)]
+        for t in tables + tables[:1]:
+            assert scan_tuples(t, tn, self.AXIOM_NAMES) == naive_scan(
+                t, tn, self.AXIOM_NAMES)
+
+    @pytest.mark.parametrize("tn", BASE_TNORMS, ids=lambda t: t.describe())
+    def test_names_that_do_not_sort_in_schema_order(self, tn, rng):
+        t = exact(grid_table(Schema([("V8", "01"), ("V9", "012"), ("V10", "01")]), rng))
+        assert scan_tuples(t, tn, self.AXIOM_NAMES, eps=0) == naive_scan(
+            t, tn, self.AXIOM_NAMES, eps=0)
+
+    def test_violations_carry_the_consequent_witness(self):
+        t = example1_table()
+        reports = scan_tuples(t, TNorm.godel(), ["intersection"])
+        assert reports == naive_scan(t, TNorm.godel(), ["intersection"])
+        assert any(r[-1] == {"X": "1", "Y": "0", "Z": "0"} for r in reports)
 
 
 class TestAxioms:

@@ -98,6 +98,16 @@ class TestLoad:
         with pytest.raises(ValueError):
             t.values[0, 0, 0] = 0.5
 
+    def test_nan_cell_rejected(self):
+        values = np.ones((2, 2))
+        values[1, 0] = np.nan
+        with pytest.raises(DomainError):
+            PossibilityTable(Schema.binary("X", "Y"), values)
+
+    def test_nan_default_is_a_domain_error_not_abnormality(self):
+        with pytest.raises(DomainError):
+            PossibilityTable.load(Schema.binary("X"), [({"X": "0"}, 1.0)], float("nan"))
+
 
 class TestMarginalize:
     def test_diagonal_pair_marginal(self):
