@@ -3,7 +3,6 @@ conditional independence, Markov properties and clique factorizations."""
 
 from .errors import (
     ArityError,
-    CrispnessError,
     DisjointnessError,
     DomainError,
     InternalInconsistencyError,
@@ -18,8 +17,6 @@ from .errors import (
 from .factorization import (
     Factorization,
     FactorizationResult,
-    construct_crisp,
-    construct_godel,
     construct_strict_positive,
     factorizes,
     verify,
@@ -66,7 +63,6 @@ __all__ = [
     "AxiomReport",
     "ChainReport",
     "ConditionalTable",
-    "CrispnessError",
     "DEFAULT_EPSILON",
     "DisjointnessError",
     "DomainError",
@@ -98,8 +94,6 @@ __all__ = [
     "ae_equal",
     "chain_report",
     "check_axiom",
-    "construct_crisp",
-    "construct_godel",
     "construct_strict_positive",
     "factorizes",
     "global_markov",

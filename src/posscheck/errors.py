@@ -26,11 +26,7 @@ class ArityError(PosscheckError):
 
 
 class LimitError(PosscheckError):
-    """An enumeration exceeds its configured size limit."""
-
-
-class CrispnessError(PosscheckError):
-    """A table required to be crisp ({0,1}-valued) is not."""
+    """An enumeration or a table exceeds its size limit."""
 
 
 class PositivityError(PosscheckError):

@@ -2,8 +2,9 @@
 
 A factorization assigns each maximal clique a factor table over that
 clique's variables; combining all factors through the n-ary t-norm must
-reproduce the distribution.  Verification is direct.  Construction is
-decidable in three regimes, each with a soundness argument:
+reproduce the distribution.  Verification is direct.  ``factorizes`` is the
+one dispatch: it decides three regimes, each with a soundness argument,
+and reports "unknown" outside them:
 
 * Goedel: the clique marginals are a canonical candidate.  Idempotence of
   min makes this complete: any factor dominates the distribution on its
@@ -13,7 +14,9 @@ decidable in three regimes, each with a soundness argument:
 * crisp tables, any t-norm: factors are forced to 1 on projections of the
   1-set (because T(a, b) <= min(a, b) and the combination must reach 1),
   so a factorization exists iff the intersection of the projection
-  cylinders adds no cell outside the 1-set.
+  cylinders adds no cell outside the 1-set.  The Goedel and crisp regimes
+  share one path: verify the clique marginals (snapped to {0, 1} when
+  crisp) as the candidate.
 * strictly positive tables, Archimedean t-norms: rescaling by the
   automorphism that presents the t-norm as a transform of product (or of
   Lukasiewicz) turns the combination into a sum of clique-local unknowns,
@@ -30,12 +33,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.optimize import linprog
 
-from .errors import (
-    CrispnessError,
-    PositivityError,
-    SchemaError,
-    UnsupportedTNormError,
-)
+from .errors import PositivityError, SchemaError, UnsupportedTNormError
 from .graphs import UndirectedGraph
 from .numeric import DEFAULT_EPSILON, first_true, mismatch_mask
 from .possibility import PossibilityTable, Schema
@@ -120,26 +118,6 @@ def _marginal_candidate(table, graph, tn, snap_crisp=False):
     return Factorization(tn, factors)
 
 
-def construct_godel(table: PossibilityTable, graph: UndirectedGraph,
-                    eps=DEFAULT_EPSILON) -> Optional[Factorization]:
-    """Min-factorization from clique marginals, or None if none exists."""
-    _validate_vertices(table, graph)
-    candidate = _marginal_candidate(table, graph, TNorm.godel())
-    ok, _ = verify(table, graph, candidate, eps)
-    return candidate if ok else None
-
-
-def construct_crisp(table: PossibilityTable, graph: UndirectedGraph,
-                    tn: TNorm = None, eps=DEFAULT_EPSILON) -> Optional[Factorization]:
-    """Indicator factors from 1-set projections, or None; t-norm-independent."""
-    _validate_vertices(table, graph)
-    if not table.is_crisp(eps):
-        raise CrispnessError("table is not crisp ({0,1}-valued)")
-    candidate = _marginal_candidate(table, graph, tn or TNorm.godel(), snap_crisp=True)
-    ok, _ = verify(table, graph, candidate, eps)
-    return candidate if ok else None
-
-
 def _validate_vertices(table, graph):
     if set(graph.vertices) != set(table.schema.variables):
         raise SchemaError("graph vertices and schema variables differ")
@@ -149,18 +127,13 @@ def _design_matrix(schema, cliques):
     """Rows: table cells in flat C-order; columns: clique-local cells."""
     sub_schemas = [schema.project(c) for c in cliques]
     offsets = np.cumsum([0] + [int(np.prod(s.shape)) for s in sub_schemas])
-    n_unknowns = offsets[-1]
-    axes = [
-        tuple(schema.axis(v) for v in sub.variables) for sub in sub_schemas
-    ]
-    rows = []
-    for idx in np.ndindex(schema.shape):
-        row = np.zeros(n_unknowns)
-        for k, sub in enumerate(sub_schemas):
-            sub_idx = tuple(idx[a] for a in axes[k])
-            row[offsets[k] + np.ravel_multi_index(sub_idx, sub.shape)] = 1.0
-        rows.append(row)
-    return np.array(rows), sub_schemas, offsets
+    cells = np.indices(schema.shape).reshape(len(schema), -1)
+    rows = np.arange(cells.shape[1])
+    matrix = np.zeros((cells.shape[1], offsets[-1]))
+    for offset, sub in zip(offsets, sub_schemas):
+        local = tuple(cells[schema.axis(v)] for v in sub.variables)
+        matrix[rows, offset + np.ravel_multi_index(local, sub.shape)] = 1.0
+    return matrix, sub_schemas, offsets
 
 
 def _kernel_feasible(matrix, target, base, lower, upper):
@@ -229,7 +202,7 @@ def construct_strict_positive(table: PossibilityTable, graph: UndirectedGraph,
     if family not in (STRICT, NILPOTENT):
         raise UnsupportedTNormError(
             "only strict or nilpotent t-norms are supported here; "
-            "use construct_godel for the Goedel t-norm"
+            "use factorizes for the Goedel t-norm"
         )
     values = table.values.astype(float).ravel()
     phi = tn.transform.apply if tn.transform is not None else (lambda x: x)
@@ -313,25 +286,17 @@ def factorizes(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
         return FactorizationResult(
             "yes", Factorization(tn, {tuple(cliques[0]): whole})
         )
-    if tn.base == GODEL:
-        candidate = _marginal_candidate(table, graph, tn)
+    if tn.base == GODEL or table.is_crisp(eps):
+        candidate = _marginal_candidate(table, graph, tn, snap_crisp=tn.base != GODEL)
         ok, witness = verify(table, graph, candidate, eps)
         if ok:
             return FactorizationResult("yes", candidate)
-        return FactorizationResult(
-            "no", witness=witness,
-            reason="the clique-marginal candidate misses the table, and under min "
-                   "it succeeds whenever any factorization exists",
-        )
-    if table.is_crisp(eps):
-        candidate = _marginal_candidate(table, graph, tn, snap_crisp=True)
-        ok, witness = verify(table, graph, candidate, eps)
-        if ok:
-            return FactorizationResult("yes", candidate)
-        return FactorizationResult(
-            "no", witness=witness,
-            reason="a cell outside the 1-set lies in every clique cylinder of the 1-set",
-        )
+        if tn.base == GODEL:
+            reason = ("the clique-marginal candidate misses the table, and under min "
+                      "it succeeds whenever any factorization exists")
+        else:
+            reason = "a cell outside the 1-set lies in every clique cylinder of the 1-set"
+        return FactorizationResult("no", witness=witness, reason=reason)
     if table.is_strictly_positive():
         candidate = construct_strict_positive(table, graph, tn, eps)
         if candidate is not None:

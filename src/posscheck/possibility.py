@@ -7,6 +7,7 @@ joint by the conditioning marginal, which is the greatest solution of the
 recombination equation  joint = T(marginal, conditional).
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
@@ -14,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DisjointnessError, DomainError, NormalityError, SchemaError
+from .errors import DisjointnessError, DomainError, LimitError, NormalityError, SchemaError
 from .numeric import (
     DEFAULT_EPSILON,
     first_true,
@@ -23,6 +24,10 @@ from .numeric import (
     values_equal,
 )
 from .tnorm import TNorm
+
+# Largest number of cells a schema may span; a dense float table of this
+# size takes 128 MiB.
+MAX_CELLS = 2 ** 24
 
 
 class Schema:
@@ -43,6 +48,10 @@ class Schema:
             domains[name] = labels
         self._names = tuple(names)
         self._domains = domains
+        self._shape = tuple(len(domains[n]) for n in names)
+        cells = math.prod(self._shape)
+        if cells > MAX_CELLS:
+            raise LimitError(f"schema spans {cells} cells, more than the limit of {MAX_CELLS}")
 
     @classmethod
     def binary(cls, *names):
@@ -67,7 +76,7 @@ class Schema:
 
     @property
     def shape(self):
-        return tuple(len(self._domains[n]) for n in self._names)
+        return self._shape
 
     def __len__(self):
         return len(self._names)

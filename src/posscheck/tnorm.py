@@ -4,9 +4,15 @@ Three base t-norms are supported (Goedel = min, product, Lukasiewicz =
 max(0, a+b-1)), optionally rescaled through a power automorphism of the
 unit interval.  All operations accept floats or exact rationals
 (``fractions.Fraction``); attaching a transform forces floating point.
+
+Each formula is written once, as an array kernel (``apply_array``,
+``fold_arrays``, ``residual_array``).  The scalar calls (``apply``,
+``fold``, ``residual``) check their arguments and run those kernels on
+one-cell arrays, so they return exactly what the engine computes cell by
+cell.  (A 0-d array would not do: numpy hands back scalars from 0-d
+operations, and scalar powers round differently from array powers.)
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import reduce
@@ -104,36 +110,22 @@ class TNorm:
     def lukasiewicz(cls, power=None):
         return cls(LUKASIEWICZ, PowerTransform(power) if power is not None else None)
 
-    # -- scalar operations -----------------------------------------------------
+    # -- scalar operations: one-cell calls of the array kernels ----------------
 
     def apply(self, a, b):
         """T(a, b); commutative, associative, isotone, with T(1, a) = a."""
         require_unit(a, "a")
         require_unit(b, "b")
-        return self._apply_unchecked(a, b)
+        return self.apply_array(np.reshape(a, 1), np.reshape(b, 1)).item()
 
     __call__ = apply
-
-    def _apply_unchecked(self, a, b):
-        if self.base == GODEL:
-            return min(a, b)
-        if self.transform is None:
-            if self.base == PRODUCT:
-                return a * b
-            return max(a + b - 1, 0)
-        phi, inv = self.transform.apply, self.transform.inverse
-        if self.base == PRODUCT:
-            return min(inv(phi(a) * phi(b)), 1.0)
-        return inv(max(phi(a) + phi(b) - 1.0, 0.0))
 
     def fold(self, values):
         """Left fold of the binary operation; the empty fold is the unit 1."""
         values = list(values)
         for v in values:
             require_unit(v, "fold argument")
-        if not values:
-            return 1
-        return reduce(self._apply_unchecked, values)
+        return self.fold_arrays(np.reshape(v, 1) for v in values).item()
 
     def residual(self, y, x):
         """Greatest z with T(z, x) <= y, i.e. sup{z in [0,1] : T(z, x) <= y}.
@@ -143,33 +135,9 @@ class TNorm:
         """
         require_unit(y, "y")
         require_unit(x, "x")
-        return self._residual_unchecked(y, x)
+        return self.residual_array(np.reshape(y, 1), np.reshape(x, 1)).item()
 
-    def _residual_unchecked(self, y, x):
-        if self.transform is not None:
-            fy, fx = self.transform.apply(y), self.transform.apply(x)
-            value = min(self.transform.inverse(self._base_residual(fy, fx)), 1.0)
-            if self.base == LUKASIEWICZ:
-                # the inverse transform amplifies round-off at the truncation
-                # boundary; step down ulps so T(value, x) <= y really holds
-                for _ in range(4):
-                    if self._apply_unchecked(value, x) <= y:
-                        break
-                    value = math.nextafter(value, 0.0)
-            return value
-        return self._base_residual(y, x)
-
-    def _base_residual(self, y, x):
-        if x <= y:
-            return 1
-        # below here x > y, in particular x > 0
-        if self.base == GODEL:
-            return y
-        if self.base == PRODUCT:
-            return y / x
-        return y - x + 1
-
-    # -- vectorized operations (numpy float64 or object arrays) ----------------
+    # -- array kernels (numpy float64 or object arrays) ---------------------------
 
     def apply_array(self, a, b):
         """Elementwise T over broadcastable arrays; no per-cell range checks."""
@@ -184,38 +152,38 @@ class TNorm:
             return np.minimum(inv(phi(a) * phi(b)), 1.0)
         return inv(np.maximum(phi(a) + phi(b) - 1.0, 0.0))
 
-    def fold_arrays(self, arrays, shape=None, dtype=None):
+    def fold_arrays(self, arrays, shape=None):
         """Fold a sequence of broadcastable arrays; empty folds give ones."""
         arrays = list(arrays)
         if not arrays:
-            return np.ones(shape or (), dtype=dtype or float)
+            return np.ones(shape or ())
         return reduce(self.apply_array, arrays)
 
     def residual_array(self, y, x):
-        """Elementwise residual of ``y`` by ``x`` over equal-shaped arrays."""
-        raw_y, raw_x = y, x
-        y = np.asarray(y)
-        x = np.asarray(x)
+        """Elementwise residual of ``y`` by ``x`` over broadcastable arrays."""
+        y, x = np.asarray(y), np.asarray(x)
+        fy, fx = y, x
         if self.transform is not None:
-            y = self.transform.apply(y)
-            x = self.transform.apply(x)
-        out = np.ones(np.broadcast_shapes(y.shape, x.shape), dtype=y.dtype)
-        y, x = np.broadcast_arrays(y, x)
-        strict = x > y
-        if self.base == GODEL:
-            out[strict] = y[strict]
-        elif self.base == PRODUCT:
-            out[strict] = y[strict] / x[strict]
+            fy, fx = self.transform.apply(y), self.transform.apply(x)
+        if self.base == GODEL:  # never transformed
+            return np.where(fx > fy, fy, 1)
+        if self.base == PRODUCT:
+            ones = np.ones(np.broadcast_shapes(np.shape(fy), np.shape(fx)),
+                           dtype=np.result_type(fy, fx, 1.0))
+            out = np.divide(fy, fx, out=ones, where=fx > fy)
         else:
-            out[strict] = y[strict] - x[strict] + 1
-        if self.transform is not None:
-            out = np.minimum(self.transform.inverse(out), 1.0)
-            if self.base == LUKASIEWICZ:
-                for _ in range(4):
-                    over = self.apply_array(out, raw_x) > raw_y
-                    if not over.any():
-                        break
-                    out = np.where(over, np.nextafter(out, 0.0), out)
+            out = np.minimum(fy - fx + 1, 1)
+        if self.transform is None:
+            return out
+        out = np.minimum(self.transform.inverse(out), 1.0)
+        if self.base == LUKASIEWICZ:
+            # the inverse transform amplifies round-off at the truncation
+            # boundary; step down ulps so T(out, x) <= y really holds
+            for _ in range(4):
+                over = self.apply_array(out, x) > y
+                if not over.any():
+                    break
+                out = np.where(over, np.nextafter(np.asarray(out, dtype=float), 0.0), out)
         return out
 
     # -- classification ---------------------------------------------------------

@@ -19,7 +19,6 @@ from posscheck import (
     TNorm,
     UndirectedGraph,
     check_axiom,
-    construct_godel,
     factorizes,
     global_markov,
     independent,
@@ -346,7 +345,7 @@ def test_criterion_10_factorization_round_trip(rng=None):
             if vals.max() != 1.0:
                 continue
             table = PossibilityTable(schema, vals.reshape(2, 2, 2))
-            got = construct_godel(table, graph) is not None
+            got = factorizes(table, graph, TNorm.godel()).is_yes
             want = vals.astype(float).tobytes() in achievable
             if got != want:
                 problems.append((gname, cells, got, want))

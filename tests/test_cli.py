@@ -27,6 +27,14 @@ class TestResidual:
         assert code == EX_OK
         assert "0.6" in out
 
+    def test_value_is_the_array_kernel_cell(self):
+        # the scalar residual runs the kernel the engine conditions with
+        code, report = run(["residual", "--tnorm", "product", "--power", "3.7",
+                            "--y", "0.05", "--x", "0.125"])
+        kernel = TNorm.product(3.7).residual_array(np.array([0.05]), np.array([0.125]))
+        assert code == EX_OK
+        assert report["checks"][0]["value"] == kernel[0]
+
     def test_residual_by_zero_is_vacuous(self):
         code, report = run(["residual", "--tnorm", "godel", "--y", "0.3", "--x", "0"])
         assert code == EX_UNKNOWN
@@ -234,6 +242,19 @@ class TestValidate:
         assert main(["validate", "--model", str(path)]) == EX_MODEL
         err = capsys.readouterr().err
         assert "[0, 1]" in err and "maximum" not in err
+
+    def test_oversized_model_exits_as_a_model_error(self, tmp_path, capsys):
+        # 2**70 cells: refused before any table is allocated
+        names = [f"V{i}" for i in range(70)]
+        doc = {
+            "variables": [{"name": n, "domain": ["0", "1"]} for n in names],
+            "table": {"default": 0.0,
+                      "entries": [{"assignment": {n: "0" for n in names}, "value": 1.0}]},
+        }
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--model", str(path)]) == EX_MODEL
+        assert "limit" in capsys.readouterr().err
 
 
 class TestGlobalFlags:

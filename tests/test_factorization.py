@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from posscheck import (
-    CrispnessError,
     Factorization,
     PositivityError,
     PossibilityTable,
@@ -15,14 +14,13 @@ from posscheck import (
     TNorm,
     UndirectedGraph,
     UnsupportedTNormError,
-    construct_crisp,
-    construct_godel,
     construct_strict_positive,
     factorizes,
     global_markov,
     verify,
 )
 from posscheck.corpus import builtin_example
+from posscheck.factorization import _design_matrix
 
 from conftest import ARCHIMEDEAN_TNORMS, BASE_TNORMS, random_graph, random_table
 
@@ -108,21 +106,21 @@ class TestGodelConstructor:
             f2 = base.marginalize(["Y", "Z"])
             built = Factorization(TNorm.godel(), {("X", "Y"): f1, ("Y", "Z"): f2})
             t = built.combine(schema)
-            got = construct_godel(t, chain_graph())
-            assert got is not None
-            ok, _ = verify(t, chain_graph(), got)
+            got = factorizes(t, chain_graph(), TNorm.godel())
+            assert got.is_yes
+            ok, _ = verify(t, chain_graph(), got.factorization)
             assert ok
 
     def test_four_cycle_table_does_not_factorize(self):
         m = builtin_example(5)
-        assert construct_godel(m.table(), m.graph()) is None
+        assert factorizes(m.table(), m.graph(), TNorm.godel()).status == "no"
 
     def test_constant_one_table_gives_unit_factors(self):
         schema = Schema.binary("X", "Y", "Z")
         t = PossibilityTable.load(schema, [], 1.0)
-        got = construct_godel(t, chain_graph())
-        assert got is not None
-        for f in got.factors.values():
+        got = factorizes(t, chain_graph(), TNorm.godel())
+        assert got.is_yes
+        for f in got.factorization.factors.values():
             assert (f.values == 1.0).all()
 
     def test_agrees_with_brute_force_on_three_binary_variables(self):
@@ -147,8 +145,8 @@ class TestGodelConstructor:
                 continue
             key = vals.tobytes()
             t = PossibilityTable(schema, vals.reshape(2, 2, 2))
-            got = construct_godel(t, g)
-            assert (got is not None) == (key in achievable)
+            got = factorizes(t, g, TNorm.godel())
+            assert got.is_yes == (key in achievable)
             checked += 1
         assert checked > 60
 
@@ -159,7 +157,7 @@ class TestCrispConstructor:
         # intersection is everything and the construction must fail
         m = builtin_example(5)
         t, g = m.table(), m.graph()
-        assert construct_crisp(t, g) is None
+        assert factorizes(t, g, TNorm.lukasiewicz()).status == "no"
         res = factorizes(t, g, TNorm.product())
         assert res.status == "no"
         assert res.witness == {"X": "0", "Y": "1", "Z": "0", "W": "0"}
@@ -187,25 +185,19 @@ class TestCrispConstructor:
     def test_single_clique_crisp_table(self):
         t = builtin_example(1).table()
         g = UndirectedGraph.from_edges([("X", "Y"), ("Y", "Z"), ("X", "Z")])
-        got = construct_crisp(t, g)
-        assert got is not None
-        assert np.array_equal(got.factors[("X", "Y", "Z")].values, t.values)
+        got = factorizes(t, g, TNorm.product())
+        assert got.is_yes
+        assert np.array_equal(got.factorization.factors[("X", "Y", "Z")].values, t.values)
 
     def test_product_one_set_factorizes(self):
         # 1-set {0,1} x {1} is a rectangle, so the edge graph carries it
         schema = Schema.binary("A", "B")
         t = PossibilityTable(schema, [[0.0, 1.0], [0.0, 1.0]])
         g = UndirectedGraph.from_edges([("A", "B")])
-        got = construct_crisp(t, g)
-        assert got is not None
-        ok, _ = verify(t, g, got)
+        got = factorizes(t, g, TNorm.product())
+        assert got.is_yes
+        ok, _ = verify(t, g, got.factorization)
         assert ok
-
-    def test_non_crisp_rejected(self):
-        t = builtin_example(2).table()
-        g = UndirectedGraph.from_edges([("Y", "Z")], isolated=["X"])
-        with pytest.raises(CrispnessError):
-            construct_crisp(t, g)
 
 
 class TestStrictPositiveConstructor:
@@ -257,6 +249,36 @@ class TestStrictPositiveConstructor:
         t = builtin_example(1).table()
         with pytest.raises(PositivityError):
             construct_strict_positive(t, chain_graph(), TNorm.product())
+
+
+class TestDesignMatrix:
+    """The vectorized design matrix against the per-cell loop it replaced."""
+
+    @staticmethod
+    def _loop_matrix(schema, cliques):
+        sub_schemas = [schema.project(c) for c in cliques]
+        offsets = np.cumsum([0] + [int(np.prod(s.shape)) for s in sub_schemas])
+        rows = []
+        for idx in np.ndindex(schema.shape):
+            row = np.zeros(offsets[-1])
+            for offset, sub in zip(offsets, sub_schemas):
+                local = tuple(idx[schema.axis(v)] for v in sub.variables)
+                row[offset + np.ravel_multi_index(local, sub.shape)] = 1.0
+            rows.append(row)
+        return np.array(rows), sub_schemas, offsets
+
+    def test_matches_the_cell_loop_on_permuted_schemas(self, rng):
+        for _ in range(30):
+            t = random_table(rng, max_vars=5, max_domain=3)
+            names = [str(n) for n in rng.permutation(t.schema.variables)]
+            schema = Schema([(n, t.schema.domain(n)) for n in names])
+            cliques = random_graph(rng, names).cliques()
+            matrix, subs, offsets = _design_matrix(schema, cliques)
+            want, want_subs, want_offsets = self._loop_matrix(schema, cliques)
+            assert matrix.dtype == want.dtype and np.array_equal(matrix, want)
+            assert subs == want_subs
+            assert np.array_equal(offsets, want_offsets)
+            assert (matrix.sum(axis=1) == len(cliques)).all()
 
 
 class TestCliqueKeys:

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import posscheck.possibility
 from posscheck import (
     DisjointnessError,
     DomainError,
+    LimitError,
     NormalityError,
     PossibilityTable,
     Schema,
@@ -68,6 +70,19 @@ class TestSchema:
         schema = Schema.binary("X")
         with pytest.raises(SchemaError):
             schema.multi_index({"X": "2"})
+
+    def test_cell_cap(self, monkeypatch):
+        monkeypatch.setattr(posscheck.possibility, "MAX_CELLS", 8)
+        assert Schema.binary("A", "B", "C").shape == (2, 2, 2)
+        with pytest.raises(LimitError):
+            Schema.binary("A", "B", "C", "D")
+        with pytest.raises(LimitError):
+            Schema([("A", ["0", "1", "2"]), ("B", ["0", "1", "2"])])
+
+    def test_cell_count_does_not_overflow(self):
+        # 2**70 cells overflow int64; the count is taken over Python ints
+        with pytest.raises(LimitError):
+            Schema.binary(*(f"V{i}" for i in range(70)))
 
 
 class TestLoad:

@@ -21,6 +21,21 @@ COARSE = [0.0, 0.25, 0.5, 0.75, 1.0]
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 tnorm_specs = st.sampled_from(ALL_TNORMS)
 
+# every base, plus power exponents at which scalar and array powers round differently
+KERNEL_SPECS = (TNorm.godel(),) + tuple(
+    family(p) for family in (TNorm.product, TNorm.lukasiewicz) for p in (None, 0.5, 2.0, 3.7)
+)
+
+
+@st.composite
+def keepdims_marginals(draw):
+    """A small joint array and its max-marginal over some axes, kept as size 1."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=3)))
+    cells = draw(st.lists(unit_floats, min_size=math.prod(shape), max_size=math.prod(shape)))
+    joint = np.array(cells, dtype=float).reshape(shape)
+    axes = tuple(i for i in range(len(shape)) if draw(st.booleans()))
+    return joint, joint.max(axis=axes, keepdims=True)
+
 
 class TestApply:
     def test_godel_is_min(self):
@@ -185,6 +200,41 @@ class TestResidual:
     @given(tn=tnorm_specs, y=unit_floats, x=unit_floats)
     def test_matches_reference_formulas(self, tn, y, x):
         assert tn.residual(y, x) == pytest.approx(oracle_residual(tn, y, x), abs=1e-7)
+
+
+class TestScalarCallsRunTheKernels:
+    """apply, fold and residual return the array kernels' cells bit for bit."""
+
+    @staticmethod
+    def _assert_cells(tn, grid, dtype):
+        arr = np.array(grid, dtype=dtype)
+        ys, xs = arr[:, None], arr[None, :]
+        applied = tn.apply_array(ys, xs)
+        folded = tn.fold_arrays([ys, xs, ys])
+        residuals = tn.residual_array(ys, xs)
+        for i, y in enumerate(grid):
+            for j, x in enumerate(grid):
+                assert tn.apply(y, x) == applied[i, j]
+                assert tn.fold([y, x, y]) == folded[i, j]
+                assert tn.residual(y, x) == residuals[i, j]
+
+    @pytest.mark.parametrize("tn", KERNEL_SPECS, ids=lambda t: t.describe())
+    def test_floats(self, tn):
+        self._assert_cells(tn, [k / 40 for k in range(41)], float)
+
+    @pytest.mark.parametrize("tn", KERNEL_SPECS, ids=lambda t: t.describe())
+    def test_fractions(self, tn):
+        self._assert_cells(tn, [Fraction(k, 10) for k in range(11)], object)
+
+    @given(tn=tnorm_specs, pair=keepdims_marginals())
+    def test_residual_array_on_keepdims_marginals(self, tn, pair):
+        joint, marginal = pair
+        out = tn.residual_array(joint, marginal)
+        assert out.shape == joint.shape
+        given_cells = np.broadcast_to(marginal, joint.shape)
+        for idx in np.ndindex(joint.shape):
+            want = oracle_residual(tn, float(joint[idx]), float(given_cells[idx]))
+            assert out[idx] == pytest.approx(want, abs=1e-7)
 
 
 class TestExactMode:
