@@ -46,7 +46,8 @@ print()
 print("=== three decision procedures ===")
 print("min:      clique marginals succeed whenever anything does (idempotence)")
 print("crisp:    indicator factors from 1-set projections, any t-norm")
-print("positive: a linear solve in the automorphism-rescaled space")
+print("positive: zero non-edge mixed differences in the rescaled space,")
+print("          then factors in the unit interval")
 
 print()
 print("=== the four-cycle counterexample ===")

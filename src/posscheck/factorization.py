@@ -19,18 +19,21 @@ and reports "unknown" outside them:
   crisp) as the candidate.
 * strictly positive tables, Archimedean t-norms: rescaling by the
   automorphism that presents the t-norm as a transform of product (or of
-  Lukasiewicz) turns the combination into a sum of clique-local unknowns,
-  which is a linear system.  Least squares decides consistency; a gauge
-  shift (or, failing that, a feasibility search over the kernel) brings
-  the factors back into the unit interval.
+  Lukasiewicz) turns the combination into a sum of clique-local terms.  The
+  rescaled table is such a sum exactly when every non-edge {u, v} has a zero
+  mixed difference f - f[u<-0] - f[v<-0] + f[u,v<-0] (the additive
+  Hammersley-Clifford test), so a nonzero one is the witness of a "no".
+  Otherwise the factors still have to lie in the unit interval: a gauge
+  shift of the least-squares terms finds them for some strict tables, and
+  one linear program decides the rest.
 """
 
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from .errors import PositivityError, SchemaError, UnsupportedTNormError
@@ -136,111 +139,58 @@ def _design_matrix(schema, cliques):
     return matrix, sub_schemas, offsets
 
 
-def _kernel_feasible(matrix, target, base, lower, upper):
-    """Solution of the consistent system shifted into [lower, upper], or None.
+def _mixed_difference_mask(f, schema, graph, eps):
+    """Cells where some non-edge {u, v} has a mixed difference beyond eps.
 
-    A linear program over the kernel decides feasibility; the returned point
-    is then polished by alternating projections between the exact-solution
-    affine set and the box, so that box violations shrink to round-off and
-    clipping does not disturb the recombination.
+    The terms with u or v reset to its first label are size-1 axes, so the
+    difference broadcasts on ``f``.
     """
-    kernel = null_space(matrix)
-    if kernel.shape[1] == 0:
-        sol = base
-    else:
-        blocks = []
-        bounds = []
-        if upper is not None:
-            blocks.append(kernel)
-            bounds.append(upper - base)
-        if lower is not None:
-            blocks.append(-kernel)
-            bounds.append(base - lower)
-        res = linprog(
-            np.zeros(kernel.shape[1]),
-            A_ub=np.vstack(blocks),
-            b_ub=np.concatenate(bounds),
-            bounds=[(None, None)] * kernel.shape[1],
-            method="highs",
-        )
-        if not res.success:
-            return None
-        sol = base + kernel @ res.x
-    lo = lower if lower is not None else -np.inf
-    hi = upper if upper is not None else np.inf
-    for _ in range(60):
-        clipped = np.clip(sol, lo, hi)
-        if np.abs(clipped - sol).max() <= 1e-12:
-            sol = clipped
-            break
-        back, _, _, _ = np.linalg.lstsq(matrix, matrix @ clipped - target, rcond=None)
-        sol = clipped - back
-    if np.abs(np.clip(sol, lo, hi) - sol).max() > 1e-9:
-        return None
-    return np.clip(sol, lo, hi)
+    names = schema.variables
+    flagged = np.zeros(f.shape, dtype=bool)
+    for a, b in combinations(range(len(names)), 2):
+        if names[b] in graph.neighbors(names[a]):
+            continue
+        f_a = np.take(f, [0], a)
+        d = f - f_a - np.take(f, [0], b) + np.take(f_a, [0], b)
+        flagged |= np.abs(d) > max(eps, 1e-12)
+    return flagged
 
 
-def construct_strict_positive(table: PossibilityTable, graph: UndirectedGraph,
-                              tn: TNorm, eps=DEFAULT_EPSILON) -> Optional[Factorization]:
-    """Factorize a strictly positive table under an Archimedean t-norm.
+def _rescaled_factorization(table, graph, tn, eps):
+    """(factorization, None), (None, witness index) or (None, None).
 
-    Strict base: solve  sum_C theta_C(x_C) = log phi(pi(x))  by least
-    squares; infeasible when the residual exceeds eps * sqrt(cells).
-    Factors are phi_inverse(exp theta) after shifting each clique's maximum
-    to zero and absorbing the total shift into the first clique; when that
-    designated clique would exceed 1, a feasibility search over the
-    kernel finds a nonpositive gauge instead.
-
-    Nilpotent base: solve  sum_C rho_C(x_C) = psi(pi(x)) + (cliques - 1)
-    subject to rho in [0, 1] (kernel feasibility search); strict positivity
-    guarantees the fold never truncates.  Factors are psi_inverse(rho).
+    The witness is the first cell with a nonzero mixed difference; (None,
+    None) means the rescaled table is a sum of clique terms but no such sum
+    has its terms in the unit box.
     """
-    _validate_vertices(table, graph)
-    if not table.is_strictly_positive():
-        raise PositivityError("table must be strictly positive")
     family = tn.classify()
-    if family not in (STRICT, NILPOTENT):
-        raise UnsupportedTNormError(
-            "only strict or nilpotent t-norms are supported here; "
-            "use factorizes for the Goedel t-norm"
-        )
-    values = table.values.astype(float).ravel()
     phi = tn.transform.apply if tn.transform is not None else (lambda x: x)
     phi_inv = tn.transform.inverse if tn.transform is not None else (lambda x: x)
     cliques = graph.cliques()
+    values = table.values.astype(float)
+    if family == STRICT:
+        f = np.log(phi(values))
+    else:
+        f = phi(values) + (len(cliques) - 1)
+    idx = first_true(_mixed_difference_mask(f, table.schema, graph, eps))
+    if idx is not None:
+        return None, idx
+
     matrix, sub_schemas, offsets = _design_matrix(table.schema, cliques)
-    n_cells = len(values)
-
+    target = f.ravel()
+    unknowns = None
     if family == STRICT:
-        target = np.log(phi(values))
-    else:
-        target = phi(values) + (len(sub_schemas) - 1)
-
-    solution, _, _, _ = np.linalg.lstsq(matrix, target, rcond=None)
-    residual = np.linalg.norm(matrix @ solution - target)
-    if residual > max(eps, 1e-12) * np.sqrt(n_cells):
-        return None
-
-    if family == STRICT:
-        theta = _shift_nonpositive(solution, offsets)
-        if theta is None:
-            theta = _kernel_feasible(
-                matrix, target, solution, None, np.zeros_like(solution)
-            )
-        if theta is None:
-            return None
-        factor_values = phi_inv(np.exp(theta))
-    else:
-        rho = solution
-        if (rho < -1e-12).any() or (rho > 1 + 1e-12).any():
-            rho = _kernel_feasible(
-                matrix, target, solution, np.zeros_like(solution), np.ones_like(solution)
-            )
-            if rho is None:
-                return None
-        else:
-            rho = np.clip(rho, 0.0, 1.0)
-        factor_values = phi_inv(rho)
+        solution, _, _, _ = np.linalg.lstsq(matrix, target, rcond=None)
+        unknowns = _shift_nonpositive(solution, offsets)
+    if unknowns is None:
+        res = linprog(
+            np.zeros(matrix.shape[1]), A_eq=matrix, b_eq=target,
+            bounds=(None, 0) if family == STRICT else (0, 1), method="highs",
+        )
+        if not res.success:
+            return None, None
+        unknowns = res.x
+    factor_values = phi_inv(np.exp(unknowns) if family == STRICT else unknowns)
 
     factors = {}
     for k, (clique, sub) in enumerate(zip(cliques, sub_schemas)):
@@ -250,7 +200,32 @@ def construct_strict_positive(table: PossibilityTable, graph: UndirectedGraph,
         )
     candidate = Factorization(tn, factors)
     ok, _ = verify(table, graph, candidate, max(eps, 1e-7))
-    return candidate if ok else None
+    return (candidate if ok else None), None
+
+
+def construct_strict_positive(table: PossibilityTable, graph: UndirectedGraph,
+                              tn: TNorm, eps=DEFAULT_EPSILON) -> Optional[Factorization]:
+    """Factorize a strictly positive table under an Archimedean t-norm.
+
+    The unknowns are the clique terms of the rescaled table f: theta <= 0
+    with f = log phi(pi) and factors phi_inverse(exp theta) (strict base), or
+    rho in [0, 1] with f = phi(pi) + (cliques - 1) and factors
+    phi_inverse(rho) (nilpotent base; strict positivity keeps the fold from
+    truncating).  None when a non-edge mixed difference of f exceeds eps,
+    which is checked before any linear system is built.  Otherwise the strict
+    base tries the least-squares terms with each clique's maximum shifted to
+    zero, the first clique absorbing the total; when that fails, and always
+    for the nilpotent base, one linear program over the box decides.
+    """
+    _validate_vertices(table, graph)
+    if not table.is_strictly_positive():
+        raise PositivityError("table must be strictly positive")
+    if tn.classify() not in (STRICT, NILPOTENT):
+        raise UnsupportedTNormError(
+            "only strict or nilpotent t-norms are supported here; "
+            "use factorizes for the Goedel t-norm"
+        )
+    return _rescaled_factorization(table, graph, tn, eps)[0]
 
 
 def _shift_nonpositive(solution, offsets):
@@ -298,9 +273,15 @@ def factorizes(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
             reason = "a cell outside the 1-set lies in every clique cylinder of the 1-set"
         return FactorizationResult("no", witness=witness, reason=reason)
     if table.is_strictly_positive():
-        candidate = construct_strict_positive(table, graph, tn, eps)
+        candidate, idx = _rescaled_factorization(table, graph, tn, eps)
         if candidate is not None:
             return FactorizationResult("yes", candidate)
+        if idx is not None:
+            return FactorizationResult(
+                "no", witness=table.schema.assignment(idx),
+                reason="the rescaled table is not a sum of clique terms: a non-edge "
+                       "has a nonzero mixed difference at the witness cell",
+            )
         return FactorizationResult(
             "no",
             reason="the clique-local linear system for the rescaled table is "

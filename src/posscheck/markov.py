@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from itertools import combinations, product as iter_product
 from typing import Optional
 
-from .errors import InternalInconsistencyError, SchemaError
-from .factorization import FactorizationResult, factorizes
+from .errors import InternalInconsistencyError
+from .factorization import FactorizationResult, _validate_vertices, factorizes
 from .graphs import UndirectedGraph
 from .independence import IndependenceStatement, _evaluate
 from .numeric import DEFAULT_EPSILON
@@ -40,11 +40,6 @@ class MarkovReport:
     mode: str = "components"
 
 
-def _validate(table, graph):
-    if set(graph.vertices) != set(table.schema.variables):
-        raise SchemaError("graph vertices and schema variables differ")
-
-
 def _run_checks(table, tn, statements, eps, property_name, skipped=(), mode="components"):
     cache = {}
     checked = []
@@ -62,7 +57,7 @@ def _run_checks(table, tn, statements, eps, property_name, skipped=(), mode="com
 def pairwise_markov(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
                     eps=DEFAULT_EPSILON) -> MarkovReport:
     """Check independence of every non-adjacent vertex pair given the rest."""
-    _validate(table, graph)
+    _validate_vertices(table, graph)
     order = table.schema.variables
     statements = []
     for i, j in combinations(order, 2):
@@ -76,7 +71,7 @@ def pairwise_markov(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
 def local_markov(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
                  eps=DEFAULT_EPSILON) -> MarkovReport:
     """Check independence of each vertex from its non-closure given its boundary."""
-    _validate(table, graph)
+    _validate_vertices(table, graph)
     statements = []
     skipped = []
     for i in table.schema.variables:
@@ -130,7 +125,7 @@ def global_markov(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
     t-norms via decomposition of group statements); ``exhaustive=True``
     instead tests every disjoint separated triple directly.
     """
-    _validate(table, graph)
+    _validate_vertices(table, graph)
     order = table.schema.variables
     gen = _exhaustive_statements if exhaustive else _component_statements
     return _run_checks(

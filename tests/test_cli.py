@@ -20,6 +20,33 @@ def model_path(tmp_path):
     return write
 
 
+def strict_cycle_model(tmp_path):
+    """Model file of a product-planted table on the four-cycle W-X-Y-Z whose
+    shifted least-squares factors leave the unit interval."""
+    schema = Schema.binary("W", "X", "Y", "Z")
+    factors = {
+        ("W", "X"): [[0.4, 1.0], [0.7, 0.2]],
+        ("X", "Y"): [[0.3, 0.9], [1.0, 0.5]],
+        ("Y", "Z"): [[0.6, 1.0], [0.2, 0.8]],
+        ("W", "Z"): [[0.5, 1.0], [0.1, 0.7]],
+    }
+    table = Factorization(TNorm.product(), {
+        c: PossibilityTable(schema.project(c), values) for c, values in factors.items()
+    }).combine(schema)
+    doc = {
+        "variables": [{"name": n, "domain": ["0", "1"]} for n in schema.variables],
+        "table": {"entries": [
+            {"assignment": a, "value": float(table.values[schema.multi_index(a)])}
+            for a in schema.assignments()
+        ]},
+        "graph": {"edges": [list(c) for c in factors]},
+        "tnorm": {"base": "product"},
+    }
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestResidual:
     def test_lukasiewicz_value(self, capsys):
         code = main(["residual", "--tnorm", "lukasiewicz", "--y", "0.3", "--x", "0.7"])
@@ -262,8 +289,14 @@ class TestGlobalFlags:
         assert main(["markov", "--model"]) == EX_USAGE
         assert main(["nonsense"]) == EX_USAGE
 
-    def test_json_report_is_deterministic_modulo_timing(self, model_path, capsys):
-        argv = ["markov", "--model", model_path(3), "--property", "all", "--json"]
+    @pytest.mark.parametrize("command", ["markov", "factorize"])
+    def test_json_report_is_deterministic_modulo_timing(self, command, model_path, tmp_path,
+                                                        capsys):
+        if command == "markov":
+            argv = ["markov", "--model", model_path(3), "--property", "all", "--json"]
+        else:
+            # a strict "yes" whose factors come from the linear program
+            argv = ["factorize", "--model", strict_cycle_model(tmp_path), "--json"]
         main(argv)
         first = json.loads(capsys.readouterr().out)
         main(argv)
@@ -271,6 +304,7 @@ class TestGlobalFlags:
         first.pop("elapsed_ms")
         second.pop("elapsed_ms")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+        assert command == "markov" or first["checks"][0]["status"] == "yes"
 
     def test_epsilon_env_override(self, model_path, monkeypatch):
         monkeypatch.setenv("POSSCHECK_EPSILON", "0.25")

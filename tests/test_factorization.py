@@ -1,9 +1,12 @@
 """Combining, verifying and constructing clique factorizations."""
 
-from itertools import product as iter_product
+import math
+from fractions import Fraction
+from itertools import combinations, product as iter_product
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from posscheck import (
     Factorization,
@@ -20,6 +23,7 @@ from posscheck import (
     verify,
 )
 from posscheck.corpus import builtin_example
+import posscheck.factorization
 from posscheck.factorization import _design_matrix
 
 from conftest import ARCHIMEDEAN_TNORMS, BASE_TNORMS, random_graph, random_table
@@ -33,6 +37,60 @@ def chain_graph():
 
 def factor(names, values):
     return PossibilityTable(Schema.binary(*names), np.asarray(values, dtype=float))
+
+
+def chain_of(n):
+    names = [f"V{i}" for i in range(n)]
+    return UndirectedGraph.from_edges(list(zip(names, names[1:])))
+
+
+def four_cycle():
+    return UndirectedGraph.from_edges([("X", "Y"), ("Y", "Z"), ("Z", "W"), ("W", "X")])
+
+
+def planted(schema, graph, tn, rng, low):
+    """A table that factorizes by construction: every factor is drawn from
+    [low, 1] and is 1 at a common random cell, so the fold is normal."""
+    anchor = tuple(int(rng.integers(k)) for k in schema.shape)
+    factors = {}
+    for clique in graph.cliques():
+        sub = schema.project(clique)
+        values = rng.uniform(low, 1.0, sub.shape)
+        values[tuple(anchor[schema.axis(v)] for v in sub.variables)] = 1.0
+        factors[clique] = PossibilityTable(sub, values)
+    return Factorization(tn, factors).combine(schema), anchor
+
+
+def loop_mixed_difference_witness(table, graph, tn, eps=EPS):
+    """First assignment, first variable cycling fastest, at which some
+    non-edge {u, v} has a mixed difference f - f[u<-0] - f[v<-0] + f[u,v<-0]
+    beyond eps, where f is log phi(pi) for the product family and
+    phi(pi) + (cliques - 1) for the Lukasiewicz family; None if there is none."""
+    schema = table.schema
+    p = tn.transform.p if tn.transform is not None else 1.0
+    shift = len(graph.cliques()) - 1
+
+    def f(idx):
+        value = float(table.values[idx]) ** p
+        return math.log(value) if tn.base == "product" else value + shift
+
+    def reset(idx, *axes):
+        return tuple(0 if i in axes else k for i, k in enumerate(idx))
+
+    names = schema.variables
+    non_edges = [(a, b) for a, b in combinations(range(len(names)), 2)
+                 if names[b] not in graph.neighbors(names[a])]
+    for assignment in schema.assignments():
+        idx = schema.multi_index(assignment)
+        for a, b in non_edges:
+            d = f(idx) - f(reset(idx, a)) - f(reset(idx, b)) + f(reset(idx, a, b))
+            if abs(d) > eps:
+                return assignment
+    return None
+
+
+BOX_REASON = ("the clique-local linear system for the rescaled table is "
+              "infeasible within the unit interval")
 
 
 class TestCombine:
@@ -203,7 +261,7 @@ class TestCrispConstructor:
 class TestStrictPositiveConstructor:
     @pytest.mark.parametrize("tn", [TNorm.product(), TNorm.product(2.0)],
                              ids=lambda t: t.describe())
-    def test_product_family_round_trip(self, tn, rng):
+    def test_product_family_round_trip(self, tn, rng, monkeypatch):
         schema = Schema.binary("X", "Y", "Z")
         for _ in range(10):
             f1 = rng.uniform(0.1, 1.0, (2, 2)); f1[0, 0] = 1.0
@@ -216,6 +274,18 @@ class TestStrictPositiveConstructor:
             got = construct_strict_positive(t, chain_graph(), tn)
             assert got is not None
             assert np.abs(got.combine(schema).values - t.values).max() <= EPS
+        # on the non-chordal four-cycle the shifted least-squares terms often
+        # leave the box, and then the linear program finds the factors
+        calls = []
+        monkeypatch.setattr(posscheck.factorization, "linprog",
+                            lambda *a, **k: calls.append(1) or linprog(*a, **k))
+        schema = Schema.binary("W", "X", "Y", "Z")
+        for _ in range(10):
+            t, _ = planted(schema, four_cycle(), tn, rng, 0.1)
+            got = construct_strict_positive(t, four_cycle(), tn)
+            assert got is not None
+            assert np.abs(got.combine(schema).values - t.values).max() <= EPS
+        assert calls
 
     @pytest.mark.parametrize("tn", [TNorm.lukasiewicz(), TNorm.lukasiewicz(2.0)],
                              ids=lambda t: t.describe())
@@ -232,6 +302,13 @@ class TestStrictPositiveConstructor:
             got = construct_strict_positive(t, chain_graph(), tn)
             assert got is not None
             assert np.abs(got.combine(schema).values - t.values).max() <= EPS
+        # an eleven-variable chain: ten factors, each close enough to 1 that
+        # the fold does not truncate
+        schema = Schema.binary(*(f"V{i}" for i in range(11)))
+        t, _ = planted(schema, chain_of(11), tn, rng, 0.995)
+        got = construct_strict_positive(t, chain_of(11), tn)
+        assert got is not None
+        assert np.abs(got.combine(schema).values - t.values).max() <= 1e-7
 
     def test_dependent_positive_table_is_rejected_by_the_solve(self):
         # the strictly positive diagonal is not product-independent of
@@ -361,3 +438,81 @@ class TestFactorizes:
             res = factorizes(t, g, tn)
             assert res.status == "yes"
             assert global_markov(t, g, tn).holds
+
+
+class TestMixedDifferences:
+    """Strictly positive tables under Archimedean t-norms: the non-edge mixed
+    differences of the rescaled table decide, and the box decides the rest."""
+
+    @pytest.mark.parametrize("tn", ARCHIMEDEAN_TNORMS, ids=lambda t: t.describe())
+    def test_witness_is_the_first_cell_of_the_loop_oracle(self, tn, rng):
+        grid = UndirectedGraph.from_edges(
+            [("A", "B"), ("B", "C"), ("D", "E"), ("E", "F"), ("A", "D"), ("B", "E"), ("C", "F")]
+        )
+        cases = [(Schema.binary("X", "Y", "Z"), chain_graph()),
+                 (Schema.binary(*(f"V{i}" for i in range(6))), chain_of(6)),
+                 (Schema.binary("F", "A", "E", "B", "D", "C"), grid),
+                 (Schema([("Z", ["0", "1", "2"]), ("X", ["0", "1"]), ("Y", ["0", "1", "2"])]),
+                  chain_graph())]
+        for schema, graph in cases:
+            for _ in range(4):
+                t, anchor = planted(schema, graph, tn, rng, 0.98)
+                values = t.values.copy()
+                cell = anchor
+                while cell == anchor:
+                    cell = tuple(int(rng.integers(k)) for k in schema.shape)
+                values[cell] *= 0.5
+                t = PossibilityTable(schema, values)
+                res = factorizes(t, graph, tn)
+                assert res.status == "no"
+                assert res.witness is not None
+                assert res.witness == loop_mixed_difference_witness(t, graph, tn)
+                assert "not a sum of clique terms" in res.reason
+
+    def test_frustrated_product_four_cycle_needs_the_box(self):
+        # log pi = -[x != y] - [y != z] - [z != w] - [w == x], shifted to a
+        # maximum of 0: a sum of edge terms, so every mixed difference is 0,
+        # but every edge takes the value 0 on some cell where the table is 1,
+        # so factors in (0, 1] would all be 1 on those cells and sum to 0
+        schema = Schema.binary("X", "Y", "Z", "W")
+        x, y, z, w = np.indices(schema.shape)
+        log_pi = -1.0 * ((x != y).astype(float) + (y != z) + (z != w) + (w == x))
+        t = PossibilityTable(schema, np.exp(log_pi - log_pi.max()))
+        assert loop_mixed_difference_witness(t, four_cycle(), TNorm.product()) is None
+        res = factorizes(t, four_cycle(), TNorm.product())
+        assert res.status == "no"
+        assert res.witness is None
+        assert res.reason == BOX_REASON
+
+    def test_exact_rational_product_chain(self):
+        f1 = [[Fraction(1), Fraction(1, 2)], [Fraction(1, 3), Fraction(3, 4)]]
+        f2 = [[Fraction(1), Fraction(2, 5)], [Fraction(5, 6), Fraction(1, 7)]]
+        values = np.empty((2, 2, 2), dtype=object)
+        for x, y, z in iter_product((0, 1), repeat=3):
+            values[x, y, z] = f1[x][y] * f2[y][z]
+        t = PossibilityTable(Schema.binary("X", "Y", "Z"), values)
+        res = factorizes(t, chain_graph(), TNorm.product(), eps=0)
+        assert res.is_yes
+        ok, _ = verify(t, chain_graph(), res.factorization, 1e-7)
+        assert ok
+        values[1, 1, 0] *= Fraction(1, 2)
+        t = PossibilityTable(t.schema, values)
+        res = factorizes(t, chain_graph(), TNorm.product(), eps=0)
+        assert res.status == "no"
+        assert res.witness == loop_mixed_difference_witness(
+            t, chain_graph(), TNorm.product(), 1e-12
+        )
+        assert res.witness is not None
+
+    @pytest.mark.parametrize("tn", [TNorm.product(), TNorm.lukasiewicz()],
+                             ids=lambda t: t.describe())
+    def test_no_linear_system_is_built_for_a_no(self, tn, rng, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("design matrix built")
+
+        t, anchor = planted(Schema.binary("X", "Y", "Z"), chain_graph(), tn, rng, 0.98)
+        values = t.values.copy()
+        values[tuple(1 - k for k in anchor)] *= 0.5
+        monkeypatch.setattr(posscheck.factorization, "_design_matrix", refuse)
+        res = factorizes(PossibilityTable(t.schema, values), chain_graph(), tn)
+        assert res.status == "no" and res.witness is not None
