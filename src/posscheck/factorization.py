@@ -23,12 +23,13 @@ and reports "unknown" outside them:
   rescaled table is such a sum exactly when every non-edge {u, v} has a zero
   mixed difference f - f[u<-0] - f[v<-0] + f[u,v<-0] (the additive
   Hammersley-Clifford test), so a nonzero one is the witness of a "no".
-  Otherwise the factors still have to lie in the unit interval: a gauge
-  shift of the least-squares terms finds them for some strict tables, and
-  one linear program decides the rest.
+  Otherwise the factors still have to lie in the unit interval: one linear
+  program looks for box terms whose sum is the least-squares projection of
+  the rescaled table, and verifying their combination decides.
 """
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -156,12 +157,47 @@ def _mixed_difference_mask(f, schema, graph, eps):
     return flagged
 
 
+def _clique_sum_projection(f, schema, cliques):
+    """Least-squares projection of f onto the sums of clique terms.
+
+    Over uniformly weighted cells the ANOVA components of f on different
+    axis sets are orthogonal, and the sums of clique terms are spanned by
+    those on complete sets (subsets of a clique).  Summing those components
+    gives, for each complete set T, the mean of f over the other axes times
+    the signed count of complete sets containing T.  Centring f first keeps
+    its constant part out of the signed sum.
+    """
+    complete = {s for clique in cliques for r in range(len(clique) + 1)
+                for s in combinations(sorted(schema.axis(v) for v in clique), r)}
+    weights = Counter()
+    for s in complete:
+        for r in range(len(s) + 1):
+            for t in combinations(s, r):
+                weights[t] += (-1) ** (len(s) - r)
+    centred = f - f.mean()
+    return f.mean() + sum(
+        w * centred.mean(axis=tuple(a for a in range(f.ndim) if a not in t), keepdims=True)
+        for t, w in weights.items() if w
+    )
+
+
+def _anchored_cells(schema, cliques):
+    """Flat indices of the cells whose variables outside some clique are at
+    their first label.  A sum of clique terms is fixed by its values there:
+    its anchored interaction terms on complete sets read only these cells,
+    and those on other sets are zero."""
+    mask = np.zeros(schema.shape, dtype=bool)
+    for clique in cliques:
+        mask[tuple(slice(None) if v in clique else 0 for v in schema.variables)] = True
+    return np.flatnonzero(mask)
+
+
 def _rescaled_factorization(table, graph, tn, eps):
     """(factorization, None), (None, witness index) or (None, None).
 
     The witness is the first cell with a nonzero mixed difference; (None,
-    None) means the rescaled table is a sum of clique terms but no such sum
-    has its terms in the unit box.
+    None) means the rescaled table is a sum of clique terms but no terms in
+    the unit box recombine to the table.
     """
     family = tn.classify()
     phi = tn.transform.apply if tn.transform is not None else (lambda x: x)
@@ -176,21 +212,19 @@ def _rescaled_factorization(table, graph, tn, eps):
     if idx is not None:
         return None, idx
 
+    # the least-squares projection absorbs an inconsistency within eps; as a
+    # sum of clique terms it is pinned by its anchored cells, so only the
+    # box can make the system infeasible
     matrix, sub_schemas, offsets = _design_matrix(table.schema, cliques)
-    target = f.ravel()
-    unknowns = None
-    if family == STRICT:
-        solution, _, _, _ = np.linalg.lstsq(matrix, target, rcond=None)
-        unknowns = _shift_nonpositive(solution, offsets)
-    if unknowns is None:
-        res = linprog(
-            np.zeros(matrix.shape[1]), A_eq=matrix, b_eq=target,
-            bounds=(None, 0) if family == STRICT else (0, 1), method="highs",
-        )
-        if not res.success:
-            return None, None
-        unknowns = res.x
-    factor_values = phi_inv(np.exp(unknowns) if family == STRICT else unknowns)
+    rows = _anchored_cells(table.schema, cliques)
+    res = linprog(
+        np.zeros(matrix.shape[1]), A_eq=matrix[rows],
+        b_eq=_clique_sum_projection(f, table.schema, cliques).ravel()[rows],
+        bounds=(None, 0) if family == STRICT else (0, 1), method="highs",
+    )
+    if not res.success:
+        return None, None
+    factor_values = phi_inv(np.exp(res.x) if family == STRICT else res.x)
 
     factors = {}
     for k, (clique, sub) in enumerate(zip(cliques, sub_schemas)):
@@ -212,10 +246,10 @@ def construct_strict_positive(table: PossibilityTable, graph: UndirectedGraph,
     rho in [0, 1] with f = phi(pi) + (cliques - 1) and factors
     phi_inverse(rho) (nilpotent base; strict positivity keeps the fold from
     truncating).  None when a non-edge mixed difference of f exceeds eps,
-    which is checked before any linear system is built.  Otherwise the strict
-    base tries the least-squares terms with each clique's maximum shifted to
-    zero, the first clique absorbing the total; when that fails, and always
-    for the nilpotent base, one linear program over the box decides.
+    which is checked before any linear system is built.  Otherwise one
+    linear program looks for terms in the box whose sum is the least-squares
+    projection of f, with equations only on the anchored cells, and the
+    factors must recombine to the table within max(eps, 1e-7).
     """
     _validate_vertices(table, graph)
     if not table.is_strictly_positive():
@@ -226,23 +260,6 @@ def construct_strict_positive(table: PossibilityTable, graph: UndirectedGraph,
             "use factorizes for the Goedel t-norm"
         )
     return _rescaled_factorization(table, graph, tn, eps)[0]
-
-
-def _shift_nonpositive(solution, offsets):
-    """Per-clique max shifts with the surplus absorbed by the first clique."""
-    theta = solution.copy()
-    shift_total = 0.0
-    for k in range(1, len(offsets) - 1):
-        chunk = theta[offsets[k]:offsets[k + 1]]
-        m = chunk.max()
-        chunk -= m
-        shift_total += m
-    first = theta[offsets[0]:offsets[1]]
-    first += shift_total
-    if first.max() > 1e-9:
-        return None
-    np.minimum(theta, 0.0, out=theta)
-    return theta
 
 
 def factorizes(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from posscheck import PossibilityTable, Schema, TNorm
+from posscheck import Factorization, PossibilityTable, Schema, TNorm
 
 # No per-example deadline: the first example of a test can pay for numpy's
 # one-time set-up, which on a loaded machine exceeds hypothesis' 200 ms default.
@@ -122,6 +122,28 @@ def random_graph(rng, vertices):
     from posscheck import UndirectedGraph
 
     return UndirectedGraph(vertices, edges)
+
+
+def planted(schema, graph, tn, rng, low):
+    """A table that factorizes by construction: every factor is drawn from
+    [low, 1] and is 1 at a common random cell, so the fold is normal.
+    Returns the table and that cell."""
+    anchor = tuple(int(rng.integers(k)) for k in schema.shape)
+    factors = {}
+    for clique in graph.cliques():
+        sub = schema.project(clique)
+        values = rng.uniform(low, 1.0, sub.shape)
+        values[tuple(anchor[schema.axis(v)] for v in sub.variables)] = 1.0
+        factors[clique] = PossibilityTable(sub, values)
+    return Factorization(tn, factors).combine(schema), anchor
+
+
+def jittered(table, anchor, rng, size):
+    """The table with every cell but ``anchor`` moved up or down by ``size``
+    (capped at 1)."""
+    values = np.minimum(table.values + rng.choice([-size, size], table.schema.shape), 1.0)
+    values[anchor] = table.values[anchor]
+    return PossibilityTable(table.schema, values)
 
 
 @pytest.fixture

@@ -9,6 +9,8 @@ from posscheck import Factorization, PossibilityTable, Schema, TNorm, Undirected
 from posscheck.cli import EX_FAILS, EX_MODEL, EX_OK, EX_UNKNOWN, EX_USAGE, main, run
 from posscheck.corpus import builtin_example
 
+from conftest import jittered, planted
+
 
 @pytest.fixture
 def model_path(tmp_path):
@@ -20,31 +22,29 @@ def model_path(tmp_path):
     return write
 
 
-def strict_cycle_model(tmp_path):
-    """Model file of a product-planted table on the four-cycle W-X-Y-Z whose
-    shifted least-squares factors leave the unit interval."""
-    schema = Schema.binary("W", "X", "Y", "Z")
-    factors = {
-        ("W", "X"): [[0.4, 1.0], [0.7, 0.2]],
-        ("X", "Y"): [[0.3, 0.9], [1.0, 0.5]],
-        ("Y", "Z"): [[0.6, 1.0], [0.2, 0.8]],
-        ("W", "Z"): [[0.5, 1.0], [0.1, 0.7]],
-    }
-    table = Factorization(TNorm.product(), {
-        c: PossibilityTable(schema.project(c), values) for c, values in factors.items()
-    }).combine(schema)
+def table_model(path, table, graph, base):
+    """Write a model file listing every cell of ``table``; returns its path."""
+    schema = table.schema
     doc = {
-        "variables": [{"name": n, "domain": ["0", "1"]} for n in schema.variables],
+        "variables": [{"name": n, "domain": list(schema.domain(n))} for n in schema.variables],
         "table": {"entries": [
             {"assignment": a, "value": float(table.values[schema.multi_index(a)])}
             for a in schema.assignments()
         ]},
-        "graph": {"edges": [list(c) for c in factors]},
-        "tnorm": {"base": "product"},
+        "graph": graph.to_json_dict(),
+        "tnorm": {"base": base},
     }
-    path = tmp_path / "cycle.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def strict_cycle_model(tmp_path):
+    """A product-planted table on the four-cycle W-X-Y-Z: a strict "yes"
+    whose factors come from the linear program."""
+    graph = UndirectedGraph.from_edges([("W", "X"), ("X", "Y"), ("Y", "Z"), ("Z", "W")])
+    table, _ = planted(Schema.binary("W", "X", "Y", "Z"), graph, TNorm.product(),
+                       np.random.default_rng(4), 0.1)
+    return table_model(tmp_path / "cycle.json", table, graph, "product")
 
 
 class TestResidual:
@@ -212,6 +212,27 @@ class TestFactorize:
         assert np.abs(rebuilt - table.values).max() <= 1e-7
 
 
+    def test_strict_yes_from_the_linear_program(self, tmp_path):
+        code, report = run(["factorize", "--model", strict_cycle_model(tmp_path)])
+        assert code == EX_OK
+        assert report["checks"][0]["status"] == "yes"
+
+    def test_epsilon_admits_a_table_consistent_within_it(self, tmp_path):
+        # cells moved by 1e-6 keep every mixed difference within 1e-5
+        names = [f"V{i}" for i in range(6)]
+        graph = UndirectedGraph.from_edges(list(zip(names, names[1:])))
+        rng = np.random.default_rng(4)
+        table, anchor = planted(Schema.binary(*names), graph, TNorm.lukasiewicz(), rng, 0.9)
+        path = table_model(tmp_path / "chain.json", jittered(table, anchor, rng, 1e-6), graph,
+                           "lukasiewicz")
+        code, report = run(["factorize", "--model", path, "--epsilon", "1e-5"])
+        assert code == EX_OK
+        assert report["checks"][0]["status"] == "yes"
+        code, report = run(["factorize", "--model", path])
+        assert code == EX_FAILS
+        assert report["checks"][0]["status"] == "no"
+
+
 class TestExamples:
     def test_example_one_exits_one_with_witness(self):
         code, report = run(["examples", "--id", "1", "--tnorm", "product"])
@@ -289,14 +310,15 @@ class TestGlobalFlags:
         assert main(["markov", "--model"]) == EX_USAGE
         assert main(["nonsense"]) == EX_USAGE
 
-    @pytest.mark.parametrize("command", ["markov", "factorize"])
-    def test_json_report_is_deterministic_modulo_timing(self, command, model_path, tmp_path,
+    @pytest.mark.parametrize("argv", [
+        lambda model_path, tmp_path: ["markov", "--model", model_path(3), "--property", "all",
+                                      "--json"],
+        lambda model_path, tmp_path: ["factorize", "--model", strict_cycle_model(tmp_path),
+                                      "--json"],
+    ], ids=["markov", "factorize"])
+    def test_json_report_is_deterministic_modulo_timing(self, argv, model_path, tmp_path,
                                                         capsys):
-        if command == "markov":
-            argv = ["markov", "--model", model_path(3), "--property", "all", "--json"]
-        else:
-            # a strict "yes" whose factors come from the linear program
-            argv = ["factorize", "--model", strict_cycle_model(tmp_path), "--json"]
+        argv = argv(model_path, tmp_path)
         main(argv)
         first = json.loads(capsys.readouterr().out)
         main(argv)
@@ -304,7 +326,6 @@ class TestGlobalFlags:
         first.pop("elapsed_ms")
         second.pop("elapsed_ms")
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
-        assert command == "markov" or first["checks"][0]["status"] == "yes"
 
     def test_epsilon_env_override(self, model_path, monkeypatch):
         monkeypatch.setenv("POSSCHECK_EPSILON", "0.25")

@@ -24,9 +24,11 @@ from posscheck import (
 )
 from posscheck.corpus import builtin_example
 import posscheck.factorization
-from posscheck.factorization import _design_matrix
+from posscheck.factorization import _anchored_cells, _clique_sum_projection, _design_matrix
 
-from conftest import ARCHIMEDEAN_TNORMS, BASE_TNORMS, random_graph, random_table
+from conftest import (
+    ARCHIMEDEAN_TNORMS, BASE_TNORMS, jittered, planted, random_graph, random_table
+)
 
 EPS = 1e-9
 
@@ -46,19 +48,6 @@ def chain_of(n):
 
 def four_cycle():
     return UndirectedGraph.from_edges([("X", "Y"), ("Y", "Z"), ("Z", "W"), ("W", "X")])
-
-
-def planted(schema, graph, tn, rng, low):
-    """A table that factorizes by construction: every factor is drawn from
-    [low, 1] and is 1 at a common random cell, so the fold is normal."""
-    anchor = tuple(int(rng.integers(k)) for k in schema.shape)
-    factors = {}
-    for clique in graph.cliques():
-        sub = schema.project(clique)
-        values = rng.uniform(low, 1.0, sub.shape)
-        values[tuple(anchor[schema.axis(v)] for v in sub.variables)] = 1.0
-        factors[clique] = PossibilityTable(sub, values)
-    return Factorization(tn, factors).combine(schema), anchor
 
 
 def loop_mixed_difference_witness(table, graph, tn, eps=EPS):
@@ -274,8 +263,7 @@ class TestStrictPositiveConstructor:
             got = construct_strict_positive(t, chain_graph(), tn)
             assert got is not None
             assert np.abs(got.combine(schema).values - t.values).max() <= EPS
-        # on the non-chordal four-cycle the shifted least-squares terms often
-        # leave the box, and then the linear program finds the factors
+        # the non-chordal four-cycle too; the linear program finds the factors
         calls = []
         monkeypatch.setattr(posscheck.factorization, "linprog",
                             lambda *a, **k: calls.append(1) or linprog(*a, **k))
@@ -356,6 +344,33 @@ class TestDesignMatrix:
             assert subs == want_subs
             assert np.array_equal(offsets, want_offsets)
             assert (matrix.sum(axis=1) == len(cliques)).all()
+
+
+class TestProjection:
+    """The right-hand side of the linear program and the cells it is posed on."""
+
+    def _cases(self, rng):
+        for _ in range(30):
+            t = random_table(rng, max_vars=5, max_domain=3)
+            names = [str(n) for n in rng.permutation(t.schema.variables)]
+            schema = Schema([(n, t.schema.domain(n)) for n in names])
+            yield schema, random_graph(rng, names).cliques()
+
+    def test_projection_is_the_least_squares_fit(self, rng):
+        for schema, cliques in self._cases(rng):
+            matrix, _, _ = _design_matrix(schema, cliques)
+            f = rng.normal(3.0, 1.0, schema.shape)
+            solution, _, _, _ = np.linalg.lstsq(matrix, f.ravel(), rcond=None)
+            got = _clique_sum_projection(f, schema, cliques)
+            assert got.shape == schema.shape
+            assert np.abs(got.ravel() - matrix @ solution).max() <= 1e-10
+
+    def test_anchored_cells_fix_every_cell(self, rng):
+        for schema, cliques in self._cases(rng):
+            matrix, _, _ = _design_matrix(schema, cliques)
+            rows = _anchored_cells(schema, cliques)
+            assert len(rows) <= matrix.shape[1]
+            assert np.linalg.matrix_rank(matrix[rows]) == np.linalg.matrix_rank(matrix)
 
 
 class TestCliqueKeys:
@@ -483,6 +498,23 @@ class TestMixedDifferences:
         assert res.status == "no"
         assert res.witness is None
         assert res.reason == BOX_REASON
+
+    @pytest.mark.parametrize("tn", [TNorm.lukasiewicz(), TNorm.product()],
+                             ids=lambda t: t.describe())
+    def test_table_consistent_within_eps_factorizes(self, tn):
+        # cells moved by 1e-6 keep every mixed difference within eps = 1e-5;
+        # the factors found must recombine within eps (here the terms fitted
+        # to the anchored cells alone would not)
+        schema = Schema.binary(*(f"V{i}" for i in range(6)))
+        rng = np.random.default_rng(4)
+        t, anchor = planted(schema, chain_of(6), tn, rng, 0.9)
+        t = jittered(t, anchor, rng, 1e-6)
+        res = factorizes(t, chain_of(6), tn, eps=1e-5)
+        assert res.is_yes
+        ok, _ = verify(t, chain_of(6), res.factorization, 1e-5)
+        assert ok
+        res = factorizes(t, chain_of(6), tn)
+        assert res.status == "no" and res.witness is not None
 
     def test_exact_rational_product_chain(self):
         f1 = [[Fraction(1), Fraction(1, 2)], [Fraction(1, 3), Fraction(3, 4)]]
