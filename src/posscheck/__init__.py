@@ -9,15 +9,12 @@ from .errors import (
     LimitError,
     ModelFormatError,
     NormalityError,
-    PositivityError,
     PosscheckError,
     SchemaError,
-    UnsupportedTNormError,
 )
 from .factorization import (
     Factorization,
     FactorizationResult,
-    construct_strict_positive,
     factorizes,
     verify,
 )
@@ -81,7 +78,6 @@ __all__ = [
     "NON_ARCHIMEDEAN",
     "NormalityError",
     "PRODUCT",
-    "PositivityError",
     "PossibilityTable",
     "PosscheckError",
     "PowerTransform",
@@ -90,11 +86,9 @@ __all__ = [
     "SchemaError",
     "TNorm",
     "UndirectedGraph",
-    "UnsupportedTNormError",
     "ae_equal",
     "chain_report",
     "check_axiom",
-    "construct_strict_positive",
     "factorizes",
     "global_markov",
     "independent",

@@ -111,16 +111,20 @@ def _resolve_tnorm(args, model=None):
 
 def _resolve_epsilon(args):
     if args.epsilon is not None:
-        return args.epsilon
-    if args.exact:
+        eps, source = args.epsilon, "--epsilon"
+    elif args.exact:
         return 0
-    env = os.environ.get("POSSCHECK_EPSILON")
-    if env:
+    else:
+        env = os.environ.get("POSSCHECK_EPSILON")
+        if not env:
+            return DEFAULT_EPSILON
         try:
-            return float(env)
+            eps, source = float(env), "POSSCHECK_EPSILON"
         except ValueError:
             raise ModelFormatError(f"POSSCHECK_EPSILON={env!r} is not a number") from None
-    return DEFAULT_EPSILON
+    if not 0 <= eps < float("inf"):
+        raise ModelFormatError(f"{source} {eps!r} is not a finite number >= 0")
+    return eps
 
 
 def _split_group(raw):

@@ -29,14 +29,6 @@ class LimitError(PosscheckError):
     """An enumeration or a table exceeds its size limit."""
 
 
-class PositivityError(PosscheckError):
-    """A table required to be strictly positive contains a zero."""
-
-
-class UnsupportedTNormError(PosscheckError):
-    """The requested operation is not defined for this t-norm family."""
-
-
 class InternalInconsistencyError(PosscheckError):
     """Engine results contradict a theorem; indicates an implementation bug."""
 

@@ -25,7 +25,9 @@ and reports "unknown" outside them:
   Hammersley-Clifford test), so a nonzero one is the witness of a "no".
   Otherwise the factors still have to lie in the unit interval: one linear
   program looks for box terms whose sum is the least-squares projection of
-  the rescaled table, and verifying their combination decides.
+  the rescaled table, and verifying their combination decides.  Its
+  equations are only the anchored cells, which fix a sum of clique terms,
+  so no row is built for any other cell.
 """
 
 import warnings
@@ -37,11 +39,11 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import PositivityError, SchemaError, UnsupportedTNormError
+from .errors import SchemaError
 from .graphs import UndirectedGraph
 from .numeric import DEFAULT_EPSILON, first_true, mismatch_mask
 from .possibility import PossibilityTable, Schema
-from .tnorm import GODEL, NILPOTENT, STRICT, TNorm
+from .tnorm import GODEL, STRICT, TNorm
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,19 +129,6 @@ def _validate_vertices(table, graph):
         raise SchemaError("graph vertices and schema variables differ")
 
 
-def _design_matrix(schema, cliques):
-    """Rows: table cells in flat C-order; columns: clique-local cells."""
-    sub_schemas = [schema.project(c) for c in cliques]
-    offsets = np.cumsum([0] + [int(np.prod(s.shape)) for s in sub_schemas])
-    cells = np.indices(schema.shape).reshape(len(schema), -1)
-    rows = np.arange(cells.shape[1])
-    matrix = np.zeros((cells.shape[1], offsets[-1]))
-    for offset, sub in zip(offsets, sub_schemas):
-        local = tuple(cells[schema.axis(v)] for v in sub.variables)
-        matrix[rows, offset + np.ravel_multi_index(local, sub.shape)] = 1.0
-    return matrix, sub_schemas, offsets
-
-
 def _mixed_difference_mask(f, schema, graph, eps):
     """Cells where some non-edge {u, v} has a mixed difference beyond eps.
 
@@ -181,23 +170,40 @@ def _clique_sum_projection(f, schema, cliques):
     )
 
 
-def _anchored_cells(schema, cliques):
-    """Flat indices of the cells whose variables outside some clique are at
-    their first label.  A sum of clique terms is fixed by its values there:
-    its anchored interaction terms on complete sets read only these cells,
-    and those on other sets are zero."""
+def _anchored_system(schema, cliques):
+    """The linear system of clique terms, on the anchored cells alone.
+
+    The anchored cells have every variable outside some clique at its first
+    label.  A sum of clique terms is fixed by its values there: its anchored
+    interaction terms on complete sets read only these cells, and those on
+    other sets are zero.  Returns the cells (one index array per axis, in C
+    order), the design-matrix rows at them (columns: clique-local cells),
+    the clique sub-schemas and the column offsets.
+    """
     mask = np.zeros(schema.shape, dtype=bool)
     for clique in cliques:
         mask[tuple(slice(None) if v in clique else 0 for v in schema.variables)] = True
-    return np.flatnonzero(mask)
+    cells = np.nonzero(mask)
+    sub_schemas = [schema.project(c) for c in cliques]
+    offsets = np.cumsum([0] + [int(np.prod(s.shape)) for s in sub_schemas])
+    rows = np.arange(len(cells[0]))
+    matrix = np.zeros((len(rows), offsets[-1]))
+    for offset, sub in zip(offsets, sub_schemas):
+        local = tuple(cells[schema.axis(v)] for v in sub.variables)
+        matrix[rows, offset + np.ravel_multi_index(local, sub.shape)] = 1.0
+    return cells, matrix, sub_schemas, offsets
 
 
 def _rescaled_factorization(table, graph, tn, eps):
     """(factorization, None), (None, witness index) or (None, None).
 
-    The witness is the first cell with a nonzero mixed difference; (None,
-    None) means the rescaled table is a sum of clique terms but no terms in
-    the unit box recombine to the table.
+    The unknowns are the clique terms of the rescaled table f: theta <= 0
+    with f = log phi(pi) and factors phi_inverse(exp theta) (strict base), or
+    rho in [0, 1] with f = phi(pi) + (cliques - 1) and factors
+    phi_inverse(rho) (nilpotent base; strict positivity keeps the fold from
+    truncating).  The witness is the first cell with a nonzero mixed
+    difference; (None, None) means the rescaled table is a sum of clique
+    terms but no terms in the unit box recombine to the table.
     """
     family = tn.classify()
     phi = tn.transform.apply if tn.transform is not None else (lambda x: x)
@@ -215,11 +221,10 @@ def _rescaled_factorization(table, graph, tn, eps):
     # the least-squares projection absorbs an inconsistency within eps; as a
     # sum of clique terms it is pinned by its anchored cells, so only the
     # box can make the system infeasible
-    matrix, sub_schemas, offsets = _design_matrix(table.schema, cliques)
-    rows = _anchored_cells(table.schema, cliques)
+    cells, matrix, sub_schemas, offsets = _anchored_system(table.schema, cliques)
     res = linprog(
-        np.zeros(matrix.shape[1]), A_eq=matrix[rows],
-        b_eq=_clique_sum_projection(f, table.schema, cliques).ravel()[rows],
+        np.zeros(matrix.shape[1]), A_eq=matrix,
+        b_eq=_clique_sum_projection(f, table.schema, cliques)[cells],
         bounds=(None, 0) if family == STRICT else (0, 1), method="highs",
     )
     if not res.success:
@@ -237,38 +242,13 @@ def _rescaled_factorization(table, graph, tn, eps):
     return (candidate if ok else None), None
 
 
-def construct_strict_positive(table: PossibilityTable, graph: UndirectedGraph,
-                              tn: TNorm, eps=DEFAULT_EPSILON) -> Optional[Factorization]:
-    """Factorize a strictly positive table under an Archimedean t-norm.
-
-    The unknowns are the clique terms of the rescaled table f: theta <= 0
-    with f = log phi(pi) and factors phi_inverse(exp theta) (strict base), or
-    rho in [0, 1] with f = phi(pi) + (cliques - 1) and factors
-    phi_inverse(rho) (nilpotent base; strict positivity keeps the fold from
-    truncating).  None when a non-edge mixed difference of f exceeds eps,
-    which is checked before any linear system is built.  Otherwise one
-    linear program looks for terms in the box whose sum is the least-squares
-    projection of f, with equations only on the anchored cells, and the
-    factors must recombine to the table within max(eps, 1e-7).
-    """
-    _validate_vertices(table, graph)
-    if not table.is_strictly_positive():
-        raise PositivityError("table must be strictly positive")
-    if tn.classify() not in (STRICT, NILPOTENT):
-        raise UnsupportedTNormError(
-            "only strict or nilpotent t-norms are supported here; "
-            "use factorizes for the Goedel t-norm"
-        )
-    return _rescaled_factorization(table, graph, tn, eps)[0]
-
-
 def factorizes(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
                eps=DEFAULT_EPSILON) -> FactorizationResult:
     """Decide whether the table factorizes over the graph's cliques.
 
-    Dispatches to the decidable constructor for the situation at hand and
-    returns yes (with the factorization), no (with a witness cell where the
-    canonical candidate misses, when one exists), or unknown when no
+    Runs the decision procedure of the regime the table and t-norm fall in
+    and returns yes (with the factorization), no (with a witness cell where
+    the canonical candidate misses, when one exists), or unknown when no
     decision procedure applies.
     """
     _validate_vertices(table, graph)

@@ -3,7 +3,9 @@
 The global check enumerates separator candidates and bipartitions of the
 resulting connectivity components; decomposition of group statements makes
 those bipartitions cover every separated triple.  An exhaustive mode checks
-all disjoint separated triples directly for cross-validation.
+all disjoint separated triples directly for cross-validation.  Each
+enumeration yields distinct statements, so they are evaluated without a
+cache.
 """
 
 from dataclasses import dataclass
@@ -41,12 +43,11 @@ class MarkovReport:
 
 
 def _run_checks(table, tn, statements, eps, property_name, skipped=(), mode="components"):
-    cache = {}
     checked = []
     witness = None
     holds = True
     for stmt in statements:
-        res = _evaluate(table, tn, stmt, eps, cache)
+        res = _evaluate(table, tn, stmt, eps)
         checked.append((stmt, res.holds))
         if not res.holds and witness is None:
             witness = (stmt, res.witness)

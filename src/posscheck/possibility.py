@@ -183,11 +183,6 @@ class PossibilityTable:
             raise NormalityError(f"table maximum is {table.values.max()}, expected 1")
         return table
 
-    @classmethod
-    def constant(cls, schema, value=1.0):
-        dtype = object if isinstance(value, Fraction) else float
-        return cls(schema, np.full(schema.shape, value, dtype=dtype))
-
     # -- predicates --------------------------------------------------------------
 
     def is_normal(self, eps=DEFAULT_EPSILON):
@@ -201,10 +196,8 @@ class PossibilityTable:
 
     def is_crisp(self, eps=DEFAULT_EPSILON):
         """True iff every cell is 0 or 1 within ``eps``."""
-        flat = self.values.ravel()
-        if eps == 0:
-            return all(v == 0 or v == 1 for v in flat)
-        return all(abs(v) <= eps or abs(v - 1) <= eps for v in flat)
+        v = self.values
+        return not (mismatch_mask(v, 0, eps) & mismatch_mask(v, 1, eps)).any()
 
     # -- core operations -----------------------------------------------------------
 

@@ -331,8 +331,14 @@ class TestGlobalFlags:
         monkeypatch.setenv("POSSCHECK_EPSILON", "0.25")
         code, report = run(["residual", "--tnorm", "godel", "--y", "0.3", "--x", "0.7"])
         assert report["epsilon"] == 0.25
-        monkeypatch.setenv("POSSCHECK_EPSILON", "banana")
-        assert main(["residual", "--tnorm", "godel", "--y", "0.3", "--x", "0.7"]) == EX_MODEL
+        for value in ("banana", "nan", "-1", "inf"):
+            monkeypatch.setenv("POSSCHECK_EPSILON", value)
+            assert main(["residual", "--tnorm", "godel", "--y", "0.3", "--x", "0.7"]) == EX_MODEL
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_epsilon_flag_must_be_finite_and_nonnegative(self, value, capsys):
+        assert main(["examples", "--id", "1", "--epsilon", value]) == EX_MODEL
+        assert "--epsilon" in capsys.readouterr().err
 
     def test_exact_mode_rejects_power(self, model_path):
         assert main(

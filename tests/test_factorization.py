@@ -1,6 +1,7 @@
 """Combining, verifying and constructing clique factorizations."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 
@@ -10,21 +11,18 @@ from scipy.optimize import linprog
 
 from posscheck import (
     Factorization,
-    PositivityError,
     PossibilityTable,
     Schema,
     SchemaError,
     TNorm,
     UndirectedGraph,
-    UnsupportedTNormError,
-    construct_strict_positive,
     factorizes,
     global_markov,
     verify,
 )
 from posscheck.corpus import builtin_example
 import posscheck.factorization
-from posscheck.factorization import _anchored_cells, _clique_sum_projection, _design_matrix
+from posscheck.factorization import _anchored_system, _clique_sum_projection
 
 from conftest import (
     ARCHIMEDEAN_TNORMS, BASE_TNORMS, jittered, planted, random_graph, random_table
@@ -248,6 +246,8 @@ class TestCrispConstructor:
 
 
 class TestStrictPositiveConstructor:
+    """Strictly positive tables under Archimedean t-norms, through factorizes."""
+
     @pytest.mark.parametrize("tn", [TNorm.product(), TNorm.product(2.0)],
                              ids=lambda t: t.describe())
     def test_product_family_round_trip(self, tn, rng, monkeypatch):
@@ -260,9 +260,9 @@ class TestStrictPositiveConstructor:
                 ("Y", "Z"): factor(["Y", "Z"], f2),
             })
             t = built.combine(schema)
-            got = construct_strict_positive(t, chain_graph(), tn)
-            assert got is not None
-            assert np.abs(got.combine(schema).values - t.values).max() <= EPS
+            got = factorizes(t, chain_graph(), tn)
+            assert got.is_yes
+            assert np.abs(got.factorization.combine(schema).values - t.values).max() <= EPS
         # the non-chordal four-cycle too; the linear program finds the factors
         calls = []
         monkeypatch.setattr(posscheck.factorization, "linprog",
@@ -270,9 +270,9 @@ class TestStrictPositiveConstructor:
         schema = Schema.binary("W", "X", "Y", "Z")
         for _ in range(10):
             t, _ = planted(schema, four_cycle(), tn, rng, 0.1)
-            got = construct_strict_positive(t, four_cycle(), tn)
-            assert got is not None
-            assert np.abs(got.combine(schema).values - t.values).max() <= EPS
+            got = factorizes(t, four_cycle(), tn)
+            assert got.is_yes
+            assert np.abs(got.factorization.combine(schema).values - t.values).max() <= EPS
         assert calls
 
     @pytest.mark.parametrize("tn", [TNorm.lukasiewicz(), TNorm.lukasiewicz(2.0)],
@@ -287,37 +287,41 @@ class TestStrictPositiveConstructor:
                 ("Y", "Z"): factor(["Y", "Z"], f2),
             })
             t = built.combine(schema)
-            got = construct_strict_positive(t, chain_graph(), tn)
-            assert got is not None
-            assert np.abs(got.combine(schema).values - t.values).max() <= EPS
+            got = factorizes(t, chain_graph(), tn)
+            assert got.is_yes
+            assert np.abs(got.factorization.combine(schema).values - t.values).max() <= EPS
         # an eleven-variable chain: ten factors, each close enough to 1 that
         # the fold does not truncate
         schema = Schema.binary(*(f"V{i}" for i in range(11)))
         t, _ = planted(schema, chain_of(11), tn, rng, 0.995)
-        got = construct_strict_positive(t, chain_of(11), tn)
-        assert got is not None
-        assert np.abs(got.combine(schema).values - t.values).max() <= 1e-7
+        got = factorizes(t, chain_of(11), tn)
+        assert got.is_yes
+        assert np.abs(got.factorization.combine(schema).values - t.values).max() <= 1e-7
 
     def test_dependent_positive_table_is_rejected_by_the_solve(self):
         # the strictly positive diagonal is not product-independent of
-        # anything, so the linear system must be inconsistent
+        # anything, so the rescaled table is no sum of clique terms
         t = builtin_example(2).table()
         g = UndirectedGraph.from_edges([("Y", "Z")], isolated=["X"])
-        assert construct_strict_positive(t, g, TNorm.product()) is None
+        assert factorizes(t, g, TNorm.product()).status == "no"
 
-    def test_godel_not_supported(self):
-        t = builtin_example(2).table()
-        with pytest.raises(UnsupportedTNormError):
-            construct_strict_positive(t, chain_graph(), TNorm.godel())
-
-    def test_zero_cells_rejected(self):
-        t = builtin_example(1).table()
-        with pytest.raises(PositivityError):
-            construct_strict_positive(t, chain_graph(), TNorm.product())
+    def test_sixteen_variable_chain_builds_no_row_per_cell(self, rng):
+        # 65,536 cells and 60 unknowns: a dense cells x unknowns float matrix
+        # alone would take 30 MiB
+        schema = Schema.binary(*(f"V{i}" for i in range(16)))
+        t, _ = planted(schema, chain_of(16), TNorm.product(), rng, 0.5)
+        tracemalloc.start()
+        try:
+            res = factorizes(t, chain_of(16), TNorm.product())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.is_yes
+        assert peak < 15 * 2 ** 20
 
 
 class TestDesignMatrix:
-    """The vectorized design matrix against the per-cell loop it replaced."""
+    """The anchored rows against the per-cell loop over every cell."""
 
     @staticmethod
     def _loop_matrix(schema, cliques):
@@ -332,15 +336,25 @@ class TestDesignMatrix:
             rows.append(row)
         return np.array(rows), sub_schemas, offsets
 
+    @staticmethod
+    def _loop_anchored(schema, cliques):
+        """Flat C-order indices of the cells whose variables outside some
+        clique are all at their first label."""
+        return [k for k, idx in enumerate(np.ndindex(schema.shape))
+                if any(all(idx[schema.axis(v)] == 0 for v in schema.variables if v not in c)
+                       for c in cliques)]
+
     def test_matches_the_cell_loop_on_permuted_schemas(self, rng):
         for _ in range(30):
             t = random_table(rng, max_vars=5, max_domain=3)
             names = [str(n) for n in rng.permutation(t.schema.variables)]
             schema = Schema([(n, t.schema.domain(n)) for n in names])
             cliques = random_graph(rng, names).cliques()
-            matrix, subs, offsets = _design_matrix(schema, cliques)
+            cells, matrix, subs, offsets = _anchored_system(schema, cliques)
             want, want_subs, want_offsets = self._loop_matrix(schema, cliques)
-            assert matrix.dtype == want.dtype and np.array_equal(matrix, want)
+            rows = self._loop_anchored(schema, cliques)
+            assert np.ravel_multi_index(cells, schema.shape).tolist() == rows
+            assert matrix.dtype == want.dtype and np.array_equal(matrix, want[rows])
             assert subs == want_subs
             assert np.array_equal(offsets, want_offsets)
             assert (matrix.sum(axis=1) == len(cliques)).all()
@@ -358,7 +372,7 @@ class TestProjection:
 
     def test_projection_is_the_least_squares_fit(self, rng):
         for schema, cliques in self._cases(rng):
-            matrix, _, _ = _design_matrix(schema, cliques)
+            matrix, _, _ = TestDesignMatrix._loop_matrix(schema, cliques)
             f = rng.normal(3.0, 1.0, schema.shape)
             solution, _, _, _ = np.linalg.lstsq(matrix, f.ravel(), rcond=None)
             got = _clique_sum_projection(f, schema, cliques)
@@ -367,10 +381,10 @@ class TestProjection:
 
     def test_anchored_cells_fix_every_cell(self, rng):
         for schema, cliques in self._cases(rng):
-            matrix, _, _ = _design_matrix(schema, cliques)
-            rows = _anchored_cells(schema, cliques)
-            assert len(rows) <= matrix.shape[1]
-            assert np.linalg.matrix_rank(matrix[rows]) == np.linalg.matrix_rank(matrix)
+            full, _, _ = TestDesignMatrix._loop_matrix(schema, cliques)
+            _, matrix, _, _ = _anchored_system(schema, cliques)
+            assert matrix.shape[0] <= matrix.shape[1]
+            assert np.linalg.matrix_rank(matrix) == np.linalg.matrix_rank(full)
 
 
 class TestCliqueKeys:
@@ -540,11 +554,11 @@ class TestMixedDifferences:
                              ids=lambda t: t.describe())
     def test_no_linear_system_is_built_for_a_no(self, tn, rng, monkeypatch):
         def refuse(*args):
-            raise AssertionError("design matrix built")
+            raise AssertionError("linear system built")
 
         t, anchor = planted(Schema.binary("X", "Y", "Z"), chain_graph(), tn, rng, 0.98)
         values = t.values.copy()
         values[tuple(1 - k for k in anchor)] *= 0.5
-        monkeypatch.setattr(posscheck.factorization, "_design_matrix", refuse)
+        monkeypatch.setattr(posscheck.factorization, "_anchored_system", refuse)
         res = factorizes(PossibilityTable(t.schema, values), chain_graph(), tn)
         assert res.status == "no" and res.witness is not None

@@ -294,6 +294,13 @@ class TestPredicates:
     def test_crispness(self):
         assert diagonal_table().is_crisp()
         assert not positive_diagonal_table().is_crisp()
+        # exact values compared with eps=0: a cell 1e-12 off 0 or 1 is not crisp
+        assert diagonal_table(exact=True).is_crisp(0)
+        for off in (Fraction(1, 10 ** 12), Fraction(1) - Fraction(1, 10 ** 12)):
+            values = np.array([Fraction(1), 0, off, Fraction(0)], dtype=object)
+            t = PossibilityTable(Schema.binary("X", "Y"), values.reshape(2, 2))
+            assert not t.is_crisp(0)
+            assert t.is_crisp(Fraction(1, 10 ** 11))
 
 
 class TestExactMode:
