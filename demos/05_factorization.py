@@ -46,7 +46,7 @@ print()
 print("=== three decision procedures ===")
 print("min:      clique marginals succeed whenever anything does (idempotence)")
 print("crisp:    indicator factors from 1-set projections, any t-norm")
-print("positive: zero non-edge mixed differences in the rescaled space,")
+print("positive: the rescaled table equals its clique-sum projection within eps,")
 print("          then factors in the unit interval")
 
 print()

@@ -20,14 +20,15 @@ and reports "unknown" outside them:
 * strictly positive tables, Archimedean t-norms: rescaling by the
   automorphism that presents the t-norm as a transform of product (or of
   Lukasiewicz) turns the combination into a sum of clique-local terms.  The
-  rescaled table is such a sum exactly when every non-edge {u, v} has a zero
-  mixed difference f - f[u<-0] - f[v<-0] + f[u,v<-0] (the additive
-  Hammersley-Clifford test), so a nonzero one is the witness of a "no".
-  Otherwise the factors still have to lie in the unit interval: one linear
-  program looks for box terms whose sum is the least-squares projection of
-  the rescaled table, and verifying their combination decides.  Its
-  equations are only the anchored cells, which fix a sum of clique terms,
-  so no row is built for any other cell.
+  rescaled table f is such a sum exactly when it equals its least-squares
+  projection P(f).  Each cell's residual is compared with the move of f
+  that eps allows there, carried through the rescaling, plus the spread of
+  those moves under P: a residual beyond that bound is a sure "no" with the
+  worst cell as witness.  Otherwise the factors still have to lie in the
+  unit interval: one linear program looks for box terms whose sum is P(f),
+  and verifying their combination decides.  Its equations are only the
+  anchored cells, which fix a sum of clique terms, so no row is built for
+  any other cell.
 """
 
 import warnings
@@ -129,32 +130,17 @@ def _validate_vertices(table, graph):
         raise SchemaError("graph vertices and schema variables differ")
 
 
-def _mixed_difference_mask(f, schema, graph, eps):
-    """Cells where some non-edge {u, v} has a mixed difference beyond eps.
-
-    The terms with u or v reset to its first label are size-1 axes, so the
-    difference broadcasts on ``f``.
-    """
-    names = schema.variables
-    flagged = np.zeros(f.shape, dtype=bool)
-    for a, b in combinations(range(len(names)), 2):
-        if names[b] in graph.neighbors(names[a]):
-            continue
-        f_a = np.take(f, [0], a)
-        d = f - f_a - np.take(f, [0], b) + np.take(f_a, [0], b)
-        flagged |= np.abs(d) > max(eps, 1e-12)
-    return flagged
-
-
 def _clique_sum_projection(f, schema, cliques):
-    """Least-squares projection of f onto the sums of clique terms.
+    """Least-squares projection of f onto the sums of clique terms, and the
+    spread sum |w_T|, which bounds the projection's infinity norm.
 
     Over uniformly weighted cells the ANOVA components of f on different
     axis sets are orthogonal, and the sums of clique terms are spanned by
     those on complete sets (subsets of a clique).  Summing those components
     gives, for each complete set T, the mean of f over the other axes times
-    the signed count of complete sets containing T.  Centring f first keeps
-    its constant part out of the signed sum.
+    the signed count w_T of complete sets containing T (the w_T sum to 1,
+    and each mean has infinity norm 1).  Centring f first keeps its constant
+    part out of the signed sum.
     """
     complete = {s for clique in cliques for r in range(len(clique) + 1)
                 for s in combinations(sorted(schema.axis(v) for v in clique), r)}
@@ -167,7 +153,7 @@ def _clique_sum_projection(f, schema, cliques):
     return f.mean() + sum(
         w * centred.mean(axis=tuple(a for a in range(f.ndim) if a not in t), keepdims=True)
         for t, w in weights.items() if w
-    )
+    ), sum(abs(w) for w in weights.values())
 
 
 def _anchored_system(schema, cliques):
@@ -195,40 +181,54 @@ def _anchored_system(schema, cliques):
 
 
 def _rescaled_factorization(table, graph, tn, eps):
-    """(factorization, None), (None, witness index) or (None, None).
+    """Decide a strictly positive table under an Archimedean t-norm.
 
     The unknowns are the clique terms of the rescaled table f: theta <= 0
     with f = log phi(pi) and factors phi_inverse(exp theta) (strict base), or
     rho in [0, 1] with f = phi(pi) + (cliques - 1) and factors
     phi_inverse(rho) (nilpotent base; strict positivity keeps the fold from
-    truncating).  The witness is the first cell with a nonzero mixed
-    difference; (None, None) means the rescaled table is a sum of clique
-    terms but no terms in the unit box recombine to the table.
+    truncating).  tau is the largest move of f when a cell moves by eps; if
+    some sum of clique terms g lies within tau of f, the residual
+    r = f - P(f) = (f - g) - P(f - g) stays within tau + spread * max(tau).
     """
     family = tn.classify()
     phi = tn.transform.apply if tn.transform is not None else (lambda x: x)
     phi_inv = tn.transform.inverse if tn.transform is not None else (lambda x: x)
     cliques = graph.cliques()
-    values = table.values.astype(float)
-    if family == STRICT:
-        f = np.log(phi(values))
-    else:
-        f = phi(values) + (len(cliques) - 1)
-    idx = first_true(_mixed_difference_mask(f, table.schema, graph, eps))
-    if idx is not None:
-        return None, idx
 
-    # the least-squares projection absorbs an inconsistency within eps; as a
-    # sum of clique terms it is pinned by its anchored cells, so only the
-    # box can make the system infeasible
+    def rescale(values):
+        return np.log(phi(values)) if family == STRICT else phi(values) + (len(cliques) - 1)
+
+    values = table.values.astype(float)
+    f = rescale(values)
+    projection, spread = _clique_sum_projection(f, table.schema, cliques)
+    step = max(eps, 1e-12)
+    with np.errstate(divide="ignore"):
+        tau = np.maximum(*(np.abs(rescale(np.clip(values + d, 0.0, 1.0)) - f)
+                           for d in (step, -step)))
+    ratio = np.abs(f - projection) / (tau + spread * tau.max())
+    worst = ratio.max()
+    if worst > 1:
+        # the first cell of the largest ratio; equal exact ratios (common
+        # under Lukasiewicz, where tau is constant) differ only by rounding
+        return FactorizationResult(
+            "no", witness=table.schema.assignment(first_true(ratio >= worst * (1 - 1e-9))),
+            reason="the rescaled table is not a sum of clique terms within eps: its "
+                   "residual from the least-squares projection is largest at the witness cell",
+        )
+
+    # as a sum of clique terms the projection is pinned by its anchored
+    # cells, so only the box can make the system infeasible
     cells, matrix, sub_schemas, offsets = _anchored_system(table.schema, cliques)
     res = linprog(
-        np.zeros(matrix.shape[1]), A_eq=matrix,
-        b_eq=_clique_sum_projection(f, table.schema, cliques)[cells],
+        np.zeros(matrix.shape[1]), A_eq=matrix, b_eq=projection[cells],
         bounds=(None, 0) if family == STRICT else (0, 1), method="highs",
     )
     if not res.success:
-        return None, None
+        return FactorizationResult(
+            "no", reason="the clique-local linear system for the rescaled table is "
+                         "infeasible within the unit interval",
+        )
     factor_values = phi_inv(np.exp(res.x) if family == STRICT else res.x)
 
     factors = {}
@@ -238,8 +238,14 @@ def _rescaled_factorization(table, graph, tn, eps):
             sub, np.clip(chunk, 0.0, 1.0).reshape(sub.shape)
         )
     candidate = Factorization(tn, factors)
-    ok, _ = verify(table, graph, candidate, max(eps, 1e-7))
-    return (candidate if ok else None), None
+    ok, witness = verify(table, graph, candidate, max(eps, 1e-7))
+    if ok:
+        return FactorizationResult("yes", candidate)
+    return FactorizationResult(
+        "no", witness=witness,
+        reason="the factors fitted to the least-squares projection of the rescaled "
+               "table miss the table beyond eps at the witness cell",
+    )
 
 
 def factorizes(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
@@ -270,20 +276,7 @@ def factorizes(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
             reason = "a cell outside the 1-set lies in every clique cylinder of the 1-set"
         return FactorizationResult("no", witness=witness, reason=reason)
     if table.is_strictly_positive():
-        candidate, idx = _rescaled_factorization(table, graph, tn, eps)
-        if candidate is not None:
-            return FactorizationResult("yes", candidate)
-        if idx is not None:
-            return FactorizationResult(
-                "no", witness=table.schema.assignment(idx),
-                reason="the rescaled table is not a sum of clique terms: a non-edge "
-                       "has a nonzero mixed difference at the witness cell",
-            )
-        return FactorizationResult(
-            "no",
-            reason="the clique-local linear system for the rescaled table is "
-                   "infeasible within the unit interval",
-        )
+        return _rescaled_factorization(table, graph, tn, eps)
     return FactorizationResult(
         "unknown",
         reason="no decision procedure applies: the table is neither crisp nor "

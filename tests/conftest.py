@@ -140,8 +140,8 @@ def planted(schema, graph, tn, rng, low):
 
 def jittered(table, anchor, rng, size):
     """The table with every cell but ``anchor`` moved up or down by ``size``
-    (capped at 1)."""
-    values = np.minimum(table.values + rng.choice([-size, size], table.schema.shape), 1.0)
+    (clipped to [0, 1])."""
+    values = np.clip(table.values + rng.choice([-size, size], table.schema.shape), 0.0, 1.0)
     values[anchor] = table.values[anchor]
     return PossibilityTable(table.schema, values)
 

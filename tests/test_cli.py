@@ -218,7 +218,7 @@ class TestFactorize:
         assert report["checks"][0]["status"] == "yes"
 
     def test_epsilon_admits_a_table_consistent_within_it(self, tmp_path):
-        # cells moved by 1e-6 keep every mixed difference within 1e-5
+        # cells moved by 1e-6 keep the table within 1e-5 of a factorization
         names = [f"V{i}" for i in range(6)]
         graph = UndirectedGraph.from_edges(list(zip(names, names[1:])))
         rng = np.random.default_rng(4)
