@@ -255,7 +255,9 @@ def check_axiom(table: PossibilityTable, tn: TNorm, axiom, groups,
                             lazy=False)
 
 
-@lru_cache(maxsize=len(AXIOMS))
+# room for four variable-name tuples, so that scans alternating between a few
+# schemas build each plan once
+@lru_cache(maxsize=4 * len(AXIOMS))
 def _scan_plan(names, axiom):
     """Every instance of ``axiom`` over the variables ``names``, in scan order.
 

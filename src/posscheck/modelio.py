@@ -10,14 +10,32 @@ Model JSON layout::
 
 Values may be decimal numbers or "p/q" strings; in exact mode every value
 becomes a ``fractions.Fraction`` and transformed t-norms are rejected.
+
+A table is built from its entries as columns, not entry by entry: the entry
+shapes are checked once; values that are all plain numbers become one float
+array in a single ``np.array`` call, while a value column holding strings or
+Fractions, and every value in exact mode, goes through ``parse_value``; each
+variable's labels are mapped to positions in one pass; and the values are
+range-checked together and written into the table in one scatter.  When a
+check fails, the entries are checked one by one, so the error is that of the
+first bad entry: shape and value errors of all entries first, then, entry by
+entry, the value's range before the assignment's labels.
+
+A document whose parts have the wrong JSON type (entries that are not an
+array, an assignment that is not an object, a domain that is not an array,
+a variable name that is not a string, a number too large for a float) or a
+model file that cannot be read raises ``ModelFormatError``.
 """
 
 import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .errors import ModelFormatError
 from .graphs import UndirectedGraph
@@ -55,7 +73,10 @@ def parse_value(raw, exact=False):
             return Fraction(str(raw))
         except ValueError as exc:
             raise ModelFormatError(f"value {raw!r} is not rational: {exc}") from exc
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError as exc:
+        raise ModelFormatError(f"value {raw!r} is too large for a float") from exc
 
 
 def schema_from_json(doc):
@@ -65,20 +86,55 @@ def schema_from_json(doc):
     for item in doc:
         if not isinstance(item, dict) or "name" not in item or "domain" not in item:
             raise ModelFormatError("each variable needs 'name' and 'domain'")
+        if not isinstance(item["name"], str):
+            raise ModelFormatError(f"variable name {item['name']!r} is not a string")
+        if not isinstance(item["domain"], list):
+            raise ModelFormatError(f"the domain of {item['name']!r} must be an array")
         pairs.append((item["name"], [str(v) for v in item["domain"]]))
     return Schema(pairs)
+
+
+def _shape_error(entry):
+    """What is wrong with the shape of a table entry, or None."""
+    if not isinstance(entry, dict) or "assignment" not in entry or "value" not in entry:
+        return "each entry needs 'assignment' and 'value'"
+    if not isinstance(entry["assignment"], dict):
+        return f"assignment {entry['assignment']!r} is not an object"
+    return None
+
+
+def _entry_columns(entries, exact):
+    """The assignments of table entries as a list, their values as an array.
+
+    Raises ModelFormatError for the first entry that is not an object with
+    an object 'assignment' and a 'value', or whose value does not parse.
+    """
+    if any(map(_shape_error, entries)):
+        for entry in entries:
+            error = _shape_error(entry)
+            if error:
+                raise ModelFormatError(error)
+            parse_value(entry["value"], exact)
+    assignments = list(map(itemgetter("assignment"), entries))
+    raw = list(map(itemgetter("value"), entries))
+    if not exact and set(map(type, raw)) <= {float, int}:
+        try:
+            return assignments, np.array(raw, dtype=float)
+        except OverflowError:
+            pass  # an integer too large for a float: parse_value reports it below
+    values = [parse_value(v, exact) for v in raw]
+    return assignments, np.array(values, dtype=object if exact else float)
 
 
 def table_from_json(schema, doc, exact=False):
     if not isinstance(doc, dict):
         raise ModelFormatError("'table' must be an object")
     default = parse_value(doc.get("default", 0.0), exact)
-    entries = []
-    for item in doc.get("entries", []):
-        if not isinstance(item, dict) or "assignment" not in item or "value" not in item:
-            raise ModelFormatError("each entry needs 'assignment' and 'value'")
-        entries.append((item["assignment"], parse_value(item["value"], exact)))
-    return PossibilityTable.load(schema, entries, default)
+    entries = doc.get("entries", [])
+    if not isinstance(entries, list):
+        raise ModelFormatError("'entries' must be an array")
+    assignments, values = _entry_columns(entries, exact)
+    return PossibilityTable._from_columns(schema, assignments, values, default)
 
 
 def model_from_json(doc, exact=False):
@@ -106,7 +162,12 @@ def load_model(source, exact=False):
     """Load a model from a path, JSON string, or already-parsed dict."""
     if isinstance(source, dict):
         return model_from_json(source, exact)
-    text = Path(source).read_text() if not str(source).lstrip().startswith("{") else str(source)
+    text = str(source)
+    if not text.lstrip().startswith("{"):
+        try:
+            text = Path(source).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ModelFormatError(f"cannot read model file: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

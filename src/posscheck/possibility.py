@@ -11,11 +11,19 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
-from .errors import DisjointnessError, DomainError, LimitError, NormalityError, SchemaError
+from .errors import (
+    DisjointnessError,
+    DomainError,
+    InternalInconsistencyError,
+    LimitError,
+    NormalityError,
+    SchemaError,
+)
 from .numeric import (
     DEFAULT_EPSILON,
     first_true,
@@ -28,6 +36,16 @@ from .tnorm import TNorm
 # Largest number of cells a schema may span; a dense float table of this
 # size takes 128 MiB.
 MAX_CELLS = 2 ** 24
+
+
+class _Positions(dict):
+    """Label -> position in one domain.  A label that is not a string is
+    looked up by its ``str``, as ``Schema.multi_index`` does."""
+
+    def __missing__(self, label):
+        if isinstance(label, str):
+            raise KeyError(label)
+        return self[str(label)]
 
 
 class Schema:
@@ -124,6 +142,24 @@ class Schema:
             raise SchemaError(f"assignment names unknown variables {sorted(extra)}")
         return tuple(idx)
 
+    def _flat_indices(self, assignments):
+        """C-order flat cell indices of a list of assignments, one column
+        pass per variable.
+
+        Raises KeyError or TypeError if any assignment is not a mapping,
+        lacks a variable, names an unknown one or has an unknown label;
+        ``multi_index`` says which and why.
+        """
+        count = len(assignments)
+        if count and max(map(len, assignments)) > len(self._names):
+            raise KeyError("assignment names unknown variables")
+        columns = []
+        for name in self._names:
+            positions = _Positions((label, i) for i, label in enumerate(self._domains[name]))
+            labels = map(itemgetter(name), assignments)
+            columns.append(np.fromiter(map(positions.__getitem__, labels), np.intp, count))
+        return np.ravel_multi_index(tuple(columns), self._shape)
+
     def assignment(self, multi_index):
         """Inverse of multi_index: a {name: label} dict in schema order."""
         return {
@@ -165,19 +201,35 @@ class PossibilityTable:
         """Build a table from sparse (assignment, value) pairs and verify normality.
 
         ``entries`` is an iterable of (mapping, value) pairs; unmentioned
-        cells take ``default``.  Raises NormalityError if the maximum is not
+        cells take ``default``, and a cell listed twice takes its last
+        value.  The table is exact (an object array) when the default or
+        any value is a ``Fraction``.  Raises DomainError or SchemaError for
+        the first entry whose value lies outside [0, 1] or whose assignment
+        does not match the schema, and NormalityError if the maximum is not
         1 within ``eps``.
         """
         entries = list(entries)
-        exact = isinstance(default, Fraction) or any(
-            isinstance(v, Fraction) for _, v in entries
-        )
-        dtype = object if exact else float
-        arr = np.full(schema.shape, default, dtype=dtype)
-        for assignment, value in entries:
-            if not 0 <= value <= 1:
-                raise DomainError(f"value {value!r} outside [0, 1]")
-            arr[schema.multi_index(assignment)] = value
+        assignments = [a for a, _ in entries]
+        values = np.array([v for _, v in entries])
+        return cls._from_columns(schema, assignments, values, default, eps)
+
+    @classmethod
+    def _from_columns(cls, schema, assignments, values, default, eps=DEFAULT_EPSILON):
+        """``load`` on its entries as columns: a list of assignments and a
+        1-D array of their values (object dtype for exact values).
+
+        The assignments are mapped to cells and the values range-checked
+        as whole columns, then written in one scatter.
+        """
+        exact = isinstance(default, Fraction) or values.dtype == object
+        try:
+            cells = schema._flat_indices(assignments)
+        except (KeyError, TypeError):
+            cells = None
+        if cells is None or not ((values >= 0) & (values <= 1)).all():
+            _raise_first_bad_entry(schema, assignments, values.tolist())
+        arr = np.full(schema.shape, default, dtype=object if exact else float)
+        arr.reshape(-1)[cells] = values
         table = cls(schema, arr)
         if not table.is_normal(eps):
             raise NormalityError(f"table maximum is {table.values.max()}, expected 1")
@@ -272,6 +324,16 @@ class PossibilityTable:
 
     def __repr__(self):
         return f"PossibilityTable({self.schema!r})"
+
+
+def _raise_first_bad_entry(schema, assignments, values):
+    """Raise the error of the first bad entry, checking the entries one by
+    one: the value's range first, then the assignment's labels."""
+    for assignment, value in zip(assignments, values):
+        if not 0 <= value <= 1:
+            raise DomainError(f"value {value!r} outside [0, 1]")
+        schema.multi_index(assignment)
+    raise InternalInconsistencyError("the column pass rejected entries that pass one by one")
 
 
 @dataclass(frozen=True, eq=False)

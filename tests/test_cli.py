@@ -270,6 +270,27 @@ class TestValidate:
         path.write_text("{oops")
         assert main(["validate", "--model", str(path)]) == EX_MODEL
 
+    def test_missing_or_unreadable_model_file(self, tmp_path, capsys):
+        assert main(["validate", "--model", str(tmp_path / "missing.json")]) == EX_MODEL
+        assert "cannot read model file" in capsys.readouterr().err
+        assert main(["validate", "--model", str(tmp_path)]) == EX_MODEL
+        assert "cannot read model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table", [
+        '{"entries": 5}',
+        '{"entries": [{"assignment": ["X", "0"], "value": 1.0}]}',
+        '{"entries": [{"assignment": "X0", "value": 1.0}]}',
+        '{"entries": [{"assignment": {"X": "0"}, "value": 1' + "0" * 400 + '}]}',
+    ])
+    def test_bad_table_shapes_exit_as_model_errors(self, table, capsys):
+        doc = '{"variables": [{"name": "X", "domain": ["0", "1"]}], "table": ' + table + "}"
+        assert main(["validate", "--model", doc]) == EX_MODEL
+        assert capsys.readouterr().err.startswith("posscheck: ")
+
+    def test_string_domain_exits_as_a_model_error(self):
+        doc = '{"variables": [{"name": "X", "domain": "01"}], "table": {"default": 1}}'
+        assert main(["validate", "--model", doc]) == EX_MODEL
+
     def test_abnormal_table(self, tmp_path):
         doc = {
             "variables": [{"name": "X", "domain": ["0", "1"]}],

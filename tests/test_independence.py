@@ -314,6 +314,19 @@ class TestScanAgainstNaiveEnumeration:
         assert reports == naive_scan(t, TNorm.godel(), ["intersection"])
         assert any(r[-1] == {"X": "1", "Y": "0", "Z": "0"} for r in reports)
 
+    def test_alternating_name_tuples_build_each_plan_once(self):
+        from posscheck.independence import AXIOMS, _scan_plan
+
+        tables = [PossibilityTable.load(Schema.binary(*names), [], 1.0)
+                  for names in (("A", "B", "C"), ("P", "Q", "R", "S"), ("X", "Y"))]
+        _scan_plan.cache_clear()
+        for _ in range(3):
+            for t in tables:
+                scan_axioms(t, TNorm.product())
+        info = _scan_plan.cache_info()
+        assert info.misses == len(tables) * len(AXIOMS)
+        assert info.hits == 2 * len(tables) * len(AXIOMS)
+
 
 class TestAxioms:
     def test_symmetry_never_violated(self, rng):

@@ -3,9 +3,17 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from posscheck import ModelFormatError, NormalityError
+from posscheck import (
+    DomainError,
+    ModelFormatError,
+    NormalityError,
+    PossibilityTable,
+    Schema,
+    SchemaError,
+)
 from posscheck.modelio import load_model, model_digest, parse_value
 
 GOOD_MODEL = {
@@ -105,3 +113,271 @@ class TestLoadModel:
         altered = json.loads(json.dumps(GOOD_MODEL))
         altered["table"]["default"] = 0.25
         assert model_digest(altered) != d1
+
+
+def binary_doc(names, entries, default=0.0):
+    """A model document over binary variables with the given table entries."""
+    return {
+        "variables": [{"name": n, "domain": ["0", "1"]} for n in names],
+        "table": {"default": default, "entries": entries},
+    }
+
+
+def full_doc(names, values):
+    """A model document listing every cell of ``values`` (C order)."""
+    entries = [
+        {"assignment": {n: str(i) for n, i in zip(names, idx)}, "value": float(values[idx])}
+        for idx in np.ndindex(values.shape)
+    ]
+    return binary_doc(names, entries)
+
+
+class TestTableBuilding:
+    """How a table is built from the entries of a model document."""
+
+    def test_digest_bytes_are_pinned(self):
+        assert model_digest(GOOD_MODEL) == "43060bb341ea9303"
+
+    def test_bad_label_before_bad_value_reports_the_label(self):
+        doc = binary_doc(["X", "Y"], [
+            {"assignment": {"X": "0", "Y": "0"}, "value": 1.0},
+            {"assignment": {"X": "2", "Y": "0"}, "value": 0.5},
+            {"assignment": {"X": "1", "Y": "1"}, "value": 1.5},
+        ])
+        with pytest.raises(SchemaError) as info:
+            load_model(doc)
+        assert type(info.value) is SchemaError
+        assert str(info.value) == "unknown label '2' for variable 'X'"
+
+    def test_bad_value_before_bad_label_reports_the_value(self):
+        doc = binary_doc(["X", "Y"], [
+            {"assignment": {"X": "0", "Y": "0"}, "value": 1.0},
+            {"assignment": {"X": "1", "Y": "1"}, "value": 1.5},
+            {"assignment": {"X": "2", "Y": "0"}, "value": 0.5},
+        ])
+        with pytest.raises(DomainError) as info:
+            load_model(doc)
+        assert str(info.value) == "value 1.5 outside [0, 1]"
+
+    def test_range_is_checked_before_labels_within_an_entry(self):
+        doc = binary_doc(["X"], [{"assignment": {"X": "2"}, "value": 2}])
+        with pytest.raises(DomainError) as info:
+            load_model(doc)
+        assert str(info.value) == "value 2.0 outside [0, 1]"
+
+    def test_parse_errors_come_before_range_and_label_errors(self):
+        doc = binary_doc(["X"], [
+            {"assignment": {"X": "2"}, "value": 1.5},
+            {"assignment": {"X": "0"}, "value": "1//2"},
+        ])
+        with pytest.raises(ModelFormatError, match="cannot parse value '1//2'"):
+            load_model(doc)
+
+    @pytest.mark.parametrize("assignment, message", [
+        ({"X": "0"}, "assignment missing variable 'Y'"),
+        ({"X": "0", "Y": "1", "Q": "0"}, "assignment names unknown variables ['Q']"),
+    ])
+    def test_missing_and_extra_variables(self, assignment, message):
+        doc = binary_doc(["X", "Y"], [{"assignment": assignment, "value": 1.0}])
+        with pytest.raises(SchemaError) as info:
+            load_model(doc)
+        assert str(info.value) == message
+
+    def test_duplicate_assignment_last_value_wins(self):
+        doc = binary_doc(["X"], [
+            {"assignment": {"X": "0"}, "value": 0.25},
+            {"assignment": {"X": "1"}, "value": 1.0},
+            {"assignment": {"X": "0"}, "value": 0.75},
+        ])
+        assert load_model(doc).table.values.tolist() == [0.75, 1.0]
+
+    def test_non_string_labels_resolve_through_str(self):
+        doc = binary_doc(["X", "Y"], [{"assignment": {"X": 0, "Y": 1}, "value": 1.0}])
+        assert load_model(doc).table.values.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("value", [float("nan"), -0.25, 1.5, "3/2"])
+    def test_nan_and_out_of_range_values_are_domain_errors(self, value):
+        doc = binary_doc(["X"], [
+            {"assignment": {"X": "0"}, "value": 1.0},
+            {"assignment": {"X": "1"}, "value": value},
+        ])
+        with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+            load_model(doc)
+
+    def test_exact_mode_gives_an_object_array_of_fractions(self):
+        doc = binary_doc(["X", "Y"], [
+            {"assignment": {"X": "0", "Y": "0"}, "value": 1},
+            {"assignment": {"X": "1", "Y": "0"}, "value": 0.1},
+            {"assignment": {"X": "0", "Y": "1"}, "value": "1/3"},
+        ], default="1/7")
+        values = load_model(doc, exact=True).table.values
+        assert values.dtype == object
+        assert all(type(v) is Fraction for v in values.flat)
+        assert values.tolist() == [[Fraction(1), Fraction(1, 3)],
+                                   [Fraction(1, 10), Fraction(1, 7)]]
+
+    def test_string_values_in_float_mode(self):
+        doc = binary_doc(["X"], [
+            {"assignment": {"X": "0"}, "value": "1"},
+            {"assignment": {"X": "1"}, "value": "1/3"},
+        ])
+        values = load_model(doc).table.values
+        assert values.dtype == float
+        assert values.tolist() == [1.0, 1 / 3]
+
+    def test_single_variable_and_empty_entries_load(self):
+        single = load_model(binary_doc(["X"], [{"assignment": {"X": "1"}, "value": 1.0}]))
+        assert single.table.values.tolist() == [0.0, 1.0]
+        empty = load_model(binary_doc(["X", "Y"], [], default=1.0))
+        assert empty.table.values.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        assert empty.table.values.dtype == float
+
+    def test_entry_and_key_order_do_not_change_the_values(self):
+        rng = np.random.default_rng(5)
+        names = ["A", "B", "C", "D"]
+        values = rng.random((2, 2, 2, 2))
+        values[1, 0, 1, 0] = 1.0
+        doc = full_doc(names, values)
+        base = load_model(doc)
+        assert np.array_equal(base.table.values, values)
+
+        shuffled = json.loads(json.dumps(doc))
+        rng.shuffle(shuffled["table"]["entries"])
+        loaded = load_model(shuffled)
+        assert loaded.table.values.dtype == base.table.values.dtype
+        assert np.array_equal(loaded.table.values, base.table.values)
+
+        rekeyed = json.loads(json.dumps(doc))
+        for entry in rekeyed["table"]["entries"]:
+            keys = list(entry["assignment"])
+            rng.shuffle(keys)
+            entry["assignment"] = {k: entry["assignment"][k] for k in keys}
+        loaded = load_model(rekeyed)
+        assert np.array_equal(loaded.table.values, base.table.values)
+        # the digest hashes the document with sorted keys: key order inside
+        # an assignment does not change it, entry order does
+        assert loaded.digest == base.digest
+        assert load_model(shuffled).digest == model_digest(shuffled) != base.digest
+
+    def test_a_valid_load_makes_no_per_entry_lookups(self, monkeypatch):
+        calls = []
+        original = Schema.multi_index
+
+        def counting(self, assignment):
+            calls.append(assignment)
+            return original(self, assignment)
+
+        monkeypatch.setattr(Schema, "multi_index", counting)
+        names = [f"V{i}" for i in range(10)]
+        values = np.random.default_rng(3).random((2,) * 10)
+        values[(0,) * 10] = 1.0
+        table = load_model(full_doc(names, values)).table
+        assert np.array_equal(table.values, values)
+        assert calls == []
+        # a bad entry is reported through multi_index
+        doc = full_doc(names, values)
+        doc["table"]["entries"][700]["assignment"]["V3"] = "7"
+        with pytest.raises(SchemaError, match="^unknown label '7' for variable 'V3'$"):
+            load_model(doc)
+        assert calls
+
+
+def loop_table(schema, entries, default):
+    """The table a loop over the entries writes, one cell at a time."""
+    exact = isinstance(default, Fraction) or any(isinstance(v, Fraction) for _, v in entries)
+    arr = np.full(schema.shape, default, dtype=object if exact else float)
+    for assignment, value in entries:
+        if not 0 <= value <= 1:
+            raise DomainError(f"value {value!r} outside [0, 1]")
+        arr[schema.multi_index(assignment)] = value
+    return arr
+
+
+class TestAgainstTheEntryLoop:
+    """The column pass writes what a loop over the entries writes, and
+    raises the loop's error for the first bad entry."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_entry_lists(self, seed):
+        rng = np.random.default_rng(seed)
+        domains = [["0", "1"], ["lo", "mid", "hi"], ["a", "b"], ["1", "2", "3"]]
+        names = list(rng.permutation(["A", "Q", "B", "V10"]))[: rng.integers(1, 5)]
+        schema = Schema(list(zip(names, domains)))
+        exact = seed % 3 == 0
+        one = Fraction(1) if exact else 1.0
+        entries = []
+        for _ in range(rng.integers(0, 2 * np.prod(schema.shape))):
+            keys = list(rng.permutation(names))
+            assignment = {k: schema.domain(k)[rng.integers(len(schema.domain(k)))] for k in keys}
+            value = Fraction(int(rng.integers(0, 8)), 7) if exact else float(rng.random())
+            entries.append((assignment, value))
+        entries.append(({n: schema.domain(n)[0] for n in names}, one))
+        if seed % 4 == 1:  # one bad label or value somewhere
+            victim = entries[rng.integers(len(entries))]
+            if seed % 8 == 1:
+                victim[0][names[0]] = "nope"
+            else:
+                entries[entries.index(victim)] = (victim[0], 1.25)
+        default = Fraction(0) if exact else 0.0
+        try:
+            expected = loop_table(schema, entries, default)
+        except (DomainError, SchemaError) as exc:
+            with pytest.raises(type(exc)) as info:
+                PossibilityTable.load(schema, entries, default)
+            assert str(info.value) == str(exc)
+            return
+        values = PossibilityTable.load(schema, entries, default).values
+        assert values.dtype == expected.dtype
+        assert values.tolist() == expected.tolist()
+
+
+class TestBadShapes:
+    """Parts of a model document with the wrong JSON type are model errors."""
+
+    @pytest.mark.parametrize("table", [
+        {"entries": 5},
+        {"entries": None},
+        {"entries": {"assignment": {"X": "0"}, "value": 1.0}},
+        {"entries": [{"assignment": ["X", "0"], "value": 1.0}]},
+        {"entries": [{"assignment": "X0", "value": 1.0}]},
+        {"entries": [{"assignment": {"X": "0"}, "value": 10 ** 400}]},
+        {"entries": [["X", "0"]]},
+        {"entries": [{"assignment": {"X": "0"}}]},
+        {"entries": [{"assignment": {"X": "0"}, "value": True}]},
+        {"entries": [{"assignment": {"X": "0"}, "value": None}]},
+    ])
+    def test_bad_tables(self, table):
+        doc = {"variables": [{"name": "X", "domain": ["0", "1"]}], "table": table}
+        with pytest.raises(ModelFormatError):
+            load_model(doc)
+
+    @pytest.mark.parametrize("variable", [
+        {"name": "X", "domain": "01"},
+        {"name": "X", "domain": {"0": 1, "1": 2}},
+        {"name": 5, "domain": ["0", "1"]},
+    ])
+    def test_bad_variables(self, variable):
+        doc = {"variables": [variable], "table": {"default": 1.0, "entries": []}}
+        with pytest.raises(ModelFormatError):
+            load_model(doc)
+
+    def test_shape_error_of_a_later_entry_comes_after_a_parse_error(self):
+        doc = binary_doc(["X"], [
+            {"assignment": {"X": "0"}, "value": "x"},
+            {"assignment": ["X"], "value": 1.0},
+        ])
+        with pytest.raises(ModelFormatError, match="cannot parse value 'x'"):
+            load_model(doc)
+
+    def test_too_large_integer_value(self):
+        with pytest.raises(ModelFormatError, match="too large"):
+            parse_value(10 ** 400)
+        # in exact mode the integer is a rational outside [0, 1]
+        doc = binary_doc(["X"], [{"assignment": {"X": "0"}, "value": 10 ** 400}])
+        with pytest.raises(DomainError):
+            load_model(doc, exact=True)
+
+    @pytest.mark.parametrize("make", [lambda p: p / "missing.json", lambda p: p])
+    def test_unreadable_file(self, tmp_path, make):
+        with pytest.raises(ModelFormatError, match="cannot read model file"):
+            load_model(make(tmp_path))

@@ -123,6 +123,43 @@ class TestLoad:
         with pytest.raises(DomainError):
             PossibilityTable.load(Schema.binary("X"), [({"X": "0"}, 1.0)], float("nan"))
 
+    def test_first_bad_entry_decides_the_error(self):
+        schema = Schema.binary("X", "Y")
+        label_first = [({"X": "0", "Y": "0"}, 1.0), ({"X": "0", "Y": "2"}, 0.5),
+                       ({"X": "1", "Y": "1"}, 1.5)]
+        with pytest.raises(SchemaError, match="^unknown label '2' for variable 'Y'$"):
+            PossibilityTable.load(schema, label_first)
+        value_first = [({"X": "0", "Y": "0"}, 1.0), ({"X": "1", "Y": "1"}, 1.5),
+                       ({"X": "0", "Y": "2"}, 0.5)]
+        with pytest.raises(DomainError, match=r"^value 1.5 outside \[0, 1\]$"):
+            PossibilityTable.load(schema, value_first)
+
+    def test_nan_entry_rejected(self):
+        with pytest.raises(DomainError, match=r"^value nan outside \[0, 1\]$"):
+            PossibilityTable.load(Schema.binary("X"), [({"X": "0"}, float("nan"))], 1.0)
+
+    def test_duplicate_assignment_last_value_wins(self):
+        t = PossibilityTable.load(
+            Schema.binary("X"), [({"X": "1"}, 0.5), ({"X": "0"}, 1.0), ({"X": "1"}, 0.25)])
+        assert t.values.tolist() == [1.0, 0.25]
+
+    def test_non_string_labels_resolve_through_str(self):
+        schema = Schema([("X", ["1", "2", "3"]), ("Y", ["0", "1"])])
+        t = PossibilityTable.load(schema, [({"X": 3, "Y": 0}, 1.0)])
+        assert t.values[2, 0] == 1.0 and t.values.sum() == 1.0
+
+    def test_fraction_entry_makes_an_exact_table(self):
+        t = PossibilityTable.load(Schema.binary("X"), [({"X": "0"}, Fraction(1))], 0)
+        assert t.values.dtype == object
+        assert t.values.tolist() == [Fraction(1), 0]
+        t = PossibilityTable.load(Schema.binary("X"), [({"X": "0"}, 1.0)], Fraction(1, 2))
+        assert t.values.dtype == object
+        assert t.values.tolist() == [1.0, Fraction(1, 2)]
+
+    def test_integer_entries_give_a_float_table(self):
+        t = PossibilityTable.load(Schema.binary("X"), [({"X": "0"}, 1), ({"X": "1"}, 0)])
+        assert t.values.dtype == float and t.values.tolist() == [1.0, 0.0]
+
 
 class TestMarginalize:
     def test_diagonal_pair_marginal(self):
