@@ -26,7 +26,6 @@ from .independence import (
     IndependenceStatement,
     check_axiom,
     independent,
-    independent_via_ae_equality,
     scan_axioms,
     violations,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "factorizes",
     "global_markov",
     "independent",
-    "independent_via_ae_equality",
     "load_model",
     "local_markov",
     "pairwise_markov",

@@ -8,7 +8,7 @@ are not available); they are flagged and validated by reproducing every
 stated verdict.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -19,9 +19,7 @@ from .independence import IndependenceStatement, check_axiom, independent, scan_
 from .markov import GLOBAL, LOCAL, PAIRWISE, global_markov, local_markov, pairwise_markov
 from .numeric import DEFAULT_EPSILON
 from .possibility import PossibilityTable, Schema
-from .tnorm import TNorm
-
-ALL_BASES = ("godel", "product", "lukasiewicz")
+from .tnorm import BASES, TNorm
 
 
 @dataclass(frozen=True)
@@ -31,7 +29,7 @@ class Claim:
     kind: str                      # independent | axiom | axiom_scan | markov | factorize
     params: tuple                  # kind-specific key/value pairs
     expected: object               # bool, "yes"/"no"/"unknown", or "no_violations"
-    tnorms: tuple = ALL_BASES      # base t-norms the claim speaks about
+    tnorms: tuple = BASES          # base t-norms the claim speaks about
     witness: Optional[tuple] = None  # expected witness assignment, as sorted items
 
     def param(self, key, default=None):

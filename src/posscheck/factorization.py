@@ -42,7 +42,7 @@ from scipy.optimize import linprog
 
 from .errors import SchemaError
 from .graphs import UndirectedGraph
-from .numeric import DEFAULT_EPSILON, first_true, mismatch_mask
+from .numeric import DEFAULT_EPSILON, first_true
 from .possibility import PossibilityTable, Schema
 from .tnorm import GODEL, STRICT, TNorm
 
@@ -68,12 +68,10 @@ class Factorization:
         missing = set(schema.variables) - covered
         if missing:
             raise SchemaError(f"variables {sorted(missing)} appear in no clique")
-        arrays = [
-            np.broadcast_to(f.extend_values(schema), schema.shape)
-            for _, f in sorted(self.factors.items())
-        ]
-        values = self.tnorm.fold_arrays(arrays, shape=schema.shape)
-        table = PossibilityTable(schema, np.broadcast_to(values, schema.shape))
+        # every variable lies in some clique, so the fold of these views
+        # (size-1 axes where a clique lacks a variable) spans the full shape
+        views = [f.extend_values(schema) for _, f in sorted(self.factors.items())]
+        table = PossibilityTable(schema, self.tnorm.fold_arrays(views))
         if not table.is_normal(eps):
             warnings.warn("combined factorization is not normal", stacklevel=2)
         return table
@@ -105,11 +103,9 @@ def verify(table: PossibilityTable, graph: UndirectedGraph, factorization: Facto
         raise SchemaError(
             f"factor cliques {got} do not match graph cliques {tuple(sorted(expected))}"
         )
-    combined = factorization.combine(table.schema, eps)
-    idx = first_true(mismatch_mask(combined.values, table.values, eps))
-    if idx is None:
-        return True, None
-    return False, table.schema.assignment(idx)
+    witness = table.schema.first_mismatch(factorization.combine(table.schema, eps).values,
+                                          table.values, eps)
+    return witness is None, witness
 
 
 def _marginal_candidate(table, graph, tn, snap_crisp=False):

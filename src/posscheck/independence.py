@@ -4,8 +4,8 @@ A group statement (A independent of B given S) holds when recombining the
 residual conditional of A given S with the marginal of B union S through the
 t-norm reproduces the joint marginal of A, B, S at every assignment.  For
 continuous t-norms this pointwise test is equivalent to the almost-everywhere
-form stated on conditional distributions; ``independent_via_ae_equality``
-implements that slower form for cross-checking.
+form stated on conditional distributions.  ``independent`` is the one
+decider: the Markov checks and the axiom code call it for every statement.
 
 How a statement is decided: the table's memo supplies the one marginal
 pi(A, B, S).  The marginals pi(A, S), pi(B, S) and pi(S) are maxima of it
@@ -18,18 +18,17 @@ fastest.
 
 Axiom scans enumerate their instances once per (variable names, axiom) into
 a table-independent plan; a scan then only decides the plan's statements on
-its table, each distinct statement once.
+its table, through a memo that lasts the one scan and is shared by all its
+axioms, so each distinct statement is decided once.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iter_product
 from typing import Optional
 
-import numpy as np
-
 from .errors import ArityError, DisjointnessError, LimitError
-from .numeric import DEFAULT_EPSILON, first_true, mismatch_mask
+from .numeric import DEFAULT_EPSILON
 from .possibility import PossibilityTable
 from .tnorm import TNorm
 
@@ -106,14 +105,6 @@ def independent(table: PossibilityTable, tn: TNorm, statement: IndependenceState
     involved variables (first variable cycling fastest) where the t-norm
     recombination misses the joint marginal.
     """
-    return _evaluate(table, tn, statement, eps)
-
-
-def _evaluate(table, tn, statement, eps, cache=None):
-    if cache is not None:
-        hit = cache.get(statement)
-        if hit is not None:
-            return hit
     a, b = set(statement.a), set(statement.b)
     joint = table.marginalize(a | b | set(statement.given))
     names = joint.schema.variables
@@ -124,50 +115,8 @@ def _evaluate(table, tn, statement, eps, cache=None):
     m_bs = pi.max(axis=a_axes, keepdims=True)
     m_s = m_as.max(axis=a_axes, keepdims=True)
     lhs = tn.apply_array(tn.residual_array(m_as, m_s), m_bs)
-    idx = first_true(mismatch_mask(lhs, pi, eps))
-    if idx is None:
-        result = IndependenceResult(statement, True)
-    else:
-        result = IndependenceResult(statement, False, joint.schema.assignment(idx))
-    if cache is not None:
-        cache[statement] = result
-    return result
-
-
-def independent_via_ae_equality(table: PossibilityTable, tn: TNorm,
-                                statement: IndependenceStatement,
-                                eps=DEFAULT_EPSILON) -> IndependenceResult:
-    """Direct almost-everywhere form of the independence test.
-
-    Compares the residual conditional of (A,B) given S against the t-norm
-    combination of the residual conditionals of A and B given S, where both
-    sides count as equal when they agree after combination with the
-    conditioning marginal.  Slower than ``independent`` but a useful oracle.
-    """
-    schema = table.schema
-    a = schema.in_order(statement.a)
-    b = schema.in_order(statement.b)
-    s = schema.in_order(statement.given)
-    cond_ab = table.condition(tn, tuple(a) + tuple(b), s)
-    union_schema = cond_ab.schema
-
-    def on_union(cond):
-        return PossibilityTable(cond.schema, cond.values).extend_values(union_schema)
-
-    pi_s = np.broadcast_to(
-        table.marginalize(s).extend_values(union_schema), union_schema.shape
-    )
-    lhs = tn.apply_array(cond_ab.values, pi_s)
-    rhs = tn.apply_array(
-        tn.apply_array(
-            on_union(table.condition(tn, a, s)), on_union(table.condition(tn, b, s))
-        ),
-        pi_s,
-    )
-    idx = first_true(mismatch_mask(lhs, rhs, eps))
-    if idx is None:
-        return IndependenceResult(statement, True)
-    return IndependenceResult(statement, False, union_schema.assignment(idx))
+    witness = joint.schema.first_mismatch(lhs, pi, eps)
+    return IndependenceResult(statement, witness is None, witness)
 
 
 # -- graphoid axioms ---------------------------------------------------------------
@@ -212,15 +161,14 @@ def _axiom_statements(axiom, groups):
     return [statement(form) for form in antecedents], statement(consequent)
 
 
-def _instance_report(table, tn, eps, cache, axiom, groups, antecedent_stmts,
-                     consequent_stmt, lazy):
-    antecedents = tuple(
-        (stmt, _evaluate(table, tn, stmt, eps, cache).holds) for stmt in antecedent_stmts
-    )
+def _instance_report(decide, axiom, groups, antecedent_stmts, consequent_stmt, lazy):
+    """The report of one axiom instance; ``decide`` maps a statement to its
+    IndependenceResult."""
+    antecedents = tuple((stmt, decide(stmt).holds) for stmt in antecedent_stmts)
     all_true = all(holds for _, holds in antecedents)
     if lazy and not all_true:
         return AxiomReport(axiom, groups, antecedents, consequent_stmt, None, True)
-    cons = _evaluate(table, tn, consequent_stmt, eps, cache)
+    cons = decide(consequent_stmt)
     violated = all_true and not cons.holds
     return AxiomReport(
         axiom,
@@ -251,8 +199,8 @@ def check_axiom(table: PossibilityTable, tn: TNorm, axiom, groups,
     if len(flat) != len(set(flat)):
         raise DisjointnessError("axiom groups must be pairwise disjoint")
     antecedents, consequent = _axiom_statements(axiom, groups)
-    return _instance_report(table, tn, eps, {}, axiom, groups, antecedents, consequent,
-                            lazy=False)
+    return _instance_report(partial(independent, table, tn, eps=eps), axiom, groups,
+                            antecedents, consequent, lazy=False)
 
 
 # room for four variable-name tuples, so that scans alternating between a few
@@ -314,10 +262,16 @@ def scan_axioms(table: PossibilityTable, tn: TNorm, axioms=None, scan_limit=6,
     if axioms is None:
         axioms = AXIOMS
     axioms = [canonical_axiom(a) for a in axioms]
-    cache = {}
+    memo = {}  # statement -> result, for this scan only
+
+    def decide(stmt):
+        result = memo.get(stmt)
+        if result is None:
+            result = memo[stmt] = independent(table, tn, stmt, eps)
+        return result
+
     return [
-        _instance_report(table, tn, eps, cache, axiom, groups, antecedents, consequent,
-                         lazy=True)
+        _instance_report(decide, axiom, groups, antecedents, consequent, lazy=True)
         for axiom in axioms
         for groups, antecedents, consequent in _scan_plan(names, axiom)
     ]

@@ -3,9 +3,9 @@
 The global check enumerates separator candidates and bipartitions of the
 resulting connectivity components; decomposition of group statements makes
 those bipartitions cover every separated triple.  An exhaustive mode checks
-all disjoint separated triples directly for cross-validation.  Each
-enumeration yields distinct statements, so they are evaluated without a
-cache.
+all disjoint separated triples directly for cross-validation.  Every
+statement is decided through ``independent``; each enumeration yields
+distinct statements, so no memo is kept.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from typing import Optional
 from .errors import InternalInconsistencyError
 from .factorization import FactorizationResult, _validate_vertices, factorizes
 from .graphs import UndirectedGraph
-from .independence import IndependenceStatement, _evaluate
+from .independence import IndependenceStatement, independent
 from .numeric import DEFAULT_EPSILON
 from .possibility import PossibilityTable
 from .tnorm import TNorm
@@ -47,7 +47,7 @@ def _run_checks(table, tn, statements, eps, property_name, skipped=(), mode="com
     witness = None
     holds = True
     for stmt in statements:
-        res = _evaluate(table, tn, stmt, eps)
+        res = independent(table, tn, stmt, eps)
         checked.append((stmt, res.holds))
         if not res.holds and witness is None:
             witness = (stmt, res.witness)

@@ -13,13 +13,6 @@ from .errors import DomainError
 DEFAULT_EPSILON = 1e-9
 
 
-def values_equal(a, b, eps=DEFAULT_EPSILON):
-    """True if two unit-interval scalars agree within ``eps`` (exactly if 0)."""
-    if eps == 0:
-        return a == b
-    return abs(a - b) <= eps
-
-
 def mismatch_mask(a, b, eps=DEFAULT_EPSILON):
     """Boolean array marking cells where two arrays disagree beyond ``eps``."""
     if eps == 0:

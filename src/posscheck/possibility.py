@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iter_product
 from operator import itemgetter
-from typing import Optional
 
 import numpy as np
 
@@ -24,13 +23,7 @@ from .errors import (
     NormalityError,
     SchemaError,
 )
-from .numeric import (
-    DEFAULT_EPSILON,
-    first_true,
-    mismatch_mask,
-    require_unit_array,
-    values_equal,
-)
+from .numeric import DEFAULT_EPSILON, first_true, mismatch_mask, require_unit_array
 from .tnorm import TNorm
 
 # Largest number of cells a schema may span; a dense float table of this
@@ -167,6 +160,13 @@ class Schema:
             for name, i in zip(self._names, multi_index)
         }
 
+    def first_mismatch(self, a, b, eps=DEFAULT_EPSILON):
+        """The assignment of the first cell where arrays ``a`` and ``b``,
+        broadcast over this schema, differ beyond ``eps`` (first variable
+        cycling fastest), or None when they agree everywhere."""
+        idx = first_true(mismatch_mask(a, b, eps))
+        return None if idx is None else self.assignment(idx)
+
     def assignments(self):
         """All assignments, first variable cycling fastest."""
         for idx in iter_product(*(range(len(self._domains[n])) for n in reversed(self._names))):
@@ -240,7 +240,7 @@ class PossibilityTable:
     def is_normal(self, eps=DEFAULT_EPSILON):
         if self.values.size == 0:
             return False
-        return values_equal(self.values.max(), 1, eps)
+        return not mismatch_mask(self.values.max(), 1, eps)
 
     def is_strictly_positive(self):
         """True iff every cell is > 0."""
@@ -316,11 +316,8 @@ class PossibilityTable:
         """(bool, witness) comparison against another table on the same schema."""
         if self.schema != other.schema:
             raise SchemaError("tables have different schemas")
-        mask = mismatch_mask(self.values, other.values, eps)
-        idx = first_true(mask)
-        if idx is None:
-            return True, None
-        return False, self.schema.assignment(idx)
+        witness = self.schema.first_mismatch(self.values, other.values, eps)
+        return witness is None, witness
 
     def __repr__(self):
         return f"PossibilityTable({self.schema!r})"
@@ -368,7 +365,5 @@ def ae_equal(h1: PossibilityTable, h2: PossibilityTable, reference: PossibilityT
         raise SchemaError("fuzzy variables and reference must share a schema")
     lhs = tn.apply_array(h1.values, reference.values)
     rhs = tn.apply_array(h2.values, reference.values)
-    idx = first_true(mismatch_mask(lhs, rhs, eps))
-    if idx is None:
-        return True, None
-    return False, reference.schema.assignment(idx)
+    witness = reference.schema.first_mismatch(lhs, rhs, eps)
+    return witness is None, witness

@@ -152,11 +152,11 @@ class TNorm:
             return np.minimum(inv(phi(a) * phi(b)), 1.0)
         return inv(np.maximum(phi(a) + phi(b) - 1.0, 0.0))
 
-    def fold_arrays(self, arrays, shape=None):
-        """Fold a sequence of broadcastable arrays; empty folds give ones."""
+    def fold_arrays(self, arrays):
+        """Fold a sequence of broadcastable arrays; the empty fold is 1."""
         arrays = list(arrays)
         if not arrays:
-            return np.ones(shape or ())
+            return np.ones(())
         return reduce(self.apply_array, arrays)
 
     def residual_array(self, y, x):

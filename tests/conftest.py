@@ -1,8 +1,10 @@
-"""Shared fixtures and the loop-based reference oracle used for cross-checks.
+"""Shared fixtures and the reference oracles used for cross-checks.
 
-The oracle implements the definitions directly with Python loops and dicts,
-sharing no array code with the library, so agreement between the two is a
-meaningful dual-route check.
+The loop oracle implements the definitions directly with Python loops and
+dicts, sharing no array code with the library, so agreement between the two
+is a meaningful dual-route check.  ``independent_via_ae_equality`` is the
+almost-everywhere form of independence on the library's conditionals: a
+second route to every verdict that ``independent`` decides.
 """
 
 from itertools import product as iter_product
@@ -11,7 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from posscheck import Factorization, PossibilityTable, Schema, TNorm
+from posscheck import (
+    DEFAULT_EPSILON,
+    Factorization,
+    IndependenceResult,
+    PossibilityTable,
+    Schema,
+    TNorm,
+)
 
 # No per-example deadline: the first example of a test can pay for numpy's
 # one-time set-up, which on a loaded machine exceeds hypothesis' 200 ms default.
@@ -97,6 +106,38 @@ def oracle_independent(table, tn, a_vars, b_vars, s_vars, eps=1e-9):
     return True
 
 
+def independent_via_ae_equality(table, tn, statement, eps=DEFAULT_EPSILON):
+    """Direct almost-everywhere form of the independence test.
+
+    Compares the residual conditional of (A,B) given S against the t-norm
+    combination of the residual conditionals of A and B given S, where both
+    sides count as equal when they agree after combination with the
+    conditioning marginal.  Slower than ``independent`` but a useful oracle.
+    """
+    schema = table.schema
+    a = schema.in_order(statement.a)
+    b = schema.in_order(statement.b)
+    s = schema.in_order(statement.given)
+    cond_ab = table.condition(tn, tuple(a) + tuple(b), s)
+    union_schema = cond_ab.schema
+
+    def on_union(cond):
+        return PossibilityTable(cond.schema, cond.values).extend_values(union_schema)
+
+    pi_s = np.broadcast_to(
+        table.marginalize(s).extend_values(union_schema), union_schema.shape
+    )
+    lhs = tn.apply_array(cond_ab.values, pi_s)
+    rhs = tn.apply_array(
+        tn.apply_array(
+            on_union(table.condition(tn, a, s)), on_union(table.condition(tn, b, s))
+        ),
+        pi_s,
+    )
+    witness = union_schema.first_mismatch(lhs, rhs, eps)
+    return IndependenceResult(statement, witness is None, witness)
+
+
 # -- random model generators --------------------------------------------------------
 
 
@@ -144,6 +185,14 @@ def jittered(table, anchor, rng, size):
     values = np.clip(table.values + rng.choice([-size, size], table.schema.shape), 0.0, 1.0)
     values[anchor] = table.values[anchor]
     return PossibilityTable(table.schema, values)
+
+
+def permuted(table, rng):
+    """The same table on a randomly permuted schema order."""
+    order = rng.permutation(len(table.schema))
+    names = [table.schema.variables[i] for i in order]
+    schema = Schema([(n, table.schema.domain(n)) for n in names])
+    return PossibilityTable(schema, np.transpose(table.values, order))
 
 
 @pytest.fixture

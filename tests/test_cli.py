@@ -258,6 +258,7 @@ class TestValidate:
         code, report = run(["validate", "--model", model_path(4)])
         assert code == EX_OK
         assert report["checks"][0]["graph_vertices"] == 5
+        assert report["checks"][0]["normal"] is True
 
     def test_every_embedded_example_validates(self, model_path):
         for number in (1, 2, 3, 4, 5):
@@ -360,6 +361,31 @@ class TestGlobalFlags:
     def test_epsilon_flag_must_be_finite_and_nonnegative(self, value, capsys):
         assert main(["examples", "--id", "1", "--epsilon", value]) == EX_MODEL
         assert "--epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["factorize", "--model", "{model}"],
+        ["indep", "--model", "{model}", "--a", "X", "--b", "Y"],
+        ["validate", "--model", "{model}"],
+        ["examples", "--id", "1"],
+        ["residual", "--y", "0.3", "--x", "0.7"],
+    ], ids=lambda argv: argv[0])
+    def test_power_requires_tnorm_even_when_the_model_names_one(self, argv, tmp_path, capsys):
+        # --power transforms --tnorm; it must not be dropped silently when
+        # the model's own t-norm (here product^2) is used instead
+        doc = {
+            "variables": [{"name": v, "domain": ["0", "1"]} for v in "XY"],
+            "table": {"default": 0.25,
+                      "entries": [{"assignment": {"X": "0", "Y": "0"}, "value": 1.0}]},
+            "graph": {"edges": [["X", "Y"]]},
+            "tnorm": {"base": "product", "automorphism": {"type": "power", "p": 2}},
+        }
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        argv = [arg.format(model=path) for arg in argv] + ["--power", "3", "--json"]
+        assert main(argv) == EX_MODEL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--power requires --tnorm" in captured.err
 
     def test_exact_mode_rejects_power(self, model_path):
         assert main(

@@ -21,7 +21,6 @@ from posscheck import (
     TNorm,
     check_axiom,
     independent,
-    independent_via_ae_equality,
     scan_axioms,
     violations,
 )
@@ -32,7 +31,9 @@ from conftest import (
     ARCHIMEDEAN_TNORMS,
     BASE_TNORMS,
     GRID_VALUES,
+    independent_via_ae_equality,
     oracle_independent,
+    permuted,
     random_table,
 )
 
@@ -191,13 +192,6 @@ def random_statement(rng, names):
         a, b, s = (tuple(n for n, r in zip(names, roles) if r == k) for k in range(3))
         if a and b:
             return IndependenceStatement(a, b, s)
-
-
-def permuted(table, rng):
-    order = rng.permutation(len(table.schema))
-    names = [table.schema.variables[i] for i in order]
-    schema = Schema([(n, table.schema.domain(n)) for n in names])
-    return PossibilityTable(schema, np.transpose(table.values, order))
 
 
 def exact(table):

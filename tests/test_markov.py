@@ -15,7 +15,15 @@ from posscheck import (
 )
 from posscheck.corpus import builtin_example
 
-from conftest import ALL_TNORMS, ARCHIMEDEAN_TNORMS, BASE_TNORMS, random_graph, random_table
+from conftest import (
+    ALL_TNORMS,
+    ARCHIMEDEAN_TNORMS,
+    BASE_TNORMS,
+    jittered,
+    planted,
+    random_graph,
+    random_table,
+)
 
 
 def model(number):
@@ -128,6 +136,24 @@ class TestModesAgree:
             fast = global_markov(t, g, tn)
             slow = global_markov(t, g, tn, exhaustive=True)
             assert fast.holds == slow.holds
+
+    def test_modes_agree_on_planted_tables_jittered_at_the_scale_of_eps(self, rng):
+        # the component enumeration reaches the other separated triples by
+        # decomposition, which keeps an absolute eps exactly; a faster
+        # enumeration must keep agreeing with the exhaustive one here
+        verdicts = []
+        for tn in ALL_TNORMS:
+            for _ in range(40):
+                n = int(rng.integers(3, 6))
+                schema = Schema.binary(*(f"V{i}" for i in range(n)))
+                g = random_graph(rng, schema.variables)
+                t, anchor = planted(schema, g, tn, rng, 0.25)
+                t = jittered(t, anchor, rng, rng.uniform(1e-7, 1e-6))
+                fast = global_markov(t, g, tn, eps=1e-6)
+                slow = global_markov(t, g, tn, eps=1e-6, exhaustive=True)
+                assert fast.holds == slow.holds, (tn.describe(), g.edges, t.values)
+                verdicts.append(fast.holds)
+        assert True in verdicts and False in verdicts
 
 
 class TestImplicationChain:

@@ -71,6 +71,24 @@ class TestSchema:
         with pytest.raises(SchemaError):
             schema.multi_index({"X": "2"})
 
+    def test_first_mismatch_lets_the_first_variable_cycle_fastest(self):
+        schema = Schema([("A", ["0", "1"]), ("B", ["0", "1", "2"])])
+        base = np.zeros(schema.shape)
+        other = base.copy()
+        other[0, 2] = other[1, 1] = 0.5
+        # (A=1, B=1) comes before (A=0, B=2) when A cycles fastest
+        assert schema.first_mismatch(base, other) == {"A": "1", "B": "1"}
+        assert schema.first_mismatch(base, base + 1e-10) is None
+        assert schema.first_mismatch(base, base + 1e-10, eps=0) == {"A": "0", "B": "0"}
+        # arrays broadcast over the schema
+        assert schema.first_mismatch(base[:, :1], other) == {"A": "1", "B": "1"}
+
+    def test_first_mismatch_on_exact_values(self):
+        schema = Schema.binary("X")
+        third = np.array([Fraction(1, 3), Fraction(1)], dtype=object)
+        assert schema.first_mismatch(third, third.copy(), eps=0) is None
+        assert schema.first_mismatch(third, np.array([1 / 3, 1.0]), eps=0) == {"X": "0"}
+
     def test_cell_cap(self, monkeypatch):
         monkeypatch.setattr(posscheck.possibility, "MAX_CELLS", 8)
         assert Schema.binary("A", "B", "C").shape == (2, 2, 2)
