@@ -25,7 +25,7 @@ from .independence import (
     scan_axioms,
     violations,
 )
-from .markov import GLOBAL, LOCAL, PAIRWISE, global_markov, local_markov, pairwise_markov
+from .markov import GLOBAL, LOCAL, PAIRWISE, chain_report, global_markov, local_markov, pairwise_markov
 from .modelio import load_model
 from .numeric import DEFAULT_EPSILON
 from .tnorm import BASES, PowerTransform, TNorm
@@ -145,8 +145,6 @@ def _serialize_factorization(f):
 def _plain(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, str):
-        return value
     return float(value)
 
 
@@ -250,27 +248,23 @@ def _dispatch(args, eps, report):
             )
         return EX_OK if not bad else EX_FAILS
 
-    if model.graph is None and command in ("markov", "factorize"):
+    if model.graph is None:
         raise ModelFormatError(f"the {command} command needs a model with a graph")
 
     if command == "markov":
-        props = (
-            [PAIRWISE, LOCAL, GLOBAL]
-            if args.property_name == "all"
-            else [args.property_name]
-        )
-        all_hold = True
-        any_checked = False
-        for prop in props:
-            fn = {PAIRWISE: pairwise_markov, LOCAL: local_markov, GLOBAL: global_markov}[prop]
-            kwargs = {"exhaustive": args.exhaustive} if prop == GLOBAL else {}
-            rep = fn(model.table, model.graph, tn, eps, **kwargs)
-            all_hold = all_hold and rep.holds
-            any_checked = any_checked or bool(rep.checked)
+        if args.property_name == "all":
+            chain = chain_report(model.table, model.graph, tn, eps, exhaustive=args.exhaustive)
+            reports = [chain.pairwise_report, chain.local_report, chain.global_report]
+        else:
+            fn = {PAIRWISE: pairwise_markov, LOCAL: local_markov,
+                  GLOBAL: global_markov}[args.property_name]
+            kwargs = {"exhaustive": args.exhaustive} if args.property_name == GLOBAL else {}
+            reports = [fn(model.table, model.graph, tn, eps, **kwargs)]
+        for rep in reports:
             report["checks"].append(
                 {
                     "check": "markov",
-                    "property": prop,
+                    "property": rep.property_name,
                     "holds": rep.holds,
                     "mode": rep.mode,
                     "statements": [
@@ -284,24 +278,21 @@ def _dispatch(args, eps, report):
                     ],
                 }
             )
-        if not all_hold:
+        if not all(rep.holds for rep in reports):
             return EX_FAILS
-        return EX_OK if any_checked else EX_UNKNOWN
+        return EX_OK if any(rep.checked for rep in reports) else EX_UNKNOWN
 
-    if command == "factorize":
-        result = factorizes(model.table, model.graph, tn, eps)
-        check = {
-            "check": "factorize",
-            "status": result.status,
-            "witness": result.witness,
-            "reason": result.reason,
-        }
-        if result.factorization is not None:
-            check["factorization"] = _serialize_factorization(result.factorization)
-        report["checks"].append(check)
-        return {"yes": EX_OK, "no": EX_FAILS, "unknown": EX_UNKNOWN}[result.status]
-
-    raise ModelFormatError(f"unknown command {command!r}")
+    result = factorizes(model.table, model.graph, tn, eps)
+    check = {
+        "check": "factorize",
+        "status": result.status,
+        "witness": result.witness,
+        "reason": result.reason,
+    }
+    if result.factorization is not None:
+        check["factorization"] = _serialize_factorization(result.factorization)
+    report["checks"].append(check)
+    return {"yes": EX_OK, "no": EX_FAILS, "unknown": EX_UNKNOWN}[result.status]
 
 
 def _run_examples(args, eps, report):

@@ -14,11 +14,10 @@ from typing import Optional
 
 from .errors import ModelFormatError
 from .factorization import factorizes
-from .graphs import UndirectedGraph
 from .independence import IndependenceStatement, check_axiom, independent, scan_axioms, violations
-from .markov import GLOBAL, LOCAL, PAIRWISE, global_markov, local_markov, pairwise_markov
+from .markov import GLOBAL, LOCAL, PAIRWISE, chain_report
+from .modelio import model_from_json
 from .numeric import DEFAULT_EPSILON
-from .possibility import PossibilityTable, Schema
 from .tnorm import BASES, TNorm
 
 
@@ -49,27 +48,18 @@ class ReferenceModel:
     graph_reconstructed: bool = False
     claims: tuple = ()
 
+    def loaded(self, exact=False):
+        """The model as the model loader reads it from ``to_model_json``."""
+        return model_from_json(self.to_model_json(), exact)
+
     def schema(self):
-        return Schema([(n, d) for n, d in self.variables])
+        return self.loaded().schema
 
     def table(self, exact=False):
-        one = Fraction(1) if exact else 1.0
-        default = self.default
-        if exact and not isinstance(default, Fraction):
-            default = Fraction(str(default))
-        elif not exact:
-            default = float(default)
-        schema = self.schema()
-        names = [n for n, _ in self.variables]
-        entries = [
-            (dict(zip(names, cell)), one) for cell in self.one_cells
-        ]
-        return PossibilityTable.load(schema, entries, default)
+        return self.loaded(exact).table
 
     def graph(self):
-        if not self.has_graph:
-            return None
-        return UndirectedGraph.from_edges(self.graph_edges, self.graph_isolated)
+        return self.loaded().graph
 
     def to_model_json(self):
         names = [n for n, _ in self.variables]
@@ -231,7 +221,8 @@ class ClaimOutcome:
 def evaluate_claim(model: ReferenceModel, claim: Claim, tn: TNorm,
                    eps=DEFAULT_EPSILON, exact=False) -> ClaimOutcome:
     """Run one claim of a reference model through the engine."""
-    table = model.table(exact=exact)
+    loaded = model.loaded(exact)
+    table = loaded.table
     witness = None
     detail = ""
     if claim.kind == "independent":
@@ -254,8 +245,7 @@ def evaluate_claim(model: ReferenceModel, claim: Claim, tn: TNorm,
         detail = ",".join(claim.param("axioms"))
     elif claim.kind == "markov":
         prop = claim.param("property")
-        fn = {PAIRWISE: pairwise_markov, LOCAL: local_markov, GLOBAL: global_markov}[prop]
-        report = fn(table, model.graph(), tn, eps)
+        report = getattr(chain_report(table, loaded.graph, tn, eps), f"{prop}_report")
         verdict = report.holds
         if report.witness is not None:
             witness = report.witness[1]
@@ -263,7 +253,7 @@ def evaluate_claim(model: ReferenceModel, claim: Claim, tn: TNorm,
         else:
             detail = prop
     elif claim.kind == "factorize":
-        result = factorizes(table, model.graph(), tn, eps)
+        result = factorizes(table, loaded.graph, tn, eps)
         verdict = result.status
         witness = result.witness
         detail = result.reason

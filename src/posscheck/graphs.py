@@ -151,9 +151,17 @@ class UndirectedGraph:
         if not isinstance(doc, dict):
             raise ModelFormatError("graph document must be an object")
         edges = doc.get("edges", [])
-        if not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in edges):
-            raise ModelFormatError("graph edges must be two-element arrays")
-        return cls.from_edges([tuple(e) for e in edges], doc.get("isolated", ()))
+        isolated = doc.get("isolated", [])
+        if not isinstance(edges, list) or not all(_strings(e) and len(e) == 2 for e in edges):
+            raise ModelFormatError("graph 'edges' must be an array of two-string arrays")
+        if not _strings(isolated):
+            raise ModelFormatError("graph 'isolated' must be an array of strings")
+        return cls.from_edges([tuple(e) for e in edges], isolated)
 
     def __repr__(self):
         return f"UndirectedGraph({len(self._vertices)} vertices, {len(self._edges)} edges)"
+
+
+def _strings(items):
+    """True iff ``items`` is a JSON array of strings."""
+    return isinstance(items, list) and all(isinstance(v, str) for v in items)

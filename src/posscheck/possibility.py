@@ -197,7 +197,7 @@ class PossibilityTable:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def load(cls, schema, entries, default=0.0, eps=DEFAULT_EPSILON):
+    def load(cls, schema, entries, default=0.0):
         """Build a table from sparse (assignment, value) pairs and verify normality.
 
         ``entries`` is an iterable of (mapping, value) pairs; unmentioned
@@ -206,15 +206,15 @@ class PossibilityTable:
         any value is a ``Fraction``.  Raises DomainError or SchemaError for
         the first entry whose value lies outside [0, 1] or whose assignment
         does not match the schema, and NormalityError if the maximum is not
-        1 within ``eps``.
+        1 within the default tolerance.
         """
         entries = list(entries)
         assignments = [a for a, _ in entries]
         values = np.array([v for _, v in entries])
-        return cls._from_columns(schema, assignments, values, default, eps)
+        return cls._from_columns(schema, assignments, values, default)
 
     @classmethod
-    def _from_columns(cls, schema, assignments, values, default, eps=DEFAULT_EPSILON):
+    def _from_columns(cls, schema, assignments, values, default):
         """``load`` on its entries as columns: a list of assignments and a
         1-D array of their values (object dtype for exact values).
 
@@ -231,7 +231,7 @@ class PossibilityTable:
         arr = np.full(schema.shape, default, dtype=object if exact else float)
         arr.reshape(-1)[cells] = values
         table = cls(schema, arr)
-        if not table.is_normal(eps):
+        if not table.is_normal():
             raise NormalityError(f"table maximum is {table.values.max()}, expected 1")
         return table
 
@@ -273,7 +273,8 @@ class PossibilityTable:
         """View of the values broadcastable over a superset schema.
 
         Size-1 axes are inserted for the superschema variables this table
-        does not carry, so numpy broadcasting aligns assignments.
+        does not carry, so numpy broadcasting aligns assignments.  Each
+        shared variable must have the same domain in both schemas.
         """
         own = set(self.schema.variables)
         missing = set(superschema.variables) - own
@@ -283,6 +284,10 @@ class PossibilityTable:
         shared = tuple(n for n in superschema.variables if n in own)
         if shared != self.schema.variables:
             raise SchemaError("variable order differs between table and target schema")
+        for name in shared:
+            if self.schema.domain(name) != superschema.domain(name):
+                raise SchemaError(f"the domain of {name!r} differs between table and "
+                                  "target schema")
         arr = self.values
         for i, name in enumerate(superschema.variables):
             if name in missing:
@@ -302,12 +307,11 @@ class PossibilityTable:
             raise DisjointnessError("target and given variables overlap")
         union = self.schema.in_order(set(target) | set(given))
         joint = self.marginalize(union)
-        giv = self.marginalize(given)
-        giv_ext = np.broadcast_to(
-            giv.extend_values(joint.schema), joint.values.shape
-        )
-        values = tn.residual_array(joint.values, giv_ext)
-        vacuous = np.asarray(giv_ext == 0, dtype=bool)
+        target_axes = tuple(i for i, name in enumerate(union) if name in target)
+        giv = joint.values.max(axis=target_axes, keepdims=True)
+        values = tn.residual_array(joint.values, giv)
+        # one flag per cell of the joint, written out rather than broadcast
+        vacuous = np.equal(giv, 0, out=np.empty(joint.values.shape, dtype=bool))
         return ConditionalTable(joint.schema, target, given, values, vacuous)
 
     # -- comparisons -----------------------------------------------------------------

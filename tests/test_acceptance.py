@@ -25,7 +25,6 @@ from posscheck import (
     local_markov,
     pairwise_markov,
     scan_axioms,
-    verify,
     violations,
 )
 from posscheck.corpus import builtin_example

@@ -1,10 +1,13 @@
 """Command-line behavior: subcommands, exit codes, JSON reports."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import posscheck.cli
+import posscheck.markov
 from posscheck import Factorization, PossibilityTable, Schema, TNorm, UndirectedGraph
 from posscheck.cli import EX_FAILS, EX_MODEL, EX_OK, EX_UNKNOWN, EX_USAGE, main, run
 from posscheck.corpus import builtin_example
@@ -178,6 +181,23 @@ class TestFactorize:
         assert cliques[0]["entries"] == [1.0, 0.25, 0.25, 0.25]
 
 
+    def test_exact_yes_serializes_factors_as_fractions(self, tmp_path):
+        doc = {
+            "variables": [{"name": v, "domain": ["0", "1"]} for v in "XY"],
+            "table": {
+                "default": "1/4",
+                "entries": [{"assignment": {"X": "0", "Y": "0"}, "value": 1}],
+            },
+            "graph": {"edges": [["X", "Y"]]},
+        }
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        code, report = run(["factorize", "--model", str(path), "--exact", "--tnorm", "product"])
+        assert code == EX_OK
+        assert report["checks"][0]["factorization"]["cliques"][0]["entries"] == [
+            "1", "1/4", "1/4", "1/4"
+        ]
+
     @pytest.mark.parametrize("base", ["godel", "product"])
     def test_factors_fold_back_when_names_do_not_sort_in_schema_order(self, base, tmp_path):
         # V10 sorts before V9 by name; entries follow each factor's "vars"
@@ -287,6 +307,40 @@ class TestValidate:
         doc = '{"variables": [{"name": "X", "domain": ["0", "1"]}], "table": ' + table + "}"
         assert main(["validate", "--model", doc]) == EX_MODEL
         assert capsys.readouterr().err.startswith("posscheck: ")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"graph": {"edges": [["X", 1]]}}, "graph 'edges' must be an array of two-string arrays"),
+        ({"graph": {"edges": [[["X"], "Y"]]}}, "graph 'edges' must be an array of two-string"),
+        ({"graph": {"edges": None}}, "graph 'edges' must be an array of two-string arrays"),
+        ({"graph": {"edges": [], "isolated": None}}, "graph 'isolated' must be an array of"),
+        ({"graph": {"edges": [], "isolated": [1]}}, "graph 'isolated' must be an array of"),
+        ({"graph": {"edges": [], "isolated": 5}}, "graph 'isolated' must be an array of"),
+        ({"graph": {"edges": [], "isolated": "X"}}, "graph 'isolated' must be an array of"),
+        ({"graph": ["X", "Y"]}, "graph document must be an object"),
+        ({"tnorm": "product"}, "t-norm document must be an object with a 'base' field"),
+        ({"tnorm": {"base": "hamacher"}}, "unknown t-norm base 'hamacher'"),
+        ({"tnorm": {"base": "product", "automorphism": {"type": "log"}}},
+         "only {'type': 'power', 'p': ...} automorphisms are supported"),
+        ({"tnorm": {"base": "product", "automorphism": {"type": "power", "p": "two"}}},
+         "bad automorphism exponent"),
+        ({"variables": []}, "'variables' must be a nonempty array"),
+        ({"variables": [{"name": "X"}]}, "each variable needs 'name' and 'domain'"),
+        ({"variables": [{"domain": ["0", "1"]}]}, "each variable needs 'name' and 'domain'"),
+        ({"table": [1.0]}, "'table' must be an object"),
+        (None, "model document must be an object"),
+    ], ids=lambda case: None if isinstance(case, str) else json.dumps(case))
+    def test_malformed_documents_exit_as_model_errors(self, change, message, tmp_path,
+                                                      capsys):
+        doc = {
+            "variables": [{"name": v, "domain": ["0", "1"]} for v in "XY"],
+            "table": {"default": 1.0},
+        }
+        doc = [doc] if change is None else {**doc, **change}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--model", str(path)]) == EX_MODEL
+        err = capsys.readouterr().err
+        assert err.startswith("posscheck: ") and message in err
 
     def test_string_domain_exits_as_a_model_error(self):
         doc = '{"variables": [{"name": "X", "domain": "01"}], "table": {"default": 1}}'
@@ -401,3 +455,104 @@ class TestGlobalFlags:
         assert code == EX_FAILS
         assert report["epsilon"] == 0
         assert report["checks"][0]["witness"] == {"X": "1", "Y": "0", "Z": "0"}
+
+
+class TestHumanOutput:
+    """Runs without --json print one verdict line per check, then its witness."""
+
+    def out(self, capsys, argv, code):
+        assert main(argv) == code
+        return capsys.readouterr().out.splitlines()
+
+    def test_indep(self, model_path, capsys):
+        lines = self.out(capsys, ["indep", "--model", model_path(4), "--a", "U", "--b", "Z",
+                                  "--given", "X", "--tnorm", "product"], EX_FAILS)
+        assert lines == ["I(U; Z | X): FAILS  witness U=0, X=0, Z=0",
+                         "  vacuous conditioning cells: 2"]
+
+    def test_axioms(self, model_path, capsys):
+        lines = self.out(capsys, ["axioms", "--model", model_path(1), "--axiom", "a5",
+                                  "--tnorm", "product"], EX_FAILS)
+        assert lines[0] == "axiom intersection: 6 instances, 6 VIOLATIONS"
+        assert lines[1] == ("  violated at groups [['X'], ['Y'], ['Z'], []], "
+                            "witness X=1, Y=0, Z=0")
+        assert len(lines) == 6  # five of the six violations are listed
+
+    def test_axiom_all_scans_every_axiom(self, model_path, capsys):
+        lines = self.out(capsys, ["axioms", "--model", model_path(1), "--axiom", "all",
+                                  "--tnorm", "product"], EX_FAILS)
+        verdicts = [line for line in lines if line.startswith("axiom ")]
+        assert verdicts == [
+            "axiom symmetry: 6 instances, no violations",
+            "axiom decomposition: 6 instances, no violations",
+            "axiom weak_union: 6 instances, no violations",
+            "axiom contraction: 6 instances, no violations",
+            "axiom intersection: 6 instances, 6 VIOLATIONS",
+        ]
+
+    def test_markov(self, model_path, capsys):
+        lines = self.out(capsys, ["markov", "--model", model_path(4), "--property", "all"],
+                         EX_FAILS)
+        assert lines == [
+            "markov pairwise (components): holds [6 statements, 0 skipped]",
+            "markov local (components): holds [5 statements, 0 skipped]",
+            "markov global (components): FAILS [18 statements, 0 skipped]",
+            "  witness I(U,W; Y,Z | X) at U=0, W=0, X=0, Y=0, Z=0",
+        ]
+
+    def test_factorize(self, model_path, capsys):
+        lines = self.out(capsys, ["factorize", "--model", model_path(5), "--tnorm", "product"],
+                         EX_FAILS)
+        assert lines == [
+            "factorize: NO",
+            "  witness X=0, Y=1, Z=0, W=0",
+            "  (a cell outside the 1-set lies in every clique cylinder of the 1-set)",
+        ]
+
+    def test_examples(self, capsys):
+        lines = self.out(capsys, ["examples", "--id", "1", "--tnorm", "product"], EX_FAILS)
+        assert lines[2:4] == [
+            "example 1 [product] independent I(X; Y,Z | {}): verdict=False expected=False -> ok",
+            "  witness X=1, Y=0, Z=0",
+        ]
+
+    def test_validate(self, model_path, capsys):
+        lines = self.out(capsys, ["validate", "--model", model_path(4)], EX_OK)
+        assert lines == ["model ok: 5 variables, 32 cells, graph with 5 vertices"]
+        lines = self.out(capsys, ["validate", "--model", model_path(1)], EX_OK)
+        assert lines == ["model ok: 3 variables, 8 cells"]
+
+
+class TestExampleSelection:
+    def test_tnorm_skips_the_claims_of_other_bases(self):
+        # example 2's first four claims speak about Goedel alone
+        code, report = run(["examples", "--id", "2", "--tnorm", "product"])
+        assert code == EX_OK
+        assert [(c["kind"], c["tnorm"]["base"]) for c in report["checks"]] == [
+            ("axiom_scan", "product")
+        ]
+
+    def test_a_mismatching_example_exits_70(self, monkeypatch, capsys):
+        model = builtin_example(1)
+        claim = dataclasses.replace(model.claims[0], expected=False)
+        monkeypatch.setattr(posscheck.cli, "builtin_example",
+                            lambda number: dataclasses.replace(model, claims=(claim,)))
+        assert main(["examples", "--id", "1", "--tnorm", "godel"]) == posscheck.cli.EX_INTERNAL
+        assert capsys.readouterr().out.splitlines() == [
+            "example 1 [godel] independent I(X; Y | Z): verdict=True expected=False -> MISMATCH"
+        ]
+
+
+class TestChainChecks:
+    def test_markov_all_exits_70_when_the_chain_breaks(self, model_path, monkeypatch, capsys):
+        # on the four-cycle all three properties hold; a pairwise check that
+        # fails contradicts local => pairwise
+        def failing_pairwise(*args, **kwargs):
+            return posscheck.markov.MarkovReport("pairwise", False, ())
+
+        monkeypatch.setattr(posscheck.markov, "pairwise_markov", failing_pairwise)
+        assert main(["markov", "--model", model_path(5), "--property", "all"]) == posscheck.cli.EX_INTERNAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("posscheck: internal inconsistency: "
+                                "local holds but pairwise fails\n")

@@ -166,6 +166,22 @@ class TestVerify:
         assert ok
 
 
+    @pytest.mark.parametrize("domain", [("a", "b"), ("0", "1", "2")],
+                             ids=["other labels", "three labels"])
+    def test_factor_domains_must_match_the_table(self, domain):
+        t = builtin_example(1).table()
+        factors = {c: t.marginalize(c) for c in chain_graph().cliques()}
+        schema = Schema([("X", domain), ("Y", ("0", "1"))])
+        factors[("X", "Y")] = PossibilityTable(schema, np.ones(schema.shape))
+        f = Factorization(TNorm.godel(), factors)
+        with pytest.raises(SchemaError, match="domain of 'X' differs"):
+            factors[("X", "Y")].extend_values(t.schema)
+        with pytest.raises(SchemaError, match="domain of 'X' differs"):
+            f.combine(t.schema)
+        with pytest.raises(SchemaError, match="domain of 'X' differs"):
+            verify(t, chain_graph(), f)
+
+
 class TestGodelConstructor:
     def test_min_built_table_round_trips(self, rng):
         schema = Schema.binary("X", "Y", "Z")

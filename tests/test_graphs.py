@@ -154,6 +154,54 @@ class TestSeparates:
             g.separates(set(), set(), {"Z"})
 
 
+class TestAgainstNetworkx:
+    """networkx as the oracle for cliques, components and separation on
+    random graphs with up to nine vertices and edge densities 0.1..0.9."""
+
+    @pytest.fixture
+    def graphs(self, rng):
+        nx = pytest.importorskip("networkx")
+        pairs = []
+        for _ in range(80):
+            names = [f"V{i}" for i in range(int(rng.integers(1, 10)))]
+            density = rng.uniform(0.1, 0.9)
+            edges = [(a, b) for a, b in combinations(names, 2) if rng.random() < density]
+            oracle = nx.Graph(edges)
+            oracle.add_nodes_from(names)
+            pairs.append((UndirectedGraph(names, edges), oracle))
+        return nx, pairs
+
+    def test_cliques(self, graphs):
+        nx, pairs = graphs
+        for g, oracle in pairs:
+            assert g.cliques() == sorted(tuple(sorted(c)) for c in nx.find_cliques(oracle))
+
+    def test_components_after_removal(self, graphs, rng):
+        nx, pairs = graphs
+        for g, oracle in pairs:
+            for _ in range(5):
+                removed = [v for v in g.vertices if rng.random() < 0.3]
+                rest = oracle.subgraph(v for v in g.vertices if v not in removed)
+                expected = sorted(tuple(sorted(c)) for c in nx.connected_components(rest))
+                assert g.components(removed) == expected
+
+    def test_separates(self, graphs, rng):
+        nx, pairs = graphs
+        checked = set()
+        for g, oracle in pairs:
+            if len(g.vertices) < 2:
+                continue
+            for _ in range(10):
+                roles = rng.integers(0, 4, len(g.vertices))
+                roles[rng.choice(len(roles), 2, replace=False)] = (0, 1)
+                a, b, s = ([v for v, r in zip(g.vertices, roles) if r == k] for k in range(3))
+                rest = oracle.subgraph(v for v in g.vertices if v not in s)
+                expected = not any(nx.has_path(rest, x, y) for x in a for y in b)
+                assert g.separates(s, a, b) == expected
+                checked.add(expected)
+        assert checked == {True, False}
+
+
 class TestSerialization:
     def test_round_trip(self):
         g = UndirectedGraph.from_edges([("Y", "Z")], isolated=["X"])

@@ -2,7 +2,11 @@
 
 import pytest
 
+import posscheck.markov
 from posscheck import (
+    FactorizationResult,
+    InternalInconsistencyError,
+    MarkovReport,
     PossibilityTable,
     Schema,
     SchemaError,
@@ -205,3 +209,23 @@ class TestImplicationChain:
         monkeypatch.setattr(markov_module, "global_markov", fake_global)
         with pytest.raises(InternalInconsistencyError):
             chain_report(t, g, TNorm.godel())
+
+    def test_local_without_pairwise_raises(self, monkeypatch):
+        t, g = model(5)
+
+        def failing_pairwise(*args, **kwargs):
+            return MarkovReport("pairwise", False, ())
+
+        monkeypatch.setattr(posscheck.markov, "pairwise_markov", failing_pairwise)
+        with pytest.raises(InternalInconsistencyError, match="local holds but pairwise fails"):
+            chain_report(t, g, TNorm.godel())
+
+    def test_archimedean_factorization_without_global_raises(self, monkeypatch):
+        # global fails on the five-vertex path; a factorization under the
+        # product t-norm would imply it
+        t, g = model(4)
+        monkeypatch.setattr(posscheck.markov, "factorizes",
+                            lambda *args, **kwargs: FactorizationResult("yes"))
+        with pytest.raises(InternalInconsistencyError, match="verified factorization"):
+            chain_report(t, g, TNorm.product(), include_factorization=True)
+        assert chain_report(t, g, TNorm.godel(), include_factorization=True).factorization.is_yes

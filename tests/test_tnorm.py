@@ -1,18 +1,17 @@
 """Unit and property tests for t-norm evaluation, folds, residuals, transforms."""
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from posscheck import DomainError, PowerTransform, TNorm
 from posscheck.tnorm import NILPOTENT, NON_ARCHIMEDEAN, STRICT
 
-from conftest import ALL_TNORMS, BASE_TNORMS, oracle_apply, oracle_residual
+from conftest import ALL_TNORMS, oracle_apply, oracle_residual
 
 EPS = 1e-9
 GRID = [i / 20 for i in range(21)]
