@@ -198,7 +198,7 @@ def _dispatch(args, eps, report):
             "ok": True,
             "variables": len(model.schema),
             "cells": int(model.table.values.size),
-            "normal": model.table.is_normal(eps or DEFAULT_EPSILON),
+            "normal": model.table.is_normal(0 if args.exact else eps or DEFAULT_EPSILON),
         }
         if model.graph is not None:
             check["graph_vertices"] = len(model.graph.vertices)

@@ -4,22 +4,32 @@ A group statement (A independent of B given S) holds when recombining the
 residual conditional of A given S with the marginal of B union S through the
 t-norm reproduces the joint marginal of A, B, S at every assignment.  For
 continuous t-norms this pointwise test is equivalent to the almost-everywhere
-form stated on conditional distributions.  ``independent`` is the one
-decider: the Markov checks and the axiom code call it for every statement.
+form stated on conditional distributions.  ``decide_many`` is the one
+decider: the Markov checks and the axiom scans pass it whole statement
+lists, and ``independent`` is its call on one statement.
 
-How a statement is decided: the table's memo supplies the one marginal
-pi(A, B, S).  The marginals pi(A, S), pi(B, S) and pi(S) are maxima of it
-over its own A and B axes, kept as size-1 axes, so the residual, the
-recombination and the comparison all broadcast on the joint's axes.  A max
-of maxima is exact, so the result equals the one computed from separately
-marginalized tables, bit for bit and for exact ``Fraction`` tables too.  The
-witness is the first mismatching cell of the joint, first variable cycling
-fastest.
+How a statement is decided: statements are grouped by their joint
+A u B u S, and the table's memo supplies each joint pi(A, B, S) once.  The
+marginals pi(A, S), pi(B, S) and pi(S) are maxima of the joint over its own
+A and B axes, kept as size-1 axes.  A batch takes each maximum once and
+keeps it by the bitmask of the axes it drops, so statements that drop the
+same axes share it; a joint's kept maxima are dropped when they span more
+than ``_CACHE_CELLS`` cells.  The statements of a joint are decided in
+chunks of at most ``_CHUNK_CELLS`` cells: their maxima are broadcast to the
+joint's shape and stacked along a new leading axis, so the residual, the
+recombination and the comparison with the joint each run once per chunk.  A
+statement whose joint is larger than that is a chunk of its own and keeps
+the keepdims shapes, so it makes no stacked copies.  A max of maxima
+is exact and every kernel works cell by cell, so the verdicts equal those
+from separately marginalized tables decided one statement at a time, bit
+for bit and for exact ``Fraction`` tables too.  Only a failing statement
+looks for its witness: the first mismatching cell of the joint, first
+variable cycling fastest.
 
 Axiom scans enumerate their instances once per (variable names, axiom) into
-a table-independent plan; a scan then only decides the plan's statements on
-its table, through a memo that lasts the one scan and is shared by all its
-axioms, so each distinct statement is decided once.
+a table-independent plan; a scan decides the distinct statements of its
+plans in one batch, so each is decided once, and reports from those
+verdicts.
 """
 
 from dataclasses import dataclass
@@ -27,8 +37,10 @@ from functools import lru_cache, partial
 from itertools import product as iter_product
 from typing import Optional
 
+import numpy as np
+
 from .errors import ArityError, DisjointnessError, LimitError
-from .numeric import DEFAULT_EPSILON
+from .numeric import DEFAULT_EPSILON, mismatch_mask
 from .possibility import PossibilityTable
 from .tnorm import TNorm
 
@@ -105,18 +117,87 @@ def independent(table: PossibilityTable, tn: TNorm, statement: IndependenceState
     involved variables (first variable cycling fastest) where the t-norm
     recombination misses the joint marginal.
     """
-    a, b = set(statement.a), set(statement.b)
-    joint = table.marginalize(a | b | set(statement.given))
-    names = joint.schema.variables
-    a_axes = tuple(i for i, name in enumerate(names) if name in a)
-    b_axes = tuple(i for i, name in enumerate(names) if name in b)
-    pi = joint.values
-    m_as = pi.max(axis=b_axes, keepdims=True)
-    m_bs = pi.max(axis=a_axes, keepdims=True)
-    m_s = m_as.max(axis=a_axes, keepdims=True)
+    return decide_many(table, tn, [statement], eps)[0]
+
+
+# Cells of the stacked arrays one chunk of statements may span; a statement
+# whose joint is larger forms a chunk of its own.
+_CHUNK_CELLS = 1 << 14
+# Cells of the maxima of one joint a batch may keep; past it they are dropped.
+_CACHE_CELLS = 1 << 20
+
+
+def decide_many(table: PossibilityTable, tn: TNorm, statements, eps=DEFAULT_EPSILON):
+    """The ``independent`` result of each statement, in input order.
+
+    Statements on the same joint A u B u S share its one marginal and its
+    keepdims maxima, and are recombined and compared in chunks.
+    """
+    statements = list(statements)
+    by_joint = {}
+    for i, stmt in enumerate(statements):
+        by_joint.setdefault(frozenset(stmt.a + stmt.b + stmt.given), []).append(i)
+    results = [None] * len(statements)
+    for key, indices in by_joint.items():
+        joint = table.marginalize(key)
+        pi = joint.values
+        bit = {name: 1 << i for i, name in enumerate(joint.schema.variables)}
+        maximum = _maxima(pi)
+        step = max(1, _CHUNK_CELLS // pi.size)
+        for lo in range(0, len(indices), step):
+            chunk = indices[lo:lo + step]
+            terms = []  # (pi(A, S), pi(S), pi(B, S)) of each statement
+            for i in chunk:
+                a = sum(map(bit.__getitem__, statements[i].a))
+                b = sum(map(bit.__getitem__, statements[i].b))
+                m_as = maximum(b)
+                terms.append((m_as, maximum(a | b, m_as), maximum(a)))
+            mask = _mismatches(tn, pi, terms, eps)
+            fails = mask.reshape(len(chunk), -1).any(axis=1).tolist()
+            for k, i in enumerate(chunk):
+                witness = joint.schema.first_flagged(mask[k]) if fails[k] else None
+                results[i] = IndependenceResult(statements[i], not fails[k], witness)
+    return results
+
+
+def _maxima(pi):
+    """A function ``maximum(drop, of=pi)``: the keepdims maximum of ``pi``
+    over the axes whose bits are set in ``drop``, reduced from ``of`` (``pi``
+    or a maximum of it).  Each is taken once and kept; the kept ones are
+    dropped when they span more than ``_CACHE_CELLS`` cells."""
+    kept = {}
+    cells = 0
+
+    def maximum(drop, of=pi):
+        nonlocal cells
+        m = kept.get(drop)
+        if m is None:
+            if cells > _CACHE_CELLS:
+                kept.clear()
+                cells = 0
+            axes = tuple(i for i in range(pi.ndim) if drop >> i & 1)
+            m = kept[drop] = of.max(axis=axes, keepdims=True)
+            cells += m.size
+        return m
+
+    return maximum
+
+
+def _mismatches(tn, pi, terms, eps):
+    """Where T(pi(A, S) => pi(S), pi(B, S)) misses the joint ``pi``, one
+    mask per (pi(A, S), pi(S), pi(B, S)) term along a new leading axis.
+
+    A lone term keeps its keepdims shapes; several are broadcast to the
+    joint's shape and stacked, so each kernel runs once per chunk.
+    """
+    if len(terms) == 1:
+        m_as, m_s, m_bs = (m[None] for m in terms[0])
+    else:
+        m_as, m_s, m_bs = (np.empty((len(terms),) + pi.shape, pi.dtype) for _ in range(3))
+        for k, term in enumerate(terms):
+            m_as[k], m_s[k], m_bs[k] = term
     lhs = tn.apply_array(tn.residual_array(m_as, m_s), m_bs)
-    witness = joint.schema.first_mismatch(lhs, pi, eps)
-    return IndependenceResult(statement, witness is None, witness)
+    return mismatch_mask(lhs, pi, eps)
 
 
 # -- graphoid axioms ---------------------------------------------------------------
@@ -249,7 +330,7 @@ def scan_axioms(table: PossibilityTable, tn: TNorm, axioms=None, scan_limit=6,
     """Exhaustively instantiate axioms over all disjoint group assignments.
 
     X, Y, Z range over nonempty groups; W (where the axiom has one) may be
-    empty; variables may stay unused.  Consequents are only evaluated when
+    empty; variables may stay unused.  A consequent is only reported when
     all antecedents hold, so vacuously-true reports carry
     ``consequent_holds=None``.  Raises LimitError when the schema exceeds
     ``scan_limit`` variables.
@@ -261,19 +342,16 @@ def scan_axioms(table: PossibilityTable, tn: TNorm, axioms=None, scan_limit=6,
         )
     if axioms is None:
         axioms = AXIOMS
-    axioms = [canonical_axiom(a) for a in axioms]
-    memo = {}  # statement -> result, for this scan only
-
-    def decide(stmt):
-        result = memo.get(stmt)
-        if result is None:
-            result = memo[stmt] = independent(table, tn, stmt, eps)
-        return result
-
+    plans = [(axiom, _scan_plan(names, axiom)) for axiom in map(canonical_axiom, axioms)]
+    distinct = list(dict.fromkeys(
+        stmt for _, plan in plans for _, antecedents, consequent in plan
+        for stmt in (*antecedents, consequent)
+    ))
+    memo = dict(zip(distinct, decide_many(table, tn, distinct, eps)))
     return [
-        _instance_report(decide, axiom, groups, antecedents, consequent, lazy=True)
-        for axiom in axioms
-        for groups, antecedents, consequent in _scan_plan(names, axiom)
+        _instance_report(memo.__getitem__, axiom, groups, antecedents, consequent, lazy=True)
+        for axiom, plan in plans
+        for groups, antecedents, consequent in plan
     ]
 
 

@@ -3,9 +3,14 @@
 The global check enumerates separator candidates and bipartitions of the
 resulting connectivity components; decomposition of group statements makes
 those bipartitions cover every separated triple.  An exhaustive mode checks
-all disjoint separated triples directly for cross-validation.  Every
-statement is decided through ``independent``; each enumeration yields
-distinct statements, so no memo is kept.
+all disjoint separated triples directly for cross-validation.
+
+Each property hands its whole statement list to ``decide_many`` in one
+call.  Every statement of the three properties spans all variables, so all
+of them read the one full joint; the call keeps each keepdims maximum of it
+that it takes, so statements dropping the same axes share it, and decides
+the statements in stacked chunks.  Verdicts, witnesses and the ``checked``
+order are those of deciding each statement alone.
 """
 
 from dataclasses import dataclass
@@ -15,7 +20,7 @@ from typing import Optional
 from .errors import InternalInconsistencyError
 from .factorization import FactorizationResult, _validate_vertices, factorizes
 from .graphs import UndirectedGraph
-from .independence import IndependenceStatement, independent
+from .independence import IndependenceStatement, decide_many
 from .numeric import DEFAULT_EPSILON
 from .possibility import PossibilityTable
 from .tnorm import TNorm
@@ -43,16 +48,10 @@ class MarkovReport:
 
 
 def _run_checks(table, tn, statements, eps, property_name, skipped=(), mode="components"):
-    checked = []
-    witness = None
-    holds = True
-    for stmt in statements:
-        res = independent(table, tn, stmt, eps)
-        checked.append((stmt, res.holds))
-        if not res.holds and witness is None:
-            witness = (stmt, res.witness)
-            holds = False
-    return MarkovReport(property_name, holds, tuple(checked), witness, tuple(skipped), mode)
+    results = decide_many(table, tn, statements, eps)
+    witness = next(((r.statement, r.witness) for r in results if not r.holds), None)
+    checked = tuple((r.statement, r.holds) for r in results)
+    return MarkovReport(property_name, witness is None, checked, witness, tuple(skipped), mode)
 
 
 def pairwise_markov(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,

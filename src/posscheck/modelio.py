@@ -159,11 +159,14 @@ def model_from_json(doc, exact=False):
 
 
 def load_model(source, exact=False):
-    """Load a model from a path, JSON string, or already-parsed dict."""
+    """Load a model from a path, JSON string, or already-parsed dict.
+
+    Text that starts with ``{`` or ``[`` is JSON; any other text is a path.
+    """
     if isinstance(source, dict):
         return model_from_json(source, exact)
     text = str(source)
-    if not text.lstrip().startswith("{"):
+    if not text.lstrip().startswith(("{", "[")):
         try:
             text = Path(source).read_text()
         except (OSError, UnicodeDecodeError) as exc:

@@ -164,7 +164,12 @@ class Schema:
         """The assignment of the first cell where arrays ``a`` and ``b``,
         broadcast over this schema, differ beyond ``eps`` (first variable
         cycling fastest), or None when they agree everywhere."""
-        idx = first_true(mismatch_mask(a, b, eps))
+        return self.first_flagged(mismatch_mask(a, b, eps))
+
+    def first_flagged(self, mask):
+        """The assignment of the first True cell of ``mask``, an array on
+        this schema's axes (first variable cycling fastest), or None."""
+        idx = first_true(mask)
         return None if idx is None else self.assignment(idx)
 
     def assignments(self):
@@ -206,7 +211,7 @@ class PossibilityTable:
         any value is a ``Fraction``.  Raises DomainError or SchemaError for
         the first entry whose value lies outside [0, 1] or whose assignment
         does not match the schema, and NormalityError if the maximum is not
-        1 within the default tolerance.
+        1 within the default tolerance (exactly 1, for an exact table).
         """
         entries = list(entries)
         assignments = [a for a, _ in entries]
@@ -231,7 +236,7 @@ class PossibilityTable:
         arr = np.full(schema.shape, default, dtype=object if exact else float)
         arr.reshape(-1)[cells] = values
         table = cls(schema, arr)
-        if not table.is_normal():
+        if not table.is_normal(0 if exact else DEFAULT_EPSILON):
             raise NormalityError(f"table maximum is {table.values.max()}, expected 1")
         return table
 

@@ -286,6 +286,25 @@ class TestValidate:
             assert code == EX_OK
             assert report["checks"][0]["normal"]
 
+    def test_exact_mode_checks_normality_exactly(self, capsys):
+        doc = json.dumps({
+            "variables": [{"name": "X", "domain": ["0", "1"]}],
+            "table": {"entries": [{"assignment": {"X": "0"},
+                                   "value": "9999999999/10000000000"}]},
+        })
+        # within the default tolerance of 1, so only exact mode rejects it
+        code, report = run(["validate", "--model", doc])
+        assert code == EX_OK and report["checks"][0]["normal"] is True
+        assert main(["validate", "--model", doc, "--exact", "--json"]) == EX_MODEL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("posscheck: table maximum is 9999999999/10000000000")
+
+    @pytest.mark.parametrize("text", ["[1]", "  []", "[{\"variables\": []}]"])
+    def test_json_array_text_is_a_document_not_a_path(self, text, capsys):
+        assert main(["validate", "--model", text]) == EX_MODEL
+        assert capsys.readouterr().err == "posscheck: model document must be an object\n"
+
     def test_broken_model_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{oops")

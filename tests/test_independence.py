@@ -5,11 +5,12 @@ definition oracle in conftest on random tables, for every t-norm family.
 """
 
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 import numpy as np
 import pytest
 
+import posscheck.independence
 from posscheck import (
     ArityError,
     DisjointnessError,
@@ -25,6 +26,7 @@ from posscheck import (
     violations,
 )
 from posscheck.corpus import builtin_example
+from posscheck.independence import decide_many
 
 from conftest import (
     ALL_TNORMS,
@@ -32,8 +34,11 @@ from conftest import (
     BASE_TNORMS,
     GRID_VALUES,
     independent_via_ae_equality,
+    jittered,
     oracle_independent,
     permuted,
+    planted,
+    random_graph,
     random_table,
 )
 
@@ -227,6 +232,99 @@ class TestOracleAgreementOnRandomStatements:
             # grid values keep every exact mismatch far above float round-off
             floating = independent(t, tn, stmt)
             assert (got.holds, got.witness) == (floating.holds, floating.witness)
+
+
+def statement_list(rng, names, count):
+    """Random statements over ``names`` with some repeated, so the joints
+    differ and the list holds duplicates."""
+    stmts = [random_statement(rng, names) for _ in range(count)]
+    return stmts + [stmts[int(i)] for i in rng.integers(0, count, count // 3)]
+
+
+class TestDecideMany:
+    """The batched decider against the definition oracle and against one
+    ``independent`` call per statement, whose lone chunk keeps its keepdims
+    shapes."""
+
+    @staticmethod
+    def decide_and_compare(table, tn, stmts, eps=EPS, oracle_table=None):
+        results = decide_many(table, tn, stmts, eps)
+        assert len(results) == len(stmts)
+        for stmt, got in zip(stmts, results):
+            assert got.statement is stmt
+            one = independent(table, tn, stmt, eps)
+            assert (got.holds, got.witness) == (one.holds, one.witness)
+            assert (got.witness is None) == got.holds
+            if oracle_table is not None:
+                assert got.holds == oracle_independent(oracle_table, tn, stmt.a, stmt.b,
+                                                       stmt.given)
+        return results
+
+    # (chunk budget, cache budget) in cells; small ones split the lists into
+    # many chunks and drop the kept maxima often
+    @pytest.mark.parametrize("budgets", [(8, 0), (64, 16), None])
+    @pytest.mark.parametrize("tn", ALL_TNORMS, ids=lambda t: t.describe())
+    def test_random_tables(self, tn, budgets, rng, monkeypatch):
+        if budgets is not None:
+            monkeypatch.setattr(posscheck.independence, "_CHUNK_CELLS", budgets[0])
+            monkeypatch.setattr(posscheck.independence, "_CACHE_CELLS", budgets[1])
+        for _ in range(6):
+            t = random_table(rng, max_vars=5, max_domain=3)
+            stmts = statement_list(rng, t.schema.variables, 12)
+            self.decide_and_compare(t, tn, stmts, oracle_table=t)
+
+    @pytest.mark.parametrize("budget", [8, None])
+    @pytest.mark.parametrize("tn", BASE_TNORMS, ids=lambda t: t.describe())
+    def test_exact_fraction_tables(self, tn, budget, rng, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(posscheck.independence, "_CHUNK_CELLS", budget)
+        for _ in range(6):
+            t = random_table(rng, max_vars=4, max_domain=3)
+            stmts = statement_list(rng, t.schema.variables, 12)
+            # grid values keep every exact mismatch far above float round-off
+            results = self.decide_and_compare(exact(t), tn, stmts, eps=0, oracle_table=t)
+            floating = decide_many(t, tn, stmts)
+            assert [(r.holds, r.witness) for r in results] == [
+                (r.holds, r.witness) for r in floating]
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("tn", ALL_TNORMS, ids=lambda t: t.describe())
+    def test_tables_jittered_at_the_scale_of_eps(self, tn, scale, rng):
+        # planted tables make many statements hold, so the jitter puts their
+        # cells near the tolerance, where a rounding difference would show
+        for n in (3, 4, 5):
+            schema = Schema.binary(*(f"V{i}" for i in range(n)))
+            graph = random_graph(rng, schema.variables)
+            table, anchor = planted(schema, graph, tn, rng, 0.3)
+            t = jittered(table, anchor, rng, scale * EPS)
+            stmts = statement_list(rng, schema.variables, 20)
+            stmts += [IndependenceStatement((u,), (v,), tuple(w for w in schema.variables
+                                                               if w not in (u, v)))
+                      for u, v in combinations(schema.variables, 2)
+                      if v not in graph.neighbors(u)]
+            self.decide_and_compare(t, tn, stmts)
+
+    def test_a_list_longer_than_one_chunk(self, rng):
+        t = random_table(rng, max_vars=2, max_domain=2)
+        x, y = t.schema.variables
+        stmts = [IndependenceStatement((x,), (y,)), IndependenceStatement((y,), (x,))]
+        stmts *= posscheck.independence._CHUNK_CELLS // t.values.size + 1
+        results = decide_many(t, TNorm.product(), stmts)
+        one = independent(t, TNorm.product(), stmts[0])
+        assert [r.statement for r in results] == stmts
+        assert {(r.holds, str(r.witness)) for r in results} == {(one.holds, str(one.witness))}
+
+    def test_results_follow_the_input_order(self, rng):
+        t = random_table(rng, max_vars=5, max_domain=3)
+        stmts = statement_list(rng, t.schema.variables, 30)
+        results = decide_many(t, TNorm.lukasiewicz(), stmts)
+        order = rng.permutation(len(stmts))
+        shuffled = decide_many(t, TNorm.lukasiewicz(), [stmts[i] for i in order])
+        assert [(r.statement, r.holds, r.witness) for r in shuffled] == [
+            (results[i].statement, results[i].holds, results[i].witness) for i in order]
+
+    def test_no_statements(self, rng):
+        assert decide_many(random_table(rng), TNorm.godel(), []) == []
 
 
 def naive_scan(table, tn, axioms, eps=EPS):
