@@ -3,8 +3,9 @@
 Subcommands: residual, indep, axioms, markov, factorize, examples, validate.
 Exit codes: 0 the checked property holds (or factorization found); 1 it
 fails; 2 the answer is unknown or purely vacuous; 64 usage errors; 65 model
-errors; 70 internal consistency failures.  ``--json`` emits a
-machine-readable report that is byte-stable apart from the timing field.
+errors; 70 internal consistency failures; 74 the report could not be
+written (standard output closed).  ``--json`` emits a machine-readable
+report that is byte-stable apart from the timing field.
 """
 
 import argparse
@@ -18,9 +19,9 @@ from .corpus import builtin_example, builtin_examples, evaluate_claim
 from .errors import InternalInconsistencyError, ModelFormatError, PosscheckError
 from .factorization import factorizes
 from .independence import (
-    AXIOMS,
+    SCAN_LIMIT,
     IndependenceStatement,
-    canonical_axiom,
+    canonical_axioms,
     independent,
     scan_axioms,
     violations,
@@ -36,6 +37,7 @@ EX_UNKNOWN = 2
 EX_USAGE = 64
 EX_MODEL = 65
 EX_INTERNAL = 70
+EX_IOERR = 74
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,7 +73,7 @@ def _build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--axiom", action="append", default=None,
                    help="axiom name or a1..a5; repeatable; default: all")
-    p.add_argument("--scan-limit", type=int, default=6)
+    p.add_argument("--scan-limit", type=int, default=SCAN_LIMIT)
 
     p = sub.add_parser("markov", parents=[common], help="check Markov properties against the model graph")
     p.add_argument("--model", required=True)
@@ -222,10 +224,7 @@ def _dispatch(args, eps, report):
         return EX_OK if res.holds else EX_FAILS
 
     if command == "axioms":
-        axioms = args.axiom or list(AXIOMS)
-        if any(a == "all" for a in axioms):
-            axioms = list(AXIOMS)
-        axioms = [canonical_axiom(a) for a in axioms]
+        axioms = canonical_axioms(args.axiom)
         reports = scan_axioms(model.table, tn, axioms, scan_limit=args.scan_limit, eps=eps)
         bad = violations(reports)
         for axiom in axioms:
@@ -414,10 +413,19 @@ def main(argv=None):
     except PosscheckError as exc:
         print(f"posscheck: {exc}", file=sys.stderr)
         return EX_MODEL
-    if "--json" in argv:
-        print(json.dumps(report, sort_keys=True, default=str))
-    else:
-        _render_human(report, sys.stdout)
+    try:
+        if "--json" in argv:
+            print(json.dumps(report, sort_keys=True, default=str))
+        else:
+            _render_human(report, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; stdout still holds unwritten bytes, so point it at
+        # devnull, or the interpreter's flush at exit fails on them again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("posscheck: standard output was closed before the report was written",
+              file=sys.stderr)
+        return EX_IOERR
     return code
 
 

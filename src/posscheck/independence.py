@@ -26,10 +26,11 @@ for bit and for exact ``Fraction`` tables too.  Only a failing statement
 looks for its witness: the first mismatching cell of the joint, first
 variable cycling fastest.
 
-Axiom scans enumerate their instances once per (variable names, axiom) into
-a table-independent plan; a scan decides the distinct statements of its
-plans in one batch, so each is decided once, and reports from those
-verdicts.
+Axiom scans enumerate their instances once per (variable names, axioms)
+into a table-independent plan: the distinct statements of all the
+instances, and per instance the indices of its statements among them.  A
+scan decides those statements in one batch, so each is decided once, and
+reads each report's verdicts by index.
 """
 
 from dataclasses import dataclass
@@ -61,12 +62,26 @@ AXIOM_ALIASES = {
 }
 
 
+# The most variables an axiom scan takes unless told otherwise (scan_axioms
+# and the CLI's --scan-limit).
+SCAN_LIMIT = 6
+
+
 def canonical_axiom(name):
     key = str(name).lower()
     key = AXIOM_ALIASES.get(key, key)
     if key not in AXIOMS:
         raise ArityError(f"unknown axiom {name!r}")
     return key
+
+
+def canonical_axioms(names=None):
+    """The canonical names of ``names``, each once, in first-occurrence
+    order; None, or any spelling of "all" among them, stands for AXIOMS."""
+    names = ("all",) if names is None else tuple(names)
+    if any(str(name).lower() == "all" for name in names):
+        return AXIOMS
+    return tuple(dict.fromkeys(map(canonical_axiom, names)))
 
 
 @dataclass(frozen=True)
@@ -207,8 +222,9 @@ def _mismatches(tn, pi, terms, eps):
 class AxiomReport:
     """Outcome of one axiom instantiation.
 
-    ``consequent_holds`` is None when the consequent was skipped because an
-    antecedent already failed (scans do this); ``holds`` is False exactly
+    ``consequent_holds`` is None in a scan's report whose antecedents do not
+    all hold: the scan decides the consequent too, but such a report is
+    vacuously true, whatever the consequent.  ``holds`` is False exactly
     when every antecedent holds and the consequent fails.
     """
 
@@ -242,20 +258,21 @@ def _axiom_statements(axiom, groups):
     return [statement(form) for form in antecedents], statement(consequent)
 
 
-def _instance_report(decide, axiom, groups, antecedent_stmts, consequent_stmt, lazy):
-    """The report of one axiom instance; ``decide`` maps a statement to its
-    IndependenceResult."""
-    antecedents = tuple((stmt, decide(stmt).holds) for stmt in antecedent_stmts)
+def _instance_report(decide, axiom, groups, antecedent_keys, consequent_key, lazy):
+    """The report of one axiom instance; ``decide`` maps each key (a
+    statement, or its index in a scan plan) to the IndependenceResult of the
+    statement, which the report reads from it."""
+    antecedents = tuple((r.statement, r.holds) for r in map(decide, antecedent_keys))
     all_true = all(holds for _, holds in antecedents)
+    cons = decide(consequent_key)
     if lazy and not all_true:
-        return AxiomReport(axiom, groups, antecedents, consequent_stmt, None, True)
-    cons = decide(consequent_stmt)
+        return AxiomReport(axiom, groups, antecedents, cons.statement, None, True)
     violated = all_true and not cons.holds
     return AxiomReport(
         axiom,
         groups,
         antecedents,
-        consequent_stmt,
+        cons.statement,
         cons.holds,
         not violated,
         cons.witness if violated else None,
@@ -284,74 +301,70 @@ def check_axiom(table: PossibilityTable, tn: TNorm, axiom, groups,
                             antecedents, consequent, lazy=False)
 
 
-# room for four variable-name tuples, so that scans alternating between a few
-# schemas build each plan once
-@lru_cache(maxsize=4 * len(AXIOMS))
-def _scan_plan(names, axiom):
-    """Every instance of ``axiom`` over the variables ``names``, in scan order.
+# room for four (variable names, axioms) keys, so that scans alternating
+# between a few schemas build each plan once
+@lru_cache(maxsize=4)
+def _scan_plan(names, axioms):
+    """Every instance of ``axioms`` over the variables ``names``, in scan order.
 
-    Each instance is (groups, antecedent statements, consequent statement).
-    The plan depends only on the names, so one plan serves every table on
-    them.  While the plan is built, groups are bitmasks over ``names``, and
-    each distinct statement is built once and shared.
+    Returns (statements, instances): the distinct statements of all the
+    instances, and per instance (axiom, groups, antecedent indices,
+    consequent index), the indices pointing into ``statements``.  The plan
+    depends only on the names, so one plan serves every table on them.
+    While the plan is built, groups are bitmasks over ``names``, and a
+    statement is keyed by the masks of its (a, b, given) sides.
     """
-    n_roles = 3 if axiom == SYMMETRY else 4
     subsets = [
         tuple(v for i, v in enumerate(names) if mask >> i & 1)
         for mask in range(1 << len(names))
     ]
-    antecedent_forms, consequent_form = _AXIOM_FORMS[axiom]
-    shared = {}
+    index = {}
 
     def statement(masks, form):
         # the groups are disjoint, so the sum of their masks is their union
         key = tuple([sum(map(masks.__getitem__, side)) for side in form])
-        stmt = shared.get(key)
-        if stmt is None:
-            stmt = shared[key] = IndependenceStatement(*(subsets[m] for m in key))
-        return stmt
+        return index.setdefault(key, len(index))
 
-    plan = []
-    for roles in iter_product(range(n_roles + 1), repeat=len(names)):
-        masks = [0] * (n_roles + 1)  # role n_roles marks unused variables
-        for i, r in enumerate(roles):
-            masks[r] |= 1 << i
-        if masks[0] and masks[1] and masks[2]:
-            plan.append((
-                tuple(subsets[m] for m in masks[:n_roles]),
-                tuple(statement(masks, form) for form in antecedent_forms),
-                statement(masks, consequent_form),
-            ))
-    return tuple(plan)
+    instances = []
+    for axiom in axioms:
+        n_roles = 3 if axiom == SYMMETRY else 4
+        antecedent_forms, consequent_form = _AXIOM_FORMS[axiom]
+        for roles in iter_product(range(n_roles + 1), repeat=len(names)):
+            masks = [0] * (n_roles + 1)  # role n_roles marks unused variables
+            for i, r in enumerate(roles):
+                masks[r] |= 1 << i
+            if masks[0] and masks[1] and masks[2]:
+                instances.append((
+                    axiom,
+                    tuple(subsets[m] for m in masks[:n_roles]),
+                    tuple(statement(masks, form) for form in antecedent_forms),
+                    statement(masks, consequent_form),
+                ))
+    statements = tuple(IndependenceStatement(*(subsets[m] for m in key)) for key in index)
+    return statements, tuple(instances)
 
 
-def scan_axioms(table: PossibilityTable, tn: TNorm, axioms=None, scan_limit=6,
+def scan_axioms(table: PossibilityTable, tn: TNorm, axioms=None, scan_limit=SCAN_LIMIT,
                 eps=DEFAULT_EPSILON):
     """Exhaustively instantiate axioms over all disjoint group assignments.
 
-    X, Y, Z range over nonempty groups; W (where the axiom has one) may be
-    empty; variables may stay unused.  A consequent is only reported when
-    all antecedents hold, so vacuously-true reports carry
-    ``consequent_holds=None``.  Raises LimitError when the schema exceeds
-    ``scan_limit`` variables.
+    ``axioms`` is read by ``canonical_axioms``: a repeated or aliased axiom
+    is scanned once, in the order of its first mention.  X, Y, Z range over
+    nonempty groups; W (where the axiom has one) may be empty; variables may
+    stay unused.  Reports whose antecedents do not all hold are vacuously
+    true and carry ``consequent_holds=None``.  Raises LimitError when the
+    schema exceeds ``scan_limit`` variables.
     """
     names = table.schema.variables
     if len(names) > scan_limit:
         raise LimitError(
             f"schema has {len(names)} variables, scan limit is {scan_limit}"
         )
-    if axioms is None:
-        axioms = AXIOMS
-    plans = [(axiom, _scan_plan(names, axiom)) for axiom in map(canonical_axiom, axioms)]
-    distinct = list(dict.fromkeys(
-        stmt for _, plan in plans for _, antecedents, consequent in plan
-        for stmt in (*antecedents, consequent)
-    ))
-    memo = dict(zip(distinct, decide_many(table, tn, distinct, eps)))
+    statements, instances = _scan_plan(names, canonical_axioms(axioms))
+    results = decide_many(table, tn, statements, eps)
     return [
-        _instance_report(memo.__getitem__, axiom, groups, antecedents, consequent, lazy=True)
-        for axiom, plan in plans
-        for groups, antecedents, consequent in plan
+        _instance_report(results.__getitem__, axiom, groups, antecedents, consequent, lazy=True)
+        for axiom, groups, antecedents, consequent in instances
     ]
 
 

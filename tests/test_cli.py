@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +13,12 @@ import pytest
 import posscheck.cli
 import posscheck.markov
 from posscheck import Factorization, PossibilityTable, Schema, TNorm, UndirectedGraph
-from posscheck.cli import EX_FAILS, EX_MODEL, EX_OK, EX_UNKNOWN, EX_USAGE, main, run
+from posscheck.cli import EX_FAILS, EX_IOERR, EX_MODEL, EX_OK, EX_UNKNOWN, EX_USAGE, main, run
 from posscheck.corpus import builtin_example
 
 from conftest import jittered, planted
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -460,6 +466,20 @@ class TestGlobalFlags:
         assert captured.out == ""
         assert "--power requires --tnorm" in captured.err
 
+    def test_closed_stdout_exits_74_without_a_traceback(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before posscheck starts
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        try:
+            done = subprocess.run([sys.executable, "-m", "posscheck", "examples", "--json"],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env,
+                                  text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == EX_IOERR == 74
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("posscheck: ")
+
     def test_exact_mode_rejects_power(self, model_path):
         assert main(
             ["indep", "--model", model_path(1), "--a", "X", "--b", "Y",
@@ -497,8 +517,9 @@ class TestHumanOutput:
                             "witness X=1, Y=0, Z=0")
         assert len(lines) == 6  # five of the six violations are listed
 
-    def test_axiom_all_scans_every_axiom(self, model_path, capsys):
-        lines = self.out(capsys, ["axioms", "--model", model_path(1), "--axiom", "all",
+    @pytest.mark.parametrize("spelling", ["all", "ALL"])
+    def test_axiom_all_scans_every_axiom(self, spelling, model_path, capsys):
+        lines = self.out(capsys, ["axioms", "--model", model_path(1), "--axiom", spelling,
                                   "--tnorm", "product"], EX_FAILS)
         verdicts = [line for line in lines if line.startswith("axiom ")]
         assert verdicts == [
@@ -508,6 +529,12 @@ class TestHumanOutput:
             "axiom contraction: 6 instances, no violations",
             "axiom intersection: 6 instances, 6 VIOLATIONS",
         ]
+
+    def test_a_repeated_or_aliased_axiom_is_scanned_once(self, model_path, capsys):
+        lines = self.out(capsys, ["axioms", "--model", model_path(1), "--axiom", "a5",
+                                  "--axiom", "intersection", "--tnorm", "product"], EX_FAILS)
+        assert [line for line in lines if line.startswith("axiom ")] == [
+            "axiom intersection: 6 instances, 6 VIOLATIONS"]
 
     def test_markov(self, model_path, capsys):
         lines = self.out(capsys, ["markov", "--model", model_path(4), "--property", "all"],

@@ -1,14 +1,17 @@
 """Every module of the package, the tests and the demos uses each name it
-imports.
+imports, and the package reads each private definition it makes.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree: a name bound by an import statement must appear as a name
 somewhere else in the module.  The package's ``__init__.py`` is left out,
 since its imports are the package's exports, and so is ``perfbench/``, which
-changes only together with the benchmark.
+changes only together with the benchmark.  A private (``_name``) function,
+class or method of the package must be read somewhere in the package
+outside its own definition, so that a refactor leaves no dead helper behind.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,40 @@ def test_the_check_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_definitions(sources):
+    """Private functions, classes and methods defined in ``sources`` that
+    none of them reads outside the definition itself, in source order."""
+    trees = [ast.parse(source) for source in sources]
+
+    def reads(tree):
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        )
+
+    everywhere = sum(map(reads, trees), Counter())
+    return [
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and everywhere[node.name] == reads(node)[node.name]
+    ]
+
+
+def test_the_check_sees_unread_and_read_private_definitions():
+    first = ("def _dead(n):\n    return _dead(n - 1)\n\n"
+             "def _called():\n    pass\n\n"
+             "class _Kept:\n    def _method(self):\n        pass\n\n"
+             "    def __len__(self):\n        return 0\n")
+    second = "from first import _called, _Kept\n\n_called()\nk = _Kept()\n"
+    assert unread_private_definitions([first, second]) == ["_dead", "_method"]
+
+
+def test_package_reads_every_private_definition():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_definitions(sources) == []

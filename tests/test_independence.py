@@ -407,7 +407,7 @@ class TestScanAgainstNaiveEnumeration:
         assert any(r[-1] == {"X": "1", "Y": "0", "Z": "0"} for r in reports)
 
     def test_alternating_name_tuples_build_each_plan_once(self):
-        from posscheck.independence import AXIOMS, _scan_plan
+        from posscheck.independence import _scan_plan
 
         tables = [PossibilityTable.load(Schema.binary(*names), [], 1.0)
                   for names in (("A", "B", "C"), ("P", "Q", "R", "S"), ("X", "Y"))]
@@ -416,8 +416,44 @@ class TestScanAgainstNaiveEnumeration:
             for t in tables:
                 scan_axioms(t, TNorm.product())
         info = _scan_plan.cache_info()
-        assert info.misses == len(tables) * len(AXIOMS)
-        assert info.hits == 2 * len(tables) * len(AXIOMS)
+        # one plan per (names, axioms) key: built on the first pass, then reused
+        assert info.misses == len(tables)
+        assert info.hits == 2 * len(tables)
+
+    def test_a_warm_scan_hashes_no_statement(self, rng, monkeypatch):
+        t = grid_table(Schema([("A", "01"), ("B", "012"), ("C", "01"), ("D", "01")]), rng)
+        scan_axioms(t, TNorm.product())
+        calls = []
+        unhooked = IndependenceStatement.__hash__
+
+        def counted(stmt):
+            calls.append(stmt)
+            return unhooked(stmt)
+
+        monkeypatch.setattr(IndependenceStatement, "__hash__", counted)
+        reports = scan_axioms(PossibilityTable(t.schema, t.values), TNorm.product())
+        assert reports and calls == []
+
+    @pytest.mark.parametrize("axioms, canonical", [
+        (AXIOM_NAMES, AXIOM_NAMES),
+        (["a4", "a2", "contraction"], ["contraction", "decomposition"]),
+    ], ids=["all", "repeated"])
+    def test_each_distinct_statement_is_decided_once(self, axioms, canonical, rng,
+                                                     monkeypatch):
+        t = grid_table(Schema([("A", "01"), ("B", "012"), ("C", "01"), ("D", "01")]), rng)
+        batches = []
+
+        def recorded(table, tn, statements, eps):
+            batches.append(list(statements))
+            return decide_many(table, tn, statements, eps)
+
+        monkeypatch.setattr(posscheck.independence, "decide_many", recorded)
+        scan_axioms(t, TNorm.godel(), axioms)
+        [decided] = batches
+        expected = {stmt for r in naive_scan(t, TNorm.godel(), canonical)
+                    for stmt in (*(s for s, _ in r[2]), r[3])}
+        assert len(decided) == len(set(decided))
+        assert set(decided) == expected
 
 
 class TestAxioms:
@@ -486,6 +522,24 @@ class TestAxioms:
         with pytest.raises(DisjointnessError):
             check_axiom(example1_table(), TNorm.godel(), "contraction",
                         (("X",), ("X",), ("Y",), ()))
+
+    def test_repeated_and_aliased_axioms_are_scanned_once(self):
+        t = example1_table()
+        once = scan_tuples(t, TNorm.godel(), ["a5"])
+        assert len(once) == 6
+        assert scan_tuples(t, TNorm.godel(), ["a5", "intersection", "A5"]) == once
+
+    def test_axioms_are_scanned_in_the_order_first_named(self):
+        t = example1_table()
+        reports = scan_tuples(t, TNorm.godel(), ["a5", "a1"])
+        assert [r[0] for r in reports] == ["intersection"] * 6 + ["symmetry"] * 6
+        assert reports == naive_scan(t, TNorm.godel(), ["intersection", "symmetry"])
+
+    @pytest.mark.parametrize("axioms", [None, ["all"], ["ALL"], ["a5", "All"]])
+    def test_all_stands_for_every_axiom(self, axioms):
+        t = example1_table()
+        assert scan_tuples(t, TNorm.godel(), axioms) == naive_scan(
+            t, TNorm.godel(), TestScanAgainstNaiveEnumeration.AXIOM_NAMES)
 
     def test_scan_limit(self):
         schema = Schema.binary(*[f"V{i}" for i in range(7)])
