@@ -1,8 +1,14 @@
 """Undirected graphs over variable names: boundaries, cliques, separation.
 
-Desk-scale machinery: vertex sets are small (tens at most), so maximal
-cliques come from the classic recursive enumeration with pivoting and
-separation reduces to connectivity of the residual subgraph.
+Desk-scale machinery: vertex sets are small (tens at most), so each vertex
+keeps its neighbourhood as one integer bitmask.  Bits are numbered in
+name-sorted vertex order, so a mask's members read out already sorted, and
+flood-filling from the lowest unvisited bit yields components ordered by
+their smallest name.  Names map to bits only at the public methods, which
+validate them; the Markov checks enumerate separators on the masks
+directly.  Maximal cliques come from the classic recursive enumeration
+with pivoting, and separation reduces to connectivity of the residual
+subgraph.
 """
 
 from .errors import DisjointnessError, ModelFormatError, SchemaError
@@ -17,18 +23,21 @@ class UndirectedGraph:
             if v not in seen:
                 seen.append(v)
         self._vertices = tuple(seen)
-        vset = set(self._vertices)
-        adjacency = {v: set() for v in self._vertices}
+        self._names = tuple(sorted(seen))
+        index = {v: k for k, v in enumerate(self._names)}
+        self._bits = {v: 1 << k for v, k in index.items()}
+        adjacency = [0] * len(index)
         normalized = set()
         for a, b in edges:
-            if a not in vset or b not in vset:
+            if a not in index or b not in index:
                 raise SchemaError(f"edge ({a!r}, {b!r}) references an unknown vertex")
             if a == b:
                 raise ModelFormatError(f"self-loop on {a!r} is not allowed")
-            adjacency[a].add(b)
-            adjacency[b].add(a)
+            adjacency[index[a]] |= 1 << index[b]
+            adjacency[index[b]] |= 1 << index[a]
             normalized.add((a, b) if a <= b else (b, a))
-        self._adjacency = adjacency
+        self._adjacency = tuple(adjacency)
+        self._full = (1 << len(index)) - 1
         self._edges = frozenset(normalized)
 
     @classmethod
@@ -49,49 +58,92 @@ class UndirectedGraph:
         return self._edges
 
     def neighbors(self, v):
-        self._check_vertices([v])
-        return set(self._adjacency[v])
+        return set(self._members(self._neighborhood(self._mask([v]))))
 
-    def _check_vertices(self, names):
+    # -- names and masks ----------------------------------------------------------
+
+    def _mask(self, names):
+        """The bitmask of ``names``; SchemaError on an unknown vertex."""
+        mask = 0
         for v in names:
-            if v not in self._adjacency:
+            bit = self._bits.get(v)
+            if bit is None:
                 raise SchemaError(f"unknown vertex {v!r}")
+            mask |= bit
+        return mask
+
+    def _members(self, mask):
+        """The names of ``mask``'s bits, sorted."""
+        names = []
+        while mask:
+            low = mask & -mask
+            names.append(self._names[low.bit_length() - 1])
+            mask ^= low
+        return tuple(names)
+
+    def _neighborhood(self, mask):
+        """Union of the neighbourhoods of ``mask``'s vertices."""
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= self._adjacency[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def _flood(self, seed, allowed):
+        """Vertices reachable from ``seed`` inside ``allowed`` (seed included)."""
+        reached = frontier = seed
+        while frontier:
+            frontier = self._neighborhood(frontier) & allowed & ~reached
+            reached |= frontier
+        return reached
+
+    def _component_masks(self, allowed):
+        """Components of the subgraph induced on ``allowed``, by lowest bit."""
+        comps = []
+        while allowed:
+            comp = self._flood(allowed & -allowed, allowed)
+            comps.append(comp)
+            allowed &= ~comp
+        return comps
 
     # -- neighborhood operators --------------------------------------------------
 
     def boundary(self, subset):
         """Vertices outside ``subset`` adjacent to some vertex inside it."""
-        subset = set(subset)
-        self._check_vertices(subset)
-        out = set()
-        for v in subset:
-            out |= self._adjacency[v]
-        return out - subset
+        mask = self._mask(set(subset))
+        return set(self._members(self._neighborhood(mask) & ~mask))
 
     def closure(self, subset):
         """``subset`` together with its boundary."""
-        subset = set(subset)
-        self._check_vertices(subset)
-        return subset | self.boundary(subset)
+        mask = self._mask(set(subset))
+        return set(self._members(self._neighborhood(mask) | mask))
 
     # -- cliques --------------------------------------------------------------------
 
     def cliques(self):
         """All maximal complete vertex sets, each sorted, in lexicographic order."""
         found = []
+        adjacency = self._adjacency
 
         def expand(r, p, x):
             if not p and not x:
-                found.append(tuple(sorted(r)))
+                found.append(self._members(r))
                 return
-            pivot = max(p | x, key=lambda u: len(self._adjacency[u] & p))
-            for v in sorted(p - self._adjacency[pivot]):
-                nv = self._adjacency[v]
-                expand(r | {v}, p & nv, x & nv)
-                p = p - {v}
-                x = x | {v}
+            pivot = max(
+                (k for k in range(len(adjacency)) if (p | x) >> k & 1),
+                key=lambda k: (adjacency[k] & p).bit_count(),
+            )
+            candidates = p & ~adjacency[pivot]
+            while candidates:
+                v = candidates & -candidates
+                candidates ^= v
+                nv = adjacency[v.bit_length() - 1]
+                expand(r | v, p & nv, x & nv)
+                p &= ~v
+                x |= v
 
-        expand(set(), set(self._vertices), set())
+        expand(0, self._full, 0)
         return sorted(found)
 
     # -- connectivity ------------------------------------------------------------------
@@ -101,47 +153,23 @@ class UndirectedGraph:
 
         Returned as sorted tuples, ordered by their smallest member.
         """
-        removed = set(removed)
-        self._check_vertices(removed)
-        remaining = [v for v in sorted(self._vertices) if v not in removed]
-        unseen = set(remaining)
-        comps = []
-        for start in remaining:
-            if start not in unseen:
-                continue
-            stack = [start]
-            unseen.discard(start)
-            comp = {start}
-            while stack:
-                u = stack.pop()
-                for w in self._adjacency[u]:
-                    if w in unseen:
-                        unseen.discard(w)
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(tuple(sorted(comp)))
-        return sorted(comps)
+        allowed = self._full & ~self._mask(set(removed))
+        return [self._members(c) for c in self._component_masks(allowed)]
 
     def separates(self, s, a, b):
         """True iff every path from ``a`` to ``b`` meets ``s``."""
-        s, a, b = set(s), set(a), set(b)
-        self._check_vertices(s | a | b)
+        s, a, b = self._mask(set(s)), self._mask(set(a)), self._mask(set(b))
         if (a & b) or (a & s) or (b & s):
             raise DisjointnessError("separator and the two sides must be pairwise disjoint")
         if not a or not b:
             raise DisjointnessError("both sides of a separation must be nonempty")
-        comps = self.components(s)
-        for comp in comps:
-            cset = set(comp)
-            if cset & a and cset & b:
-                return False
-        return True
+        return not self._flood(a, self._full & ~s) & b
 
     # -- serialization --------------------------------------------------------------------
 
     def to_json_dict(self):
         doc = {"edges": [list(e) for e in sorted(self._edges)]}
-        isolated = [v for v in self._vertices if not self._adjacency[v]]
+        isolated = [v for v in self._vertices if not self._neighborhood(self._bits[v])]
         if isolated:
             doc["isolated"] = sorted(isolated)
         return doc

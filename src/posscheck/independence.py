@@ -98,7 +98,7 @@ class IndependenceStatement:
         given = tuple(sorted(set(self.given)))
         if not a or not b:
             raise DisjointnessError("both independence sides must be nonempty")
-        if set(a) & set(b) or set(a) & set(given) or set(b) & set(given):
+        if len(set(a).union(b, given)) < len(a) + len(b) + len(given):
             raise DisjointnessError("statement groups must be pairwise disjoint")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

@@ -3,7 +3,11 @@
 The global check enumerates separator candidates and bipartitions of the
 resulting connectivity components; decomposition of group statements makes
 those bipartitions cover every separated triple.  An exhaustive mode checks
-all disjoint separated triples directly for cross-validation.
+all disjoint separated triples directly for cross-validation.  All three
+properties read the graph's adjacency bitmasks (see ``graphs``): a
+separator is a mask, its components come from one flood fill of the rest,
+and a bipartition side is an OR of component masks, so no public graph
+method runs per subset.
 
 Each property hands its whole statement list to ``decide_many`` in one
 call.  Every statement of the three properties spans all variables, so all
@@ -61,7 +65,7 @@ def pairwise_markov(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
     order = table.schema.variables
     statements = []
     for i, j in combinations(order, 2):
-        if j in graph.neighbors(i):
+        if graph._neighborhood(graph._mask((i,))) & graph._mask((j,)):
             continue
         rest = tuple(v for v in order if v not in (i, j))
         statements.append(IndependenceStatement((i,), (j,), rest))
@@ -75,7 +79,7 @@ def local_markov(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
     statements = []
     skipped = []
     for i in table.schema.variables:
-        bd = tuple(sorted(graph.boundary({i})))
+        bd = graph._members(graph._neighborhood(graph._mask((i,))))
         rest = tuple(v for v in table.schema.variables if v != i and v not in bd)
         if not rest:
             skipped.append({"a": (i,), "b": (), "given": bd})
@@ -85,34 +89,57 @@ def local_markov(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
 
 
 def _component_statements(graph, order):
-    """Separator candidates with bipartitions of their components."""
-    n = len(order)
-    for size in range(n + 1):
-        for s in combinations(order, size):
-            comps = graph.components(s)
+    """Separator candidates with bipartitions of their components.
+
+    Separators come in ``combinations`` over schema order; each side of a
+    bipartition is an OR of component masks, named once per mask.
+    """
+    names = {}
+
+    def members(mask):
+        found = names.get(mask)
+        if found is None:
+            found = names[mask] = graph._members(mask)
+        return found
+
+    bits = [graph._mask((v,)) for v in order]
+    full = sum(bits)
+    for size in range(len(bits) + 1):
+        for s in combinations(bits, size):
+            remaining = full & ~sum(s)
+            comps = graph._component_masks(remaining)
             if len(comps) < 2:
                 continue
-            rest = comps[1:]
-            for mask in range(1 << len(rest)):
-                side_b = [c for k, c in enumerate(rest) if mask >> k & 1]
-                if not side_b:
-                    continue
-                side_a = [comps[0]] + [c for k, c in enumerate(rest) if not mask >> k & 1]
-                a = tuple(sorted(v for c in side_a for v in c))
-                b = tuple(sorted(v for c in side_b for v in c))
-                yield IndependenceStatement(a, b, s)
+            given = graph._members(full ^ remaining)
+            sides = [0]
+            for comp in comps[1:]:
+                sides += [side | comp for side in sides]
+            for side_b in sides[1:]:
+                yield IndependenceStatement(members(remaining ^ side_b), members(side_b), given)
 
 
 def _exhaustive_statements(graph, order):
-    """All disjoint triples (A, B, S) with S separating A from B; A, B nonempty."""
-    n = len(order)
-    for roles in iter_product(range(4), repeat=n):
+    """All disjoint triples (A, B, S) with S separating A from B; A, B nonempty.
+
+    The components of V minus S are found once per separator mask; a role
+    vector is separated iff no component meets both A and B.
+    """
+    bits = [graph._mask((v,)) for v in order]
+    full = sum(bits)
+    components = {}
+    for roles in iter_product(range(4), repeat=len(order)):
         a = tuple(v for v, r in zip(order, roles) if r == 0)
         b = tuple(v for v, r in zip(order, roles) if r == 1)
-        s = tuple(v for v, r in zip(order, roles) if r == 2)
         if not a or not b or b < a:
             continue
-        if graph.separates(s, a, b):
+        masks = [0, 0, 0, 0]
+        for bit, r in zip(bits, roles):
+            masks[r] |= bit
+        comps = components.get(masks[2])
+        if comps is None:
+            comps = components[masks[2]] = graph._component_masks(full & ~masks[2])
+        if not any(c & masks[0] and c & masks[1] for c in comps):
+            s = tuple(v for v, r in zip(order, roles) if r == 2)
             yield IndependenceStatement(a, b, s)
 
 

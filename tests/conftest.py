@@ -4,10 +4,13 @@ The loop oracle implements the definitions directly with Python loops and
 dicts, sharing no array code with the library, so agreement between the two
 is a meaningful dual-route check.  ``independent_via_ae_equality`` is the
 almost-everywhere form of independence on the library's conditionals: a
-second route to every verdict that ``independent`` decides.
+second route to every verdict that ``independent`` decides.  The two
+statement oracles are the global property's enumerations written on the
+public graph methods, one validating call per separator or role vector; the
+mask enumerations in ``markov`` must list the same statements in order.
 """
 
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from posscheck import (
     DEFAULT_EPSILON,
     Factorization,
     IndependenceResult,
+    IndependenceStatement,
     PossibilityTable,
     Schema,
     TNorm,
@@ -136,6 +140,40 @@ def independent_via_ae_equality(table, tn, statement, eps=DEFAULT_EPSILON):
     )
     witness = union_schema.first_mismatch(lhs, rhs, eps)
     return IndependenceResult(statement, witness is None, witness)
+
+
+def oracle_component_statements(graph, order):
+    """The set-based separator enumeration: per separator candidate in
+    ``combinations`` over ``order``, every bipartition of the components of
+    the rest through the public ``components``, each side sorted by name."""
+    n = len(order)
+    for size in range(n + 1):
+        for s in combinations(order, size):
+            comps = graph.components(s)
+            if len(comps) < 2:
+                continue
+            rest = comps[1:]
+            for mask in range(1 << len(rest)):
+                side_b = [c for k, c in enumerate(rest) if mask >> k & 1]
+                if not side_b:
+                    continue
+                side_a = [comps[0]] + [c for k, c in enumerate(rest) if not mask >> k & 1]
+                a = tuple(sorted(v for c in side_a for v in c))
+                b = tuple(sorted(v for c in side_b for v in c))
+                yield IndependenceStatement(a, b, s)
+
+
+def oracle_exhaustive_statements(graph, order):
+    """Every disjoint separated triple, one validating ``separates`` call per
+    role vector over ``order``."""
+    for roles in iter_product(range(4), repeat=len(order)):
+        a = tuple(v for v, r in zip(order, roles) if r == 0)
+        b = tuple(v for v, r in zip(order, roles) if r == 1)
+        s = tuple(v for v, r in zip(order, roles) if r == 2)
+        if not a or not b or b < a:
+            continue
+        if graph.separates(s, a, b):
+            yield IndependenceStatement(a, b, s)
 
 
 # -- random model generators --------------------------------------------------------

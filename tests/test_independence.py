@@ -64,9 +64,24 @@ class TestStatement:
         with pytest.raises(DisjointnessError):
             IndependenceStatement(("X",), ("Y",), ("Y",))
 
+    @pytest.mark.parametrize("groups", [
+        (("X", "W"), ("X",), ("Z",)),
+        (("X", "W"), ("Y",), ("X",)),
+        (("W",), ("Y", "X"), ("Z", "Y")),
+    ], ids=["a-b", "a-given", "b-given"])
+    def test_each_overlapping_pair_rejected(self, groups):
+        with pytest.raises(DisjointnessError, match="pairwise disjoint"):
+            IndependenceStatement(*groups)
+
     def test_empty_side_rejected(self):
         with pytest.raises(DisjointnessError):
             IndependenceStatement((), ("Y",), ())
+        with pytest.raises(DisjointnessError, match="nonempty"):
+            IndependenceStatement(("X",), (), ("Y",))
+
+    def test_duplicates_within_a_side_collapse(self):
+        s = IndependenceStatement(("X", "X"), ("Y", "Z", "Y"), ("W", "W"))
+        assert s.a == ("X",) and s.b == ("Y", "Z") and s.given == ("W",)
 
     def test_serialization(self):
         s = IndependenceStatement(("X",), ("Y",), ("Z",))

@@ -1,5 +1,7 @@
 """Pairwise/local/global Markov properties and the implication chain."""
 
+from itertools import combinations
+
 import pytest
 
 import posscheck.markov
@@ -18,12 +20,15 @@ from posscheck import (
     pairwise_markov,
 )
 from posscheck.corpus import builtin_example
+from posscheck.markov import _component_statements, _exhaustive_statements
 
 from conftest import (
     ALL_TNORMS,
     ARCHIMEDEAN_TNORMS,
     BASE_TNORMS,
     jittered,
+    oracle_component_statements,
+    oracle_exhaustive_statements,
     planted,
     random_graph,
     random_table,
@@ -158,6 +163,71 @@ class TestModesAgree:
                 assert fast.holds == slow.holds, (tn.describe(), g.edges, t.values)
                 verdicts.append(fast.holds)
         assert True in verdicts and False in verdicts
+
+
+def listed(statements):
+    return [(s.a, s.b, s.given) for s in statements]
+
+
+class TestSeparatorEnumeration:
+    """The mask enumerations list the set-based oracles' statements, in
+    their order."""
+
+    def assert_matches_oracles(self, graph, order):
+        assert listed(_component_statements(graph, order)) == listed(
+            oracle_component_statements(graph, order))
+        if len(order) <= 5:
+            assert listed(_exhaustive_statements(graph, order)) == listed(
+                oracle_exhaustive_statements(graph, order))
+
+    def test_random_graphs(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 8))
+            names = [f"V{i}" for i in range(n)]
+            order = [names[k] for k in rng.permutation(n)]
+            self.assert_matches_oracles(random_graph(rng, names), order)
+
+    def test_schema_order_differs_from_name_order(self, rng):
+        # V10 and V11 sort before V8 and V9, so bit order is not schema order
+        names = ["V8", "V9", "V10", "V11"]
+        for _ in range(20):
+            order = [names[k] for k in rng.permutation(4)]
+            self.assert_matches_oracles(random_graph(rng, order), names)
+            self.assert_matches_oracles(random_graph(rng, names), order)
+
+    def test_isolated_vertices(self):
+        g = UndirectedGraph.from_edges([("V9", "V10"), ("V10", "V11")], isolated=["V8", "V12"])
+        self.assert_matches_oracles(g, ["V12", "V9", "V8", "V11", "V10"])
+        self.assert_matches_oracles(UndirectedGraph(["V8"]), ["V8"])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    def test_edgeless_and_complete_graphs(self, n):
+        names = [f"V{i + 8}" for i in range(n)]
+        edgeless = UndirectedGraph(names)
+        complete = UndirectedGraph(names, combinations(names, 2))
+        self.assert_matches_oracles(edgeless, names)
+        self.assert_matches_oracles(complete, names[::-1])
+        assert listed(_component_statements(complete, names)) == []
+
+    def test_no_public_graph_call_per_subset(self, monkeypatch, rng):
+        # the Markov checks read the graph's masks; a validating public call
+        # per separator, per role vector or per vertex pair would count here
+        calls = []
+        for method in ("components", "separates", "neighbors"):
+            original = getattr(UndirectedGraph, method)
+
+            def counted(self, *args, _original=original, _method=method, **kwargs):
+                calls.append(_method)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(UndirectedGraph, method, counted)
+        schema = Schema.binary(*(f"V{i}" for i in range(8)))
+        g = UndirectedGraph(schema.variables, zip(schema.variables, schema.variables[1:]))
+        t, _ = planted(schema, g, TNorm.product(), rng, 0.3)
+        assert global_markov(t, g, TNorm.product()).holds
+        report = chain_report(t, g, TNorm.product())
+        assert [holds for _, holds in report.summary()] == [True, True, True]
+        assert calls == []
 
 
 class TestImplicationChain:
