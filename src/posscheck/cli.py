@@ -9,6 +9,7 @@ report that is byte-stable apart from the timing field.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -47,6 +48,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+# argparse parsers can be reused, so the tree is built once per process
+@functools.cache
 def _build_parser():
     common = _Parser(add_help=False)
     common.add_argument("--tnorm", choices=BASES, help="base t-norm (default: model's, else godel)")

@@ -6,35 +6,38 @@ t-norm reproduces the joint marginal of A, B, S at every assignment.  For
 continuous t-norms this pointwise test is equivalent to the almost-everywhere
 form stated on conditional distributions.  ``decide_many`` is the one
 decider: the Markov checks and the axiom scans pass it whole statement
-lists, and ``independent`` is its call on one statement.
+lists and get one verdict per statement.  ``independent`` decides one
+statement the same way and is the one place a witness is looked up; the
+reports call it only for the witnesses they show.
 
 How a statement is decided: statements are grouped by their joint
-A u B u S, and the table's memo supplies each joint pi(A, B, S) once.  The
-marginals pi(A, S), pi(B, S) and pi(S) are maxima of the joint over its own
-A and B axes, kept as size-1 axes.  A batch takes each maximum once and
-keeps it by the bitmask of the axes it drops, so statements that drop the
-same axes share it; a joint's kept maxima are dropped when they span more
-than ``_CACHE_CELLS`` cells.  The statements of a joint are decided in
-chunks of at most ``_CHUNK_CELLS`` cells: their maxima are broadcast to the
-joint's shape and stacked along a new leading axis, so the residual, the
-recombination and the comparison with the joint each run once per chunk.  A
-statement whose joint is larger than that is a chunk of its own and keeps
-the keepdims shapes, so it makes no stacked copies.  A max of maxima
-is exact and every kernel works cell by cell, so the verdicts equal those
-from separately marginalized tables decided one statement at a time, bit
-for bit and for exact ``Fraction`` tables too.  Only a failing statement
-looks for its witness: the first mismatching cell of the joint, first
-variable cycling fastest.
+A u B u S, and ``table.marginalize`` supplies each joint pi(A, B, S) once
+per batch.  The marginals pi(A, S), pi(B, S) and pi(S) are maxima of the
+joint over its own A and B axes, kept as size-1 axes.  A batch takes each
+maximum once and keeps it by the bitmask of the axes it drops, so
+statements that drop the same axes share it; a joint's kept maxima are
+dropped when they span more than ``_CACHE_CELLS`` cells.  The statements
+of a joint are decided in chunks of at most ``_CHUNK_CELLS`` cells: their
+maxima are broadcast to the joint's shape and stacked along a new leading
+axis, so the residual, the recombination and the comparison with the joint
+each run once per chunk.  A statement whose joint is larger than that is a
+chunk of its own and keeps the keepdims shapes, so it makes no stacked
+copies; ``independent`` is such a lone chunk.  A max of maxima is exact
+and every kernel works cell by cell, so the verdicts equal those from
+separately marginalized tables decided one statement at a time, bit for
+bit and for exact ``Fraction`` tables too.  A witness is the first
+mismatching cell of the joint, first variable cycling fastest.
 
 Axiom scans enumerate their instances once per (variable names, axioms)
 into a table-independent plan: the distinct statements of all the
 instances, and per instance the indices of its statements among them.  A
-scan decides those statements in one batch, so each is decided once, and
-reads each report's verdicts by index.
+scan decides those statements in one batch, so each is decided once, reads
+each report's verdicts by index, and looks up a witness only for a
+violated report.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product as iter_product
 from typing import Optional
 
@@ -132,7 +135,9 @@ def independent(table: PossibilityTable, tn: TNorm, statement: IndependenceState
     involved variables (first variable cycling fastest) where the t-norm
     recombination misses the joint marginal.
     """
-    return decide_many(table, tn, [statement], eps)[0]
+    [(_, joint, mask)] = _chunks(table, tn, [statement], eps)
+    witness = joint.schema.first_flagged(mask[0])
+    return IndependenceResult(statement, witness is None, witness)
 
 
 # Cells of the stacked arrays one chunk of statements may span; a statement
@@ -143,16 +148,26 @@ _CACHE_CELLS = 1 << 20
 
 
 def decide_many(table: PossibilityTable, tn: TNorm, statements, eps=DEFAULT_EPSILON):
-    """The ``independent`` result of each statement, in input order.
+    """Whether each statement holds: one ``bool`` per statement, in input
+    order, equal to its ``independent(...).holds``.
 
     Statements on the same joint A u B u S share its one marginal and its
     keepdims maxima, and are recombined and compared in chunks.
     """
     statements = list(statements)
+    verdicts = np.ones(len(statements), dtype=bool)
+    for chunk, _, mask in _chunks(table, tn, statements, eps):
+        verdicts[chunk] = ~mask.reshape(len(chunk), -1).any(axis=1)
+    return verdicts.tolist()
+
+
+def _chunks(table, tn, statements, eps):
+    """Decide the list ``statements`` chunk by chunk: yields (indices of the
+    chunk's statements, their joint, the stacked mismatch mask), the mask's
+    leading axis following the indices."""
     by_joint = {}
     for i, stmt in enumerate(statements):
         by_joint.setdefault(frozenset(stmt.a + stmt.b + stmt.given), []).append(i)
-    results = [None] * len(statements)
     for key, indices in by_joint.items():
         joint = table.marginalize(key)
         pi = joint.values
@@ -167,12 +182,7 @@ def decide_many(table: PossibilityTable, tn: TNorm, statements, eps=DEFAULT_EPSI
                 b = sum(map(bit.__getitem__, statements[i].b))
                 m_as = maximum(b)
                 terms.append((m_as, maximum(a | b, m_as), maximum(a)))
-            mask = _mismatches(tn, pi, terms, eps)
-            fails = mask.reshape(len(chunk), -1).any(axis=1).tolist()
-            for k, i in enumerate(chunk):
-                witness = joint.schema.first_flagged(mask[k]) if fails[k] else None
-                results[i] = IndependenceResult(statements[i], not fails[k], witness)
-    return results
+            yield chunk, joint, _mismatches(tn, pi, terms, eps)
 
 
 def _maxima(pi):
@@ -258,25 +268,19 @@ def _axiom_statements(axiom, groups):
     return [statement(form) for form in antecedents], statement(consequent)
 
 
-def _instance_report(decide, axiom, groups, antecedent_keys, consequent_key, lazy):
-    """The report of one axiom instance; ``decide`` maps each key (a
-    statement, or its index in a scan plan) to the IndependenceResult of the
-    statement, which the report reads from it."""
-    antecedents = tuple((r.statement, r.holds) for r in map(decide, antecedent_keys))
+def _instance_report(table, tn, eps, axiom, groups, antecedents, consequent, consequent_holds,
+                     lazy):
+    """The report of one axiom instance, from its antecedents' (statement,
+    verdict) pairs and its consequent's statement and verdict.  Only a
+    violated instance looks up a witness, through ``independent`` on the
+    consequent."""
     all_true = all(holds for _, holds in antecedents)
-    cons = decide(consequent_key)
     if lazy and not all_true:
-        return AxiomReport(axiom, groups, antecedents, cons.statement, None, True)
-    violated = all_true and not cons.holds
-    return AxiomReport(
-        axiom,
-        groups,
-        antecedents,
-        cons.statement,
-        cons.holds,
-        not violated,
-        cons.witness if violated else None,
-    )
+        return AxiomReport(axiom, groups, antecedents, consequent, None, True)
+    violated = all_true and not consequent_holds
+    witness = independent(table, tn, consequent, eps).witness if violated else None
+    return AxiomReport(axiom, groups, antecedents, consequent, consequent_holds, not violated,
+                       witness)
 
 
 def check_axiom(table: PossibilityTable, tn: TNorm, axiom, groups,
@@ -284,21 +288,23 @@ def check_axiom(table: PossibilityTable, tn: TNorm, axiom, groups,
     """Test one axiom instantiation, evaluating every antecedent and the consequent.
 
     ``groups`` is a sequence of variable groups: (X, Y, Z) for symmetry and
-    (X, Y, Z, W) for the rest, with W possibly empty.
+    (X, Y, Z, W) for the rest.  The last group may be empty, the others not.
     """
     axiom = canonical_axiom(axiom)
     groups = tuple(tuple(g) for g in groups)
     expected = 3 if axiom == SYMMETRY else 4
     if len(groups) != expected:
         raise ArityError(f"{axiom} takes {expected} groups, got {len(groups)}")
-    if axiom != SYMMETRY and not all(groups[:3]):
-        raise ArityError(f"{axiom} needs nonempty X, Y and Z groups (only W may be empty)")
+    if not all(groups[:-1]):
+        raise ArityError(f"{axiom} needs nonempty {', '.join('XYZW'[:expected - 1])} groups "
+                         f"(only {'XYZW'[expected - 1]} may be empty)")
     flat = [v for g in groups for v in g]
     if len(flat) != len(set(flat)):
         raise DisjointnessError("axiom groups must be pairwise disjoint")
     antecedents, consequent = _axiom_statements(axiom, groups)
-    return _instance_report(partial(independent, table, tn, eps=eps), axiom, groups,
-                            antecedents, consequent, lazy=False)
+    *verdicts, holds = decide_many(table, tn, antecedents + [consequent], eps)
+    return _instance_report(table, tn, eps, axiom, groups, tuple(zip(antecedents, verdicts)),
+                            consequent, holds, lazy=False)
 
 
 # room for four (variable names, axioms) keys, so that scans alternating
@@ -361,9 +367,11 @@ def scan_axioms(table: PossibilityTable, tn: TNorm, axioms=None, scan_limit=SCAN
             f"schema has {len(names)} variables, scan limit is {scan_limit}"
         )
     statements, instances = _scan_plan(names, canonical_axioms(axioms))
-    results = decide_many(table, tn, statements, eps)
+    checked = list(zip(statements, decide_many(table, tn, statements, eps)))
     return [
-        _instance_report(results.__getitem__, axiom, groups, antecedents, consequent, lazy=True)
+        _instance_report(table, tn, eps, axiom, groups,
+                         tuple(map(checked.__getitem__, antecedents)), *checked[consequent],
+                         lazy=True)
         for axiom, groups, antecedents, consequent in instances
     ]
 

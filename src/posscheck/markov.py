@@ -10,10 +10,12 @@ and a bipartition side is an OR of component masks, so no public graph
 method runs per subset.
 
 Each property hands its whole statement list to ``decide_many`` in one
-call.  Every statement of the three properties spans all variables, so all
-of them read the one full joint; the call keeps each keepdims maximum of it
-that it takes, so statements dropping the same axes share it, and decides
-the statements in stacked chunks.  Verdicts, witnesses and the ``checked``
+call and gets one verdict per statement.  Every statement of the three
+properties spans all variables, so all of them read the one full joint; the
+call keeps each keepdims maximum of it that it takes, so statements
+dropping the same axes share it, and decides the statements in stacked
+chunks.  A failing property looks up one witness, through ``independent``
+on its first failing statement.  Verdicts, witnesses and the ``checked``
 order are those of deciding each statement alone.
 """
 
@@ -24,7 +26,7 @@ from typing import Optional
 from .errors import InternalInconsistencyError
 from .factorization import FactorizationResult, _validate_vertices, factorizes
 from .graphs import UndirectedGraph
-from .independence import IndependenceStatement, decide_many
+from .independence import IndependenceStatement, decide_many, independent
 from .numeric import DEFAULT_EPSILON
 from .possibility import PossibilityTable
 from .tnorm import TNorm
@@ -52,10 +54,11 @@ class MarkovReport:
 
 
 def _run_checks(table, tn, statements, eps, property_name, skipped=(), mode="components"):
-    results = decide_many(table, tn, statements, eps)
-    witness = next(((r.statement, r.witness) for r in results if not r.holds), None)
-    checked = tuple((r.statement, r.holds) for r in results)
-    return MarkovReport(property_name, witness is None, checked, witness, tuple(skipped), mode)
+    statements = list(statements)
+    checked = tuple(zip(statements, decide_many(table, tn, statements, eps)))
+    failing = next((stmt for stmt, holds in checked if not holds), None)
+    witness = None if failing is None else (failing, independent(table, tn, failing, eps).witness)
+    return MarkovReport(property_name, failing is None, checked, witness, tuple(skipped), mode)
 
 
 def pairwise_markov(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,

@@ -188,7 +188,8 @@ def _as_value_array(values, shape):
 class PossibilityTable:
     """Dense possibility distribution (or unnormalized factor) over a schema.
 
-    Immutable after construction; marginals are memoized on the instance.
+    Immutable after construction.  Each ``marginalize`` call computes its
+    marginal afresh; a batch of statements on one joint asks for it once.
     """
 
     def __init__(self, schema, values):
@@ -197,7 +198,6 @@ class PossibilityTable:
         require_unit_array(arr, "table entries")
         arr.flags.writeable = False
         self.values = arr
-        self._marginals = {}
 
     # -- constructors ----------------------------------------------------------
 
@@ -261,18 +261,10 @@ class PossibilityTable:
     def marginalize(self, keep):
         """Max-project onto ``keep`` variables (schema order is preserved)."""
         kept = self.schema.in_order(keep)
-        key = frozenset(kept)
-        cached = self._marginals.get(key)
-        if cached is not None:
-            return cached
         drop_axes = tuple(
-            i for i, name in enumerate(self.schema.variables) if name not in key
+            i for i, name in enumerate(self.schema.variables) if name not in kept
         )
-        result = PossibilityTable(
-            self.schema.project(kept), self.values.max(axis=drop_axes)
-        )
-        self._marginals[key] = result
-        return result
+        return PossibilityTable(self.schema.project(kept), self.values.max(axis=drop_axes))
 
     def extend_values(self, superschema):
         """View of the values broadcastable over a superset schema.

@@ -112,6 +112,15 @@ class TestAxioms:
         assert code == EX_OK
         assert len(report["checks"]) == 4
 
+    def test_one_process_parses_each_command_line_afresh(self, model_path):
+        # the parser is built once per process; no --axiom list carries over
+        code, report = run(["axioms", "--model", model_path(1), "--axiom", "a5"])
+        assert [c["axiom"] for c in report["checks"]] == ["intersection"]
+        code, report = run(["axioms", "--model", model_path(1)])
+        assert [c["axiom"] for c in report["checks"]] == [
+            "symmetry", "decomposition", "weak_union", "contraction", "intersection"]
+        assert main(["axioms", "--model", model_path(1), "--axiom"]) == EX_USAGE
+
 
 class TestMarkov:
     def test_global_holds_on_four_cycle(self, model_path):

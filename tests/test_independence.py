@@ -9,6 +9,8 @@ from itertools import combinations, product as iter_product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posscheck.independence
 from posscheck import (
@@ -257,23 +259,22 @@ def statement_list(rng, names, count):
 
 
 class TestDecideMany:
-    """The batched decider against the definition oracle and against one
-    ``independent`` call per statement, whose lone chunk keeps its keepdims
-    shapes."""
+    """The batched decider's verdicts against the definition oracle and
+    against one ``independent`` call per statement, whose lone chunk keeps
+    its keepdims shapes and which alone looks up witnesses."""
 
     @staticmethod
     def decide_and_compare(table, tn, stmts, eps=EPS, oracle_table=None):
-        results = decide_many(table, tn, stmts, eps)
-        assert len(results) == len(stmts)
-        for stmt, got in zip(stmts, results):
-            assert got.statement is stmt
+        verdicts = decide_many(table, tn, stmts, eps)
+        assert len(verdicts) == len(stmts)
+        assert all(type(holds) is bool for holds in verdicts)
+        for stmt, holds in zip(stmts, verdicts):
             one = independent(table, tn, stmt, eps)
-            assert (got.holds, got.witness) == (one.holds, one.witness)
-            assert (got.witness is None) == got.holds
+            assert holds == one.holds
+            assert (one.witness is None) == one.holds
             if oracle_table is not None:
-                assert got.holds == oracle_independent(oracle_table, tn, stmt.a, stmt.b,
-                                                       stmt.given)
-        return results
+                assert holds == oracle_independent(oracle_table, tn, stmt.a, stmt.b, stmt.given)
+        return verdicts
 
     # (chunk budget, cache budget) in cells; small ones split the lists into
     # many chunks and drop the kept maxima often
@@ -297,10 +298,11 @@ class TestDecideMany:
             t = random_table(rng, max_vars=4, max_domain=3)
             stmts = statement_list(rng, t.schema.variables, 12)
             # grid values keep every exact mismatch far above float round-off
-            results = self.decide_and_compare(exact(t), tn, stmts, eps=0, oracle_table=t)
-            floating = decide_many(t, tn, stmts)
-            assert [(r.holds, r.witness) for r in results] == [
-                (r.holds, r.witness) for r in floating]
+            x = exact(t)
+            verdicts = self.decide_and_compare(x, tn, stmts, eps=0, oracle_table=t)
+            assert verdicts == decide_many(t, tn, stmts)
+            assert [independent(x, tn, stmt, eps=0).witness for stmt in stmts] == [
+                independent(t, tn, stmt).witness for stmt in stmts]
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("tn", ALL_TNORMS, ids=lambda t: t.describe())
@@ -324,22 +326,74 @@ class TestDecideMany:
         x, y = t.schema.variables
         stmts = [IndependenceStatement((x,), (y,)), IndependenceStatement((y,), (x,))]
         stmts *= posscheck.independence._CHUNK_CELLS // t.values.size + 1
-        results = decide_many(t, TNorm.product(), stmts)
+        verdicts = decide_many(t, TNorm.product(), stmts)
         one = independent(t, TNorm.product(), stmts[0])
-        assert [r.statement for r in results] == stmts
-        assert {(r.holds, str(r.witness)) for r in results} == {(one.holds, str(one.witness))}
+        other = independent(t, TNorm.product(), stmts[1])
+        assert (other.holds, other.witness) == (one.holds, one.witness)
+        assert verdicts == [one.holds] * len(stmts)
 
     def test_results_follow_the_input_order(self, rng):
         t = random_table(rng, max_vars=5, max_domain=3)
         stmts = statement_list(rng, t.schema.variables, 30)
-        results = decide_many(t, TNorm.lukasiewicz(), stmts)
+        verdicts = self.decide_and_compare(t, TNorm.lukasiewicz(), stmts)
         order = rng.permutation(len(stmts))
         shuffled = decide_many(t, TNorm.lukasiewicz(), [stmts[i] for i in order])
-        assert [(r.statement, r.holds, r.witness) for r in shuffled] == [
-            (results[i].statement, results[i].holds, results[i].witness) for i in order]
+        assert shuffled == [verdicts[i] for i in order]
 
     def test_no_statements(self, rng):
         assert decide_many(random_table(rng), TNorm.godel(), []) == []
+
+
+@st.composite
+def unsorted_schemas(draw):
+    """Schemas on V8, V9, V10, ... in a drawn order, so the names do not
+    sort in schema order, with 2-3 labels per variable."""
+    names = draw(st.permutations([f"V{8 + i}" for i in range(draw(st.integers(2, 4)))]))
+    sizes = draw(st.lists(st.integers(2, 3), min_size=len(names), max_size=len(names)))
+    return Schema([(n, [str(d) for d in range(k)]) for n, k in zip(names, sizes)])
+
+
+@st.composite
+def grid_tables(draw):
+    """A table on an unsorted schema with values on GRID_VALUES and a 1 at a
+    drawn cell.  The values ignore a drawn subset of the variables, so that
+    statements hold as well as fail."""
+    schema = draw(unsorted_schemas())
+    ignored = draw(st.lists(st.booleans(), min_size=len(schema), max_size=len(schema)))
+    shape = tuple(1 if skip else k for skip, k in zip(ignored, schema.shape))
+    cells = int(np.prod(shape))
+    values = draw(st.lists(st.sampled_from(GRID_VALUES), min_size=cells, max_size=cells))
+    values[draw(st.integers(0, cells - 1))] = 1.0
+    return PossibilityTable(schema, np.broadcast_to(np.reshape(values, shape), schema.shape))
+
+
+@st.composite
+def statement_lists(draw, names):
+    """Statements on one to three joints over ``names``, several on each,
+    followed by repeats of some of them."""
+    joints = draw(st.lists(st.sets(st.sampled_from(names), min_size=2), min_size=1, max_size=3))
+    stmts = []
+    for _ in range(draw(st.integers(1, 10))):
+        joint = sorted(draw(st.sampled_from(joints)))
+        roles = draw(st.lists(st.integers(0, 2), min_size=len(joint), max_size=len(joint)))
+        a, b, s = (tuple(n for n, r in zip(joint, roles) if r == k) for k in range(3))
+        if a and b:
+            stmts.append(IndependenceStatement(a, b, s))
+    repeats = st.lists(st.sampled_from(stmts), max_size=4) if stmts else st.just([])
+    return stmts + draw(repeats)
+
+
+class TestDecideManyProperty:
+    @settings(max_examples=200)
+    @given(data=st.data(), t=grid_tables(), tn=st.sampled_from(ALL_TNORMS))
+    def test_matches_the_oracle_and_independent(self, data, t, tn):
+        stmts = data.draw(statement_lists(t.schema.variables))
+        verdicts = decide_many(t, tn, stmts)
+        assert verdicts == [oracle_independent(t, tn, s.a, s.b, s.given) for s in stmts]
+        assert verdicts == [independent(t, tn, s).holds for s in stmts]
+        if tn.transform is None:  # transforms force floating point
+            # grid values keep every exact mismatch far above float round-off
+            assert decide_many(exact(t), tn, stmts, eps=0) == verdicts
 
 
 def naive_scan(table, tn, axioms, eps=EPS):
@@ -527,6 +581,12 @@ class TestAxioms:
         with pytest.raises(ArityError):
             check_axiom(example1_table(), TNorm.godel(), "decomposition",
                         (("X",), ("Y",), (), ("Z",)))
+
+    @pytest.mark.parametrize("groups", [((), ("Y",), ("Z",)), (("X",), (), ("Z",))],
+                             ids=["empty-x", "empty-y"])
+    def test_symmetry_needs_nonempty_x_and_y(self, groups):
+        with pytest.raises(ArityError, match="nonempty"):
+            check_axiom(example1_table(), TNorm.godel(), "symmetry", groups)
 
     def test_symmetry_allows_an_empty_conditioning_group(self):
         report = check_axiom(example1_table(), TNorm.godel(), "symmetry",

@@ -18,8 +18,11 @@ from posscheck import (
     global_markov,
     local_markov,
     pairwise_markov,
+    scan_axioms,
+    violations,
 )
 from posscheck.corpus import builtin_example
+from posscheck.independence import decide_many
 from posscheck.markov import _component_statements, _exhaustive_statements
 
 from conftest import (
@@ -299,3 +302,52 @@ class TestImplicationChain:
         with pytest.raises(InternalInconsistencyError, match="verified factorization"):
             chain_report(t, g, TNorm.product(), include_factorization=True)
         assert chain_report(t, g, TNorm.godel(), include_factorization=True).factorization.is_yes
+
+
+class TestWitnessLookups:
+    """Verdicts come from ``decide_many``, which looks up no witness; a
+    report looks one up, through ``independent``, only where it shows one."""
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        calls = []
+        unhooked = Schema.first_flagged
+
+        def counted(schema, mask):
+            calls.append(schema)
+            return unhooked(schema, mask)
+
+        monkeypatch.setattr(Schema, "first_flagged", counted)
+        return calls
+
+    def test_decide_many_looks_up_no_witness(self, lookups, rng):
+        t = random_table(rng, max_vars=4, max_domain=3)
+        stmts = list(_component_statements(UndirectedGraph(t.schema.variables, []),
+                                           t.schema.variables))
+        verdicts = decide_many(t, TNorm.product(), stmts)
+        assert False in verdicts and lookups == []
+
+    def test_a_chain_that_holds_looks_up_no_witness(self, lookups, rng):
+        schema = Schema.binary(*(f"V{i}" for i in range(6)))
+        g = UndirectedGraph.from_edges([(f"V{i}", f"V{i + 1}") for i in range(5)])
+        t, _ = planted(schema, g, TNorm.product(), rng, 0.3)
+        rep = chain_report(t, g, TNorm.product())
+        assert rep.global_report.holds and rep.local_report.holds and rep.pairwise_report.holds
+        assert lookups == []
+
+    def test_a_chain_that_fails_looks_up_one_witness_per_property(self, lookups):
+        # min(f(X, Y), g(Z)) with X and Y dependent, on a graph with no edges
+        f = [[1.0, 0.5], [0.5, 1.0]]
+        values = [[[min(fxy, gz) for gz in (1.0, 0.75)] for fxy in row] for row in f]
+        t = PossibilityTable(Schema.binary("X", "Y", "Z"), values)
+        rep = chain_report(t, UndirectedGraph(["X", "Y", "Z"], []), TNorm.godel())
+        reports = (rep.global_report, rep.local_report, rep.pairwise_report)
+        assert not any(r.holds for r in reports)
+        assert all(r.witness[1] is not None for r in reports)
+        assert len(lookups) == 3
+
+    def test_a_scan_looks_up_witnesses_for_violated_reports_only(self, lookups):
+        reports = scan_axioms(builtin_example(1).table(), TNorm.godel())
+        bad = violations(reports)
+        assert bad and all(r.witness is not None for r in bad)
+        assert len(lookups) <= len(bad)
