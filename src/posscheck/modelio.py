@@ -21,10 +21,17 @@ check fails, the entries are checked one by one, so the error is that of the
 first bad entry: shape and value errors of all entries first, then, entry by
 entry, the value's range before the assignment's labels.
 
+A model file is read once, as bytes, and parsed from them: JSON in UTF-8,
+UTF-16 or UTF-32, whatever the locale.  A model's digest is the first 16
+hex digits of the SHA-256 of the document's bytes: the file's bytes, or
+the UTF-8 bytes of JSON text.  A document passed already parsed (a dict)
+is first written as canonical JSON (sorted keys, no spaces, ASCII).
+
 A document whose parts have the wrong JSON type (entries that are not an
 array, an assignment that is not an object, a domain that is not an array,
-a variable name that is not a string, a number too large for a float) or a
-model file that cannot be read raises ``ModelFormatError``.
+a variable name that is not a string, a number too large for a float), a
+model file that cannot be read, and bytes or text that are not valid JSON
+(invalid UTF-8, a lone surrogate) raise ``ModelFormatError``.
 """
 
 import hashlib
@@ -137,7 +144,8 @@ def table_from_json(schema, doc, exact=False):
     return PossibilityTable._from_columns(schema, assignments, values, default)
 
 
-def model_from_json(doc, exact=False):
+def _model_parts(doc, exact):
+    """Schema, table, graph and t-norm of a parsed model document."""
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be an object")
     if "variables" not in doc or "table" not in doc:
@@ -155,30 +163,50 @@ def model_from_json(doc, exact=False):
         tn = TNorm.from_json_dict(doc["tnorm"])
         if exact and tn.transform is not None:
             raise ModelFormatError("exact mode does not support transformed t-norms")
-    return Model(schema, table, graph, tn, model_digest(doc))
+    return schema, table, graph, tn
+
+
+def model_from_json(doc, exact=False):
+    """Build a model from a parsed document; its digest is that of the
+    document's canonical JSON."""
+    return Model(*_model_parts(doc, exact), model_digest(doc))
 
 
 def load_model(source, exact=False):
     """Load a model from a path, JSON string, or already-parsed dict.
 
     Text that starts with ``{`` or ``[`` is JSON; any other text is a path.
+    A file is read once as bytes and parsed from them (UTF-8, -16 or -32,
+    whatever the locale); JSON text is parsed from its UTF-8 bytes.  The
+    digest hashes those bytes, so a file's digest is that of
+    ``sha256sum``; a dict's digest is that of its canonical JSON.
     """
     if isinstance(source, dict):
         return model_from_json(source, exact)
     text = str(source)
-    if not text.lstrip().startswith(("{", "[")):
+    if text.lstrip().startswith(("{", "[")):
         try:
-            text = Path(source).read_text()
-        except (OSError, UnicodeDecodeError) as exc:
+            data = text.encode()
+        except UnicodeEncodeError as exc:
+            raise ModelFormatError(f"invalid JSON text: {exc}") from exc
+    else:
+        try:
+            data = Path(source).read_bytes()
+        except OSError as exc:
             raise ModelFormatError(f"cannot read model file: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ModelFormatError(f"invalid JSON: {exc}") from exc
-    return model_from_json(doc, exact)
+    return Model(*_model_parts(doc, exact), model_digest(data))
 
 
 def model_digest(doc):
-    """Stable content digest of a model document."""
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    """First 16 hex digits of the SHA-256 of a model document's bytes.
+
+    ``doc`` is the document's bytes, or a parsed document (a dict), which
+    is first written as canonical JSON: sorted keys, no spaces, ASCII.
+    """
+    if not isinstance(doc, bytes):
+        doc = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str).encode()
+    return hashlib.sha256(doc).hexdigest()[:16]

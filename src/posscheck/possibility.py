@@ -259,12 +259,22 @@ class PossibilityTable:
     # -- core operations -----------------------------------------------------------
 
     def marginalize(self, keep):
-        """Max-project onto ``keep`` variables (schema order is preserved)."""
+        """Max-project onto ``keep`` variables (schema order is preserved).
+
+        Keeping every variable returns this table itself.
+        """
         kept = self.schema.in_order(keep)
+        if len(kept) == len(self.schema):
+            return self
         drop_axes = tuple(
             i for i, name in enumerate(self.schema.variables) if name not in kept
         )
-        return PossibilityTable(self.schema.project(kept), self.values.max(axis=drop_axes))
+        # a maximum of checked cells is in range, and max returns a new array
+        table = PossibilityTable.__new__(PossibilityTable)
+        table.schema = self.schema.project(kept)
+        table.values = np.asarray(self.values.max(axis=drop_axes))
+        table.values.flags.writeable = False
+        return table
 
     def extend_values(self, superschema):
         """View of the values broadcastable over a superset schema.

@@ -13,6 +13,7 @@ Rewrite the file only when a report is meant to change::
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from posscheck.cli import main
+from posscheck.cli import EX_MODEL, main
 from posscheck.corpus import builtin_examples
 
 GOLDEN = Path(__file__).with_name("golden_json.json")
@@ -69,6 +70,21 @@ def golden():
 
 def test_golden_covers_every_case(golden):
     assert sorted(golden) == sorted(cases())
+
+
+def test_model_digest_is_the_sha256_of_the_model_argument(golden):
+    checked = 0
+    for name, argv in cases().items():
+        if "--model" not in argv:
+            continue
+        if not golden[name]["stdout"]:  # a model error prints no report
+            assert golden[name]["exit"] == EX_MODEL, name
+            continue
+        model = argv[argv.index("--model") + 1].encode()
+        report = json.loads(golden[name]["stdout"])
+        assert report["model_digest"] == hashlib.sha256(model).hexdigest()[:16], name
+        checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("name", list(cases()))

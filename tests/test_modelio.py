@@ -1,7 +1,12 @@
 """Model file parsing: schemas, tables, graphs, t-norms, exact values."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +19,10 @@ from posscheck import (
     Schema,
     SchemaError,
 )
+from posscheck.cli import EX_MODEL, EX_OK, main
 from posscheck.modelio import load_model, model_digest, parse_value
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOOD_MODEL = {
     "variables": [
@@ -113,6 +121,85 @@ class TestLoadModel:
         altered = json.loads(json.dumps(GOOD_MODEL))
         altered["table"]["default"] = 0.25
         assert model_digest(altered) != d1
+
+
+def sha16(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestDigest:
+    """A document's digest hashes its bytes; a dict is first written as
+    canonical JSON."""
+
+    def test_a_file_digest_is_the_sha256_of_its_bytes(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(GOOD_MODEL, indent=2))
+        assert load_model(path).digest == sha16(path.read_bytes())
+        assert load_model(str(path)).digest == sha16(path.read_bytes())
+        assert load_model(path).digest != model_digest(GOOD_MODEL)
+
+    def test_json_text_digest_is_the_sha256_of_its_utf8_bytes(self):
+        doc = dict(GOOD_MODEL, comment="Température")
+        text = json.dumps(doc, ensure_ascii=False)
+        assert load_model(text).digest == sha16(text.encode("utf-8"))
+
+    def test_a_file_of_canonical_json_gets_the_dict_digest(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(GOOD_MODEL, sort_keys=True, separators=(",", ":")))
+        assert load_model(path).digest == model_digest(GOOD_MODEL) == "43060bb341ea9303"
+
+    @pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16", "utf-32-le"])
+    def test_utf16_and_utf32_files_load(self, tmp_path, encoding):
+        path = tmp_path / "model.json"
+        path.write_bytes(json.dumps(GOOD_MODEL).encode(encoding))
+        m = load_model(path)
+        assert m.schema.variables == ("X", "Y")
+        assert m.digest == sha16(path.read_bytes())
+
+    def test_loading_a_file_or_text_makes_no_json_dumps_call(self, tmp_path, monkeypatch):
+        # the digest hashes the bytes that were parsed; writing the parsed
+        # document back out would count here
+        text = json.dumps(GOOD_MODEL)
+        path = tmp_path / "model.json"
+        path.write_text(text)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called while loading")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        assert load_model(path).digest == sha16(text.encode())
+        assert load_model(text).digest == sha16(text.encode())
+
+    def test_a_utf8_file_loads_the_same_under_the_c_locale(self, tmp_path):
+        doc = {
+            "variables": [{"name": "Température", "domain": ["froid", "chaud"]}],
+            "table": {"entries": [{"assignment": {"Température": "chaud"}, "value": 1.0}]},
+        }
+        path = tmp_path / "model.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        argv = [sys.executable, "-m", "posscheck", "validate", "--model", str(path), "--json"]
+        digests = []
+        for locale_env in ({"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+                           {"PYTHONUTF8": "1"}):
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **locale_env)
+            done = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+            assert (done.returncode, done.stderr) == (EX_OK, b"")
+            digests.append(json.loads(done.stdout)["model_digest"])
+        assert digests == [sha16(path.read_bytes())] * 2
+
+    def test_invalid_utf8_in_a_file_is_a_model_error(self, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"variables": "\xff"}')
+        with pytest.raises(ModelFormatError, match="invalid JSON"):
+            load_model(path)
+        assert main(["validate", "--model", str(path)]) == EX_MODEL
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_a_lone_surrogate_in_json_text_is_a_model_error(self, capsys):
+        with pytest.raises(ModelFormatError, match="invalid JSON text"):
+            load_model('{"x": "\ud800"}')
+        assert main(["validate", "--model", '{"x": "\ud800"}']) == EX_MODEL
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def binary_doc(names, entries, default=0.0):
@@ -254,8 +341,8 @@ class TestTableBuilding:
             entry["assignment"] = {k: entry["assignment"][k] for k in keys}
         loaded = load_model(rekeyed)
         assert np.array_equal(loaded.table.values, base.table.values)
-        # the digest hashes the document with sorted keys: key order inside
-        # an assignment does not change it, entry order does
+        # a dict's digest hashes its canonical JSON, with sorted keys: key
+        # order inside an assignment does not change it, entry order does
         assert loaded.digest == base.digest
         assert load_model(shuffled).digest == model_digest(shuffled) != base.digest
 

@@ -194,6 +194,13 @@ class TestMarginalize:
         t = diagonal_table()
         m = t.marginalize(["X", "Y", "Z"])
         assert np.array_equal(m.values, t.values)
+        assert m is t.marginalize(t.schema.variables) is t
+
+    def test_a_marginal_is_read_only_and_owns_its_values(self, rng):
+        t = random_table(rng)
+        m = t.marginalize(t.schema.variables[:1])
+        assert not m.values.flags.writeable
+        assert not np.shares_memory(m.values, t.values)
 
     def test_keep_none_is_scalar_one(self):
         t = diagonal_table()
