@@ -13,19 +13,27 @@ reports call it only for the witnesses they show.
 How a statement is decided: statements are grouped by their joint
 A u B u S, and ``table.marginalize`` supplies each joint pi(A, B, S) once
 per batch.  The marginals pi(A, S), pi(B, S) and pi(S) are maxima of the
-joint over its own A and B axes, kept as size-1 axes.  A batch takes each
-maximum once and keeps it by the bitmask of the axes it drops, so
-statements that drop the same axes share it; a joint's kept maxima are
-dropped when they span more than ``_CACHE_CELLS`` cells.  The statements
-of a joint are decided in chunks of at most ``_CHUNK_CELLS`` cells: their
-maxima are broadcast to the joint's shape and stacked along a new leading
-axis, so the residual, the recombination and the comparison with the joint
-each run once per chunk.  A statement whose joint is larger than that is a
-chunk of its own and keeps the keepdims shapes, so it makes no stacked
-copies; ``independent`` is such a lone chunk.  A max of maxima is exact
-and every kernel works cell by cell, so the verdicts equal those from
-separately marginalized tables decided one statement at a time, bit for
-bit and for exact ``Fraction`` tables too.  A witness is the first
+joint over its own B, A and A u B axes, kept as size-1 axes.  Where it
+fits, a batch builds the max-marginal lattice of the joint (Gray et al.,
+"Data Cube", 1997): one array of shape (k0 + 1, k1 + 1, ...) that holds
+the maximum over every subset of the axes, filled by one reduction per
+axis.  It is built when it spans no more than ``_CACHE_CELLS`` cells and
+no more than the batch's statements times the joint's cells, the stacks
+the batch writes anyway.  Otherwise the batch takes each maximum once
+and keeps it by the bitmask of the axes it drops, so statements that drop
+the same axes share it; a joint's kept maxima are dropped when they span
+more than ``_CACHE_CELLS`` cells.  The statements of a joint are decided
+in chunks of at most ``_CHUNK_CELLS`` cells: their maxima are broadcast
+to the joint's shape and stacked along a new leading axis, gathered from
+the lattice in one fancy index or copied from the kept maxima, so the
+residual, the recombination and the comparison with the joint each run
+once per chunk.  A statement whose joint is larger than that is a chunk
+of its own; without the lattice it keeps the keepdims shapes, so it makes
+no stacked copies.  ``independent`` is such a lone chunk, and never
+builds a lattice, which spans more cells than its joint.  A max of maxima
+is exact and every kernel works cell by cell, so the verdicts equal those
+from separately marginalized tables decided one statement at a time, bit
+for bit and for exact ``Fraction`` tables too.  A witness is the first
 mismatching cell of the joint, first variable cycling fastest.
 
 Axiom scans enumerate their instances once per (variable names, axioms)
@@ -36,6 +44,7 @@ each report's verdicts by index, and looks up a witness only for a
 violated report.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
@@ -107,6 +116,15 @@ class IndependenceStatement:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "given", given)
 
+    @classmethod
+    def _trusted(cls, a, b, given):
+        """The statement on sides that are already name-sorted tuples of
+        distinct names, pairwise disjoint, with ``a`` and ``b`` nonempty, as
+        the Markov enumerations build them; skips ``__post_init__``."""
+        stmt = object.__new__(cls)
+        stmt.__dict__.update(a=a, b=b, given=given)
+        return stmt
+
     def __str__(self):
         lhs = ",".join(self.a)
         rhs = ",".join(self.b)
@@ -143,7 +161,9 @@ def independent(table: PossibilityTable, tn: TNorm, statement: IndependenceState
 # Cells of the stacked arrays one chunk of statements may span; a statement
 # whose joint is larger forms a chunk of its own.
 _CHUNK_CELLS = 1 << 14
-# Cells of the maxima of one joint a batch may keep; past it they are dropped.
+# Cells of the maxima of one joint a batch may hold: a batch builds the
+# joint's max-marginal lattice only when it spans no more, and otherwise
+# drops its kept maxima past it.
 _CACHE_CELLS = 1 << 20
 
 
@@ -172,28 +192,33 @@ def _chunks(table, tn, statements, eps):
         joint = table.marginalize(key)
         pi = joint.values
         bit = {name: 1 << i for i, name in enumerate(joint.schema.variables)}
-        maximum = _maxima(pi)
+        # the bitmasks of each statement's A and B axes
+        a = [sum(map(bit.__getitem__, statements[i].a)) for i in indices]
+        b = [sum(map(bit.__getitem__, statements[i].b)) for i in indices]
+        # the lattice may span no more than the cache budget, nor than the
+        # stacks the batch writes anyway
+        fits = math.prod(k + 1 for k in pi.shape) <= min(_CACHE_CELLS, len(indices) * pi.size)
+        terms = (_lattice if fits else _maxima)(pi)
         step = max(1, _CHUNK_CELLS // pi.size)
         for lo in range(0, len(indices), step):
-            chunk = indices[lo:lo + step]
-            terms = []  # (pi(A, S), pi(S), pi(B, S)) of each statement
-            for i in chunk:
-                a = sum(map(bit.__getitem__, statements[i].a))
-                b = sum(map(bit.__getitem__, statements[i].b))
-                m_as = maximum(b)
-                terms.append((m_as, maximum(a | b, m_as), maximum(a)))
-            yield chunk, joint, _mismatches(tn, pi, terms, eps)
+            m_as, m_s, m_bs = terms(a[lo:lo + step], b[lo:lo + step])
+            lhs = tn.apply_array(tn.residual_array(m_as, m_s), m_bs)
+            yield indices[lo:lo + step], joint, mismatch_mask(lhs, pi, eps)
 
 
 def _maxima(pi):
-    """A function ``maximum(drop, of=pi)``: the keepdims maximum of ``pi``
-    over the axes whose bits are set in ``drop``, reduced from ``of`` (``pi``
-    or a maximum of it).  Each is taken once and kept; the kept ones are
-    dropped when they span more than ``_CACHE_CELLS`` cells."""
+    """A function ``terms(a, b)``: for the bitmasks ``a`` and ``b`` of some
+    statements' A and B axes, their keepdims maxima pi(A, S), pi(S) and
+    pi(B, S) of ``pi``, each stacked along a new leading axis.
+
+    Each maximum is taken once and kept; the kept ones are dropped when they
+    span more than ``_CACHE_CELLS`` cells.  A lone statement keeps the
+    keepdims shapes; several are broadcast to the joint's shape and stacked.
+    """
     kept = {}
     cells = 0
 
-    def maximum(drop, of=pi):
+    def maximum(drop, of):
         nonlocal cells
         m = kept.get(drop)
         if m is None:
@@ -205,24 +230,83 @@ def _maxima(pi):
             cells += m.size
         return m
 
-    return maximum
+    def terms(a, b):
+        found = []
+        for a_i, b_i in zip(a, b):
+            m_as = maximum(b_i, pi)
+            found.append((m_as, maximum(a_i | b_i, m_as), maximum(a_i, pi)))
+        if len(found) == 1:
+            return [m[None] for m in found[0]]
+        stacks = [np.empty((len(found),) + pi.shape, pi.dtype) for _ in range(3)]
+        for k, term in enumerate(found):
+            stacks[0][k], stacks[1][k], stacks[2][k] = term
+        return stacks
+
+    return terms
 
 
-def _mismatches(tn, pi, terms, eps):
-    """Where T(pi(A, S) => pi(S), pi(B, S)) misses the joint ``pi``, one
-    mask per (pi(A, S), pi(S), pi(B, S)) term along a new leading axis.
+def _lattice(pi):
+    """A function ``terms(a, b)`` as ``_maxima`` gives, reading every
+    maximum from the max-marginal lattice of ``pi``.
 
-    A lone term keeps its keepdims shapes; several are broadcast to the
-    joint's shape and stacked, so each kernel runs once per chunk.
+    The lattice ``z`` has shape (k0 + 1, k1 + 1, ...): ``pi`` fills the
+    cells below every ki, and index ki on an axis holds the maximum over
+    that axis.  So the block with index ki on the dropped axes is the
+    keepdims maximum over them, and filling ``z`` takes one reduction per
+    axis.  The terms of the statements, broadcast to the joint's shape, are
+    gathered from it in one fancy index.  A batch of one statement never
+    reads the lattice, which spans more cells than its joint.
     """
-    if len(terms) == 1:
-        m_as, m_s, m_bs = (m[None] for m in terms[0])
-    else:
-        m_as, m_s, m_bs = (np.empty((len(terms),) + pi.shape, pi.dtype) for _ in range(3))
-        for k, term in enumerate(terms):
-            m_as[k], m_s[k], m_bs[k] = term
-    lhs = tn.apply_array(tn.residual_array(m_as, m_s), m_bs)
-    return mismatch_mask(lhs, pi, eps)
+    fills, h, lead, trail = _lattice_plan(pi.shape)
+    z = np.empty([k + 1 for k in pi.shape], pi.dtype)
+    z[tuple(slice(k) for k in pi.shape)] = pi
+    for src, out, axis in fills:
+        np.max(z[src], axis=axis, keepdims=True, out=z[out])
+    flat = z.reshape(-1)
+
+    def terms(a, b):
+        a, b = np.array(a), np.array(b)
+        drops = np.concatenate([b, a | b, a])
+        idx = lead[drops & ((1 << h) - 1)][:, :, None] + trail[drops >> h][:, None, :]
+        return flat[idx].reshape((3, len(a)) + pi.shape)
+
+    return terms
+
+
+# room for the joint shapes of a few schemas, so that batches alternating
+# between them build each plan once
+@lru_cache(maxsize=64)
+def _lattice_plan(shape):
+    """How ``_lattice`` fills and reads the lattice of a joint of ``shape``.
+
+    Returns (fills, h, lead, trail).  ``fills`` holds, per axis, the
+    (source, target, axis) of its reduction: the source spans the axes
+    already reduced whole and the others below ki.  The flat lattice
+    index of a statement's term at a joint cell is a sum of two parts, one
+    from the leading half of the axes and one from the trailing half:
+    for a term dropping the axes of ``drop``, ``lead[drop & ((1 << h) - 1)]``
+    holds the parts of the cells of the h leading axes and ``trail[drop >>
+    h]`` those of the trailing ones.
+    """
+    fills = []
+    for axis, k in enumerate(shape):
+        src = tuple(slice(None) if i < axis else slice(ki) for i, ki in enumerate(shape))
+        fills.append((src, src[:axis] + (slice(k, k + 1),) + src[axis + 1:], axis))
+    strides = [math.prod(k + 1 for k in shape[i + 1:]) for i in range(len(shape))]
+    h = len(shape) // 2
+
+    def parts(axes):
+        # row m: sum over the axes of (ki if bit i of m is set, else the
+        # cell's index) times the lattice stride, over the cells of the axes
+        sizes = [shape[i] for i in axes]
+        cells = np.indices(sizes).reshape(len(axes), math.prod(sizes))
+        bits = (np.arange(1 << len(axes))[:, None] >> np.arange(len(axes))) & 1
+        picked = np.where(bits[:, :, None], np.array(sizes)[:, None], cells)
+        offsets = np.tensordot(picked, [strides[i] for i in axes], axes=([1], [0])).astype(np.intp)
+        offsets.flags.writeable = False  # shared by every caller of the cached plan
+        return offsets
+
+    return tuple(fills), h, parts(range(h)), parts(range(h, len(shape)))
 
 
 # -- graphoid axioms ---------------------------------------------------------------

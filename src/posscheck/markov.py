@@ -11,12 +11,18 @@ method runs per subset.
 
 Each property hands its whole statement list to ``decide_many`` in one
 call and gets one verdict per statement.  Every statement of the three
-properties spans all variables, so all of them read the one full joint; the
-call keeps each keepdims maximum of it that it takes, so statements
-dropping the same axes share it, and decides the statements in stacked
+properties spans all variables, so all of them read the one full joint.
+Where the joint's max-marginal lattice fits (up to twelve binary
+variables, for a list long enough), the call fills it with one reduction
+per axis, n in all, and gathers every statement's maxima from it;
+otherwise it keeps each keepdims maximum it takes, so statements dropping
+the same axes share it.  Either way it decides the statements in stacked
 chunks.  A failing property looks up one witness, through ``independent``
 on its first failing statement.  Verdicts, witnesses and the ``checked``
-order are those of deciding each statement alone.
+order are those of deciding each statement alone.  The separator
+enumeration builds its statements through
+``IndependenceStatement._trusted``: their sides come from the graph's
+masks, already sorted and disjoint.
 """
 
 from dataclasses import dataclass
@@ -118,7 +124,8 @@ def _component_statements(graph, order):
             for comp in comps[1:]:
                 sides += [side | comp for side in sides]
             for side_b in sides[1:]:
-                yield IndependenceStatement(members(remaining ^ side_b), members(side_b), given)
+                yield IndependenceStatement._trusted(members(remaining ^ side_b), members(side_b),
+                                                     given)
 
 
 def _exhaustive_statements(graph, order):

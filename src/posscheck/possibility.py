@@ -115,9 +115,17 @@ class Schema:
         return tuple(n for n in self._names if n in names)
 
     def project(self, keep):
-        """Sub-schema of ``keep`` variables, preserving schema order."""
+        """Sub-schema of ``keep`` variables, preserving schema order.
+
+        Built from this schema's checked names and domains, so the label
+        checks of ``__init__`` are not run again.
+        """
         kept = self.in_order(keep)
-        return Schema([(n, self._domains[n]) for n in kept])
+        sub = Schema.__new__(Schema)
+        sub._names = kept
+        sub._domains = {n: self._domains[n] for n in kept}
+        sub._shape = tuple(len(sub._domains[n]) for n in kept)
+        return sub
 
     def multi_index(self, assignment):
         """Turn a {name: label} mapping into a value index tuple."""

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import posscheck.independence
 from posscheck import (
     DEFAULT_EPSILON,
     Factorization,
@@ -236,3 +237,18 @@ def permuted(table, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def lattices(monkeypatch):
+    """The shapes of the joints whose max-marginal lattice ``decide_many``
+    builds, in order."""
+    built = []
+    original = posscheck.independence._lattice
+
+    def counted(pi):
+        built.append(pi.shape)
+        return original(pi)
+
+    monkeypatch.setattr(posscheck.independence, "_lattice", counted)
+    return built

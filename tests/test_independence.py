@@ -5,7 +5,7 @@ definition oracle in conftest on random tables, for every t-norm family.
 """
 
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import combinations, permutations, product as iter_product
 
 import numpy as np
 import pytest
@@ -258,6 +258,31 @@ def statement_list(rng, names, count):
     return stmts + [stmts[int(i)] for i in rng.integers(0, count, count // 3)]
 
 
+def pair_statements(names):
+    """I(u; v | the rest) for every ordered pair: statements on one joint,
+    and from three variables on enough of them for a batch to build the
+    joint's lattice."""
+    return [IndependenceStatement((u,), (v,), tuple(w for w in names if w not in (u, v)))
+            for u, v in permutations(names, 2)]
+
+
+def set_budgets(monkeypatch, chunk, cache):
+    """Set the chunk and cache budgets (in cells) that are not None."""
+    if chunk is not None:
+        monkeypatch.setattr(posscheck.independence, "_CHUNK_CELLS", chunk)
+    if cache is not None:
+        monkeypatch.setattr(posscheck.independence, "_CACHE_CELLS", cache)
+
+
+# (chunk budget, cache budget) in cells, None for the default.  Small ones
+# split the lists into many chunks and drop the kept maxima often; a cache
+# budget of 0 keeps every batch off the lattice, and a huge one puts every
+# batch on it whose statements span at least the lattice's cells.
+NO_LATTICE = 0
+ANY_LATTICE = 1 << 40
+BUDGETS = [(8, NO_LATTICE), (64, 16), (None, NO_LATTICE), (None, ANY_LATTICE), (None, None)]
+
+
 class TestDecideMany:
     """The batched decider's verdicts against the definition oracle and
     against one ``independent`` call per statement, whose lone chunk keeps
@@ -276,33 +301,55 @@ class TestDecideMany:
                 assert holds == oracle_independent(oracle_table, tn, stmt.a, stmt.b, stmt.given)
         return verdicts
 
-    # (chunk budget, cache budget) in cells; small ones split the lists into
-    # many chunks and drop the kept maxima often
-    @pytest.mark.parametrize("budgets", [(8, 0), (64, 16), None])
+    @staticmethod
+    def check_lattice_use(budgets, lattices):
+        if budgets[1] == NO_LATTICE:
+            assert lattices == []
+        if budgets[1] == ANY_LATTICE:
+            assert lattices
+
+    @pytest.mark.parametrize("budgets", BUDGETS,
+                             ids=["tiny-no-lattice", "small", "no-lattice", "any-lattice", "default"])
     @pytest.mark.parametrize("tn", ALL_TNORMS, ids=lambda t: t.describe())
-    def test_random_tables(self, tn, budgets, rng, monkeypatch):
-        if budgets is not None:
-            monkeypatch.setattr(posscheck.independence, "_CHUNK_CELLS", budgets[0])
-            monkeypatch.setattr(posscheck.independence, "_CACHE_CELLS", budgets[1])
+    def test_random_tables(self, tn, budgets, rng, monkeypatch, lattices):
+        set_budgets(monkeypatch, *budgets)
         for _ in range(6):
             t = random_table(rng, max_vars=5, max_domain=3)
             stmts = statement_list(rng, t.schema.variables, 12)
+            stmts += pair_statements(t.schema.variables)
             self.decide_and_compare(t, tn, stmts, oracle_table=t)
+        self.check_lattice_use(budgets, lattices)
 
-    @pytest.mark.parametrize("budget", [8, None])
+    @pytest.mark.parametrize("budgets", [(8, None), (None, NO_LATTICE), (None, ANY_LATTICE),
+                                         (None, None)],
+                             ids=["tiny", "no-lattice", "any-lattice", "default"])
     @pytest.mark.parametrize("tn", BASE_TNORMS, ids=lambda t: t.describe())
-    def test_exact_fraction_tables(self, tn, budget, rng, monkeypatch):
-        if budget is not None:
-            monkeypatch.setattr(posscheck.independence, "_CHUNK_CELLS", budget)
+    def test_exact_fraction_tables(self, tn, budgets, rng, monkeypatch, lattices):
+        set_budgets(monkeypatch, *budgets)
         for _ in range(6):
             t = random_table(rng, max_vars=4, max_domain=3)
             stmts = statement_list(rng, t.schema.variables, 12)
+            stmts += pair_statements(t.schema.variables)
             # grid values keep every exact mismatch far above float round-off
             x = exact(t)
             verdicts = self.decide_and_compare(x, tn, stmts, eps=0, oracle_table=t)
             assert verdicts == decide_many(t, tn, stmts)
             assert [independent(x, tn, stmt, eps=0).witness for stmt in stmts] == [
                 independent(t, tn, stmt).witness for stmt in stmts]
+        self.check_lattice_use(budgets, lattices)
+
+    @pytest.mark.parametrize("tn", ALL_TNORMS, ids=lambda t: t.describe())
+    def test_a_lattice_over_the_cache_budget_falls_back(self, tn, rng, monkeypatch, lattices):
+        # 30 statements on a binary six-variable joint: 1,920 stacked cells,
+        # and a lattice of 3^6 = 729 cells
+        t = grid_table(Schema.binary(*(f"V{i}" for i in range(6))), rng)
+        stmts = pair_statements(t.schema.variables)
+        monkeypatch.setattr(posscheck.independence, "_CACHE_CELLS", 3 ** 6 - 1)
+        fallback = self.decide_and_compare(t, tn, stmts, oracle_table=t)
+        assert lattices == []
+        monkeypatch.setattr(posscheck.independence, "_CACHE_CELLS", 3 ** 6)
+        assert decide_many(t, tn, stmts) == fallback
+        assert lattices == [(2,) * 6]
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("tn", ALL_TNORMS, ids=lambda t: t.describe())
@@ -384,16 +431,46 @@ def statement_lists(draw, names):
 
 
 class TestDecideManyProperty:
+    # the cache budget: off the lattice, the default, and on it wherever the
+    # statements of a joint span its cells
+    @pytest.mark.parametrize("cache", [NO_LATTICE, None, ANY_LATTICE],
+                             ids=["no-lattice", "default", "any-lattice"])
     @settings(max_examples=200)
     @given(data=st.data(), t=grid_tables(), tn=st.sampled_from(ALL_TNORMS))
-    def test_matches_the_oracle_and_independent(self, data, t, tn):
+    def test_matches_the_oracle_and_independent(self, cache, data, t, tn):
         stmts = data.draw(statement_lists(t.schema.variables))
-        verdicts = decide_many(t, tn, stmts)
-        assert verdicts == [oracle_independent(t, tn, s.a, s.b, s.given) for s in stmts]
-        assert verdicts == [independent(t, tn, s).holds for s in stmts]
-        if tn.transform is None:  # transforms force floating point
-            # grid values keep every exact mismatch far above float round-off
-            assert decide_many(exact(t), tn, stmts, eps=0) == verdicts
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            set_budgets(monkeypatch, None, cache)
+            verdicts = decide_many(t, tn, stmts)
+            assert verdicts == [oracle_independent(t, tn, s.a, s.b, s.given) for s in stmts]
+            assert verdicts == [independent(t, tn, s).holds for s in stmts]
+            if tn.transform is None:  # transforms force floating point
+                # grid values keep every exact mismatch far above float round-off
+                assert decide_many(exact(t), tn, stmts, eps=0) == verdicts
+
+
+class TestLattice:
+    @pytest.mark.parametrize("exact_values", [False, True], ids=["float", "Fraction"])
+    def test_every_block_is_the_keepdims_maximum(self, exact_values, rng):
+        for _ in range(20):
+            # V8..V11 in a random order: the names do not sort in schema order
+            names = [f"V{8 + i}" for i in rng.permutation(int(rng.integers(1, 5)))]
+            schema = Schema([(n, [str(d) for d in range(int(rng.integers(2, 5)))])
+                             for n in names])
+            table = grid_table(schema, rng)
+            pi = (exact(table) if exact_values else table).values
+            drops = list(range(1 << len(names)))
+            # with an empty B, pi(A, S) is pi itself, and pi(S) and pi(B, S)
+            # are the maxima over the axes of A: every block of the lattice
+            m_as, m_s, m_bs = posscheck.independence._lattice(pi)(drops, [0] * len(drops))
+            for drop in drops:
+                axes = tuple(i for i in range(len(names)) if drop >> i & 1)
+                block = np.broadcast_to(pi.max(axis=axes, keepdims=True), pi.shape)
+                for got, want in ((m_as[drop], pi), (m_s[drop], block), (m_bs[drop], block)):
+                    assert got.dtype == pi.dtype
+                    assert np.array_equal(got, want)
+                    if exact_values:
+                        assert all(type(v) is Fraction for v in got.ravel())
 
 
 def naive_scan(table, tn, axioms, eps=EPS):

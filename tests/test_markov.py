@@ -1,5 +1,6 @@
 """Pairwise/local/global Markov properties and the implication chain."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import posscheck.markov
 from posscheck import (
     FactorizationResult,
+    IndependenceStatement,
     InternalInconsistencyError,
     MarkovReport,
     PossibilityTable,
@@ -177,8 +179,13 @@ class TestSeparatorEnumeration:
     their order."""
 
     def assert_matches_oracles(self, graph, order):
-        assert listed(_component_statements(graph, order)) == listed(
-            oracle_component_statements(graph, order))
+        statements = list(_component_statements(graph, order))
+        assert listed(statements) == listed(oracle_component_statements(graph, order))
+        # built without the checks of __post_init__, yet equal to the
+        # validated statements, hash included
+        validated = [IndependenceStatement(s.a, s.b, s.given) for s in statements]
+        assert statements == validated
+        assert list(map(hash, statements)) == list(map(hash, validated))
         if len(order) <= 5:
             assert listed(_exhaustive_statements(graph, order)) == listed(
                 oracle_exhaustive_statements(graph, order))
@@ -231,6 +238,25 @@ class TestSeparatorEnumeration:
         report = chain_report(t, g, TNorm.product())
         assert [holds for _, holds in report.summary()] == [True, True, True]
         assert calls == []
+
+
+class TestMemory:
+    def test_global_markov_on_a_chain_of_twelve(self, rng, lattices):
+        # 19,565 statements on one joint of 4,096 cells, whose lattice spans
+        # 3^12 = 531,441 cells (4 MiB); the peak measured 12.6 MiB, and 13.5
+        # MiB when this list took the kept-maxima path
+        schema = Schema.binary(*(f"V{i}" for i in range(12)))
+        g = UndirectedGraph(schema.variables, zip(schema.variables, schema.variables[1:]))
+        t, _ = planted(schema, g, TNorm.product(), rng, 0.3)
+        tracemalloc.start()
+        try:
+            report = global_markov(t, g, TNorm.product())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.holds and len(report.checked) == 19_565
+        assert lattices == [(2,) * 12]
+        assert peak < 14 * 2 ** 20
 
 
 class TestImplicationChain:

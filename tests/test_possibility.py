@@ -88,6 +88,20 @@ class TestSchema:
         assert schema.first_mismatch(third, third.copy(), eps=0) is None
         assert schema.first_mismatch(third, np.array([1 / 3, 1.0]), eps=0) == {"X": "0"}
 
+    def test_project_equals_the_validated_schema(self):
+        # V8..V11 in an order that is not name order, with mixed domains
+        schema = Schema([("V10", ["a", "b", "c"]), ("V8", ["0", "1"]), ("V11", ["x", "y"]),
+                         ("V9", ["p", "q", "r", "s"])])
+        for keep in ([], ["V9"], ["V9", "V10"], ["V11", "V8", "V9"], schema.variables):
+            sub = schema.project(keep)
+            validated = Schema([(n, schema.domain(n)) for n in schema.variables if n in keep])
+            assert sub == validated and hash(sub) == hash(validated)
+            assert (sub.variables, sub.shape) == (validated.variables, validated.shape)
+            assert [sub.domain(n) for n in sub.variables] == [
+                validated.domain(n) for n in validated.variables]
+        with pytest.raises(SchemaError):
+            schema.project(["V12"])
+
     def test_cell_cap(self, monkeypatch):
         monkeypatch.setattr(posscheck.possibility, "MAX_CELLS", 8)
         assert Schema.binary("A", "B", "C").shape == (2, 2, 2)
