@@ -16,7 +16,7 @@ from .errors import ModelFormatError
 from .factorization import factorizes
 from .independence import IndependenceStatement, check_axiom, independent, scan_axioms, violations
 from .markov import GLOBAL, LOCAL, PAIRWISE, chain_report
-from .modelio import model_from_json
+from .modelio import load_model
 from .numeric import DEFAULT_EPSILON
 from .tnorm import BASES, TNorm
 
@@ -50,7 +50,7 @@ class ReferenceModel:
 
     def loaded(self, exact=False):
         """The model as the model loader reads it from ``to_model_json``."""
-        return model_from_json(self.to_model_json(), exact)
+        return load_model(self.to_model_json(), exact)
 
     def schema(self):
         return self.loaded().schema

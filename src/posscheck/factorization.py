@@ -58,12 +58,16 @@ class Factorization:
         return tuple(sorted(self.factors))
 
     def combine(self, schema: Schema, eps=DEFAULT_EPSILON) -> PossibilityTable:
-        """Fold all factors into a table over ``schema``.
+        """Fold all factors into a table over ``schema``; a non-normal result
+        is legal for factors but draws a warning, as distributions are normal."""
+        table = PossibilityTable(schema, self.fold(schema))
+        if not table.is_normal(eps):
+            warnings.warn("combined factorization is not normal", stacklevel=2)
+        return table
 
-        Every schema variable must appear in some clique; non-normal results
-        are legal for factors but draw a warning, since a distribution is
-        expected to be normal.
-        """
+    def fold(self, schema: Schema):
+        """The factors folded over ``schema``, every variable of which must
+        lie in some clique, as an array: ``combine`` without its warning."""
         covered = {v for clique in self.factors for v in clique}
         missing = set(schema.variables) - covered
         if missing:
@@ -71,10 +75,7 @@ class Factorization:
         # every variable lies in some clique, so the fold of these views
         # (size-1 axes where a clique lacks a variable) spans the full shape
         views = [f.extend_values(schema) for _, f in sorted(self.factors.items())]
-        table = PossibilityTable(schema, self.tnorm.fold_arrays(views))
-        if not table.is_normal(eps):
-            warnings.warn("combined factorization is not normal", stacklevel=2)
-        return table
+        return self.tnorm.fold_arrays(views)
 
 
 @dataclass(frozen=True, eq=False)

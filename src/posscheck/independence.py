@@ -17,7 +17,8 @@ joint over its own B, A and A u B axes, kept as size-1 axes.  Where it
 fits, a batch builds the max-marginal lattice of the joint (Gray et al.,
 "Data Cube", 1997): one array of shape (k0 + 1, k1 + 1, ...) that holds
 the maximum over every subset of the axes, filled by one reduction per
-axis.  It is built when it spans no more than ``_CACHE_CELLS`` cells and
+axis i over its contiguous (outer, ki + 1, inner) view.  It is built when
+it spans no more than ``_CACHE_CELLS`` cells and
 no more than the batch's statements times the joint's cells, the stacks
 the batch writes anyway.  Otherwise the batch takes each maximum once
 and keeps it by the bitmask of the axes it drops, so statements that drop
@@ -251,17 +252,26 @@ def _lattice(pi):
 
     The lattice ``z`` has shape (k0 + 1, k1 + 1, ...): ``pi`` fills the
     cells below every ki, and index ki on an axis holds the maximum over
-    that axis.  So the block with index ki on the dropped axes is the
-    keepdims maximum over them, and filling ``z`` takes one reduction per
-    axis.  The terms of the statements, broadcast to the joint's shape, are
-    gathered from it in one fancy index.  A batch of one statement never
-    reads the lattice, which spans more cells than its joint.
+    that axis, so the block with index ki on the dropped axes is the
+    keepdims maximum over them.  Step j writes the maximum of rows below kj
+    of the (outer, kj + 1, inner) view into row kj.  This is exact: a cell
+    whose index-ki axes form the set K is final after step max(K), which
+    reads cells whose index-ki axes are K less max(K), final by then; no
+    later step writes it.  Slots kj not yet filled are read too, but step j
+    rewrites them; ``z`` starts from zeros, not ``np.empty``, so they hold
+    finite values that compare with ``Fraction``.  ``z`` is a fresh
+    C-contiguous array, so each ``reshape`` is a view that writes through.
+
+    The statements' terms, broadcast to the joint's shape, are gathered
+    from ``z`` in one fancy index.  A batch of one statement never reads
+    the lattice, which spans more cells than its joint.
     """
-    fills, h, lead, trail = _lattice_plan(pi.shape)
-    z = np.empty([k + 1 for k in pi.shape], pi.dtype)
+    h, lead, trail = _lattice_plan(pi.shape)
+    z = np.zeros([k + 1 for k in pi.shape], pi.dtype)
     z[tuple(slice(k) for k in pi.shape)] = pi
-    for src, out, axis in fills:
-        np.max(z[src], axis=axis, keepdims=True, out=z[out])
+    for axis, k in enumerate(pi.shape):
+        v = z.reshape(math.prod(z.shape[:axis]), k + 1, -1)
+        np.max(v[:, :k], axis=1, out=v[:, k])
     flat = z.reshape(-1)
 
     def terms(a, b):
@@ -277,21 +287,12 @@ def _lattice(pi):
 # between them build each plan once
 @lru_cache(maxsize=64)
 def _lattice_plan(shape):
-    """How ``_lattice`` fills and reads the lattice of a joint of ``shape``.
-
-    Returns (fills, h, lead, trail).  ``fills`` holds, per axis, the
-    (source, target, axis) of its reduction: the source spans the axes
-    already reduced whole and the others below ki.  The flat lattice
-    index of a statement's term at a joint cell is a sum of two parts, one
-    from the leading half of the axes and one from the trailing half:
+    """How ``_lattice`` reads the lattice of a joint of ``shape``: (h, lead,
+    trail).  The flat lattice index of a statement's term at a joint cell is
+    the sum of a part from the h leading axes and one from the trailing ones:
     for a term dropping the axes of ``drop``, ``lead[drop & ((1 << h) - 1)]``
-    holds the parts of the cells of the h leading axes and ``trail[drop >>
-    h]`` those of the trailing ones.
+    and ``trail[drop >> h]`` hold them, over the cells of those axes.
     """
-    fills = []
-    for axis, k in enumerate(shape):
-        src = tuple(slice(None) if i < axis else slice(ki) for i, ki in enumerate(shape))
-        fills.append((src, src[:axis] + (slice(k, k + 1),) + src[axis + 1:], axis))
     strides = [math.prod(k + 1 for k in shape[i + 1:]) for i in range(len(shape))]
     h = len(shape) // 2
 
@@ -306,7 +307,7 @@ def _lattice_plan(shape):
         offsets.flags.writeable = False  # shared by every caller of the cached plan
         return offsets
 
-    return tuple(fills), h, parts(range(h)), parts(range(h, len(shape)))
+    return h, parts(range(h)), parts(range(h, len(shape)))
 
 
 # -- graphoid axioms ---------------------------------------------------------------

@@ -11,13 +11,9 @@ method runs per subset.
 
 Each property hands its whole statement list to ``decide_many`` in one
 call and gets one verdict per statement.  Every statement of the three
-properties spans all variables, so all of them read the one full joint.
-Where the joint's max-marginal lattice fits (up to twelve binary
-variables, for a list long enough), the call fills it with one reduction
-per axis, n in all, and gathers every statement's maxima from it;
-otherwise it keeps each keepdims maximum it takes, so statements dropping
-the same axes share it.  Either way it decides the statements in stacked
-chunks.  A failing property looks up one witness, through ``independent``
+properties spans all variables, so all of them read the one full joint
+(``decide_many`` says how it takes that joint's maxima).  A failing
+property looks up one witness, through ``independent``
 on its first failing statement.  Verdicts, witnesses and the ``checked``
 order are those of deciding each statement alone.  The separator
 enumeration builds its statements through
@@ -197,7 +193,9 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
 
     Any result pattern violating global => local => pairwise, or a verified
     factorization with an Archimedean t-norm that fails the global property,
-    signals an engine bug and raises InternalInconsistencyError.
+    signals an engine bug and raises InternalInconsistencyError.  A "yes"
+    is policed only if its factors, folded without ``combine``'s warning,
+    recombine to the table within ``eps``: a regime may verify at 1e-7.
     """
     f_result = factorizes(table, graph, tn, eps) if include_factorization else None
     g = global_markov(table, graph, tn, eps, exhaustive=exhaustive)
@@ -212,6 +210,8 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
         and f_result.status == "yes"
         and tn.is_archimedean
         and not g.holds
+        and table.schema.first_mismatch(f_result.factorization.fold(table.schema),
+                                        table.values, eps) is None
     ):
         raise InternalInconsistencyError(
             "verified factorization with an Archimedean t-norm but global fails"

@@ -166,12 +166,6 @@ def _model_parts(doc, exact):
     return schema, table, graph, tn
 
 
-def model_from_json(doc, exact=False):
-    """Build a model from a parsed document; its digest is that of the
-    document's canonical JSON."""
-    return Model(*_model_parts(doc, exact), model_digest(doc))
-
-
 def load_model(source, exact=False):
     """Load a model from a path, JSON string, or already-parsed dict.
 
@@ -182,7 +176,7 @@ def load_model(source, exact=False):
     ``sha256sum``; a dict's digest is that of its canonical JSON.
     """
     if isinstance(source, dict):
-        return model_from_json(source, exact)
+        return Model(*_model_parts(source, exact), model_digest(source))
     text = str(source)
     if text.lstrip().startswith(("{", "[")):
         try:

@@ -39,7 +39,7 @@ SUPPORTED_EXPONENT_RANGE = (0.1, 10.0)
 
 @dataclass(frozen=True)
 class PowerTransform:
-    """Unit-interval automorphism x -> x**p with p > 0.
+    """Unit-interval automorphism x -> x**p with p finite and > 0.
 
     Closed under composition (exponents multiply) and has the closed-form
     inverse x -> x**(1/p), so round trips stay within float round-off.
@@ -48,8 +48,8 @@ class PowerTransform:
     p: float
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise DomainError(f"power transform exponent must be positive, got {self.p!r}")
+        if not 0 < self.p < float("inf"):
+            raise DomainError(f"power transform exponent must be finite and > 0, got {self.p!r}")
         lo, hi = SUPPORTED_EXPONENT_RANGE
         if not lo <= self.p <= hi:
             warnings.warn(
@@ -219,8 +219,10 @@ class TNorm:
             if not isinstance(auto, dict) or auto.get("type") != "power":
                 raise ModelFormatError("only {'type': 'power', 'p': ...} automorphisms are supported")
             try:
+                if isinstance(auto["p"], bool):  # float() would read true as 1
+                    raise TypeError(f"{auto['p']!r} is not a number")
                 transform = PowerTransform(float(auto["p"]))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ModelFormatError(f"bad automorphism exponent: {exc}") from exc
         return cls(doc["base"], transform)
 

@@ -315,6 +315,16 @@ class TestValidate:
         assert captured.out == ""
         assert captured.err.startswith("posscheck: table maximum is 9999999999/10000000000")
 
+    @pytest.mark.parametrize("epsilon, normal", [(None, True), ("0", False), ("1e-12", False)])
+    def test_normality_is_checked_at_the_given_epsilon(self, epsilon, normal):
+        doc = json.dumps({
+            "variables": [{"name": "X", "domain": ["0", "1"]}],
+            "table": {"entries": [{"assignment": {"X": "0"}, "value": 1 - 5e-10}]},
+        })
+        argv = ["validate", "--model", doc] + ([] if epsilon is None else ["--epsilon", epsilon])
+        code, report = run(argv)
+        assert code == EX_OK and report["checks"][0]["normal"] is normal
+
     @pytest.mark.parametrize("text", ["[1]", "  []", "[{\"variables\": []}]"])
     def test_json_array_text_is_a_document_not_a_path(self, text, capsys):
         assert main(["validate", "--model", text]) == EX_MODEL
@@ -357,6 +367,10 @@ class TestValidate:
          "only {'type': 'power', 'p': ...} automorphisms are supported"),
         ({"tnorm": {"base": "product", "automorphism": {"type": "power", "p": "two"}}},
          "bad automorphism exponent"),
+        ({"tnorm": {"base": "product", "automorphism": {"type": "power", "p": True}}},
+         "bad automorphism exponent: True is not a number"),
+        ({"tnorm": {"base": "product", "automorphism": {"type": "power", "p": float("inf")}}},
+         "power transform exponent must be finite and > 0, got inf"),
         ({"variables": []}, "'variables' must be a nonempty array"),
         ({"variables": [{"name": "X"}]}, "each variable needs 'name' and 'domain'"),
         ({"variables": [{"domain": ["0", "1"]}]}, "each variable needs 'name' and 'domain'"),
@@ -375,6 +389,13 @@ class TestValidate:
         assert main(["validate", "--model", str(path)]) == EX_MODEL
         err = capsys.readouterr().err
         assert err.startswith("posscheck: ") and message in err
+
+    def test_huge_integer_exponent_exits_as_a_model_error(self, capsys):
+        doc = ('{"variables": [{"name": "X", "domain": ["0", "1"]}], "table": {"default": 1},'
+               ' "tnorm": {"base": "product", "automorphism": {"type": "power", "p": 1'
+               + "0" * 400 + '}}}')
+        assert main(["validate", "--model", doc]) == EX_MODEL
+        assert "bad automorphism exponent" in capsys.readouterr().err
 
     def test_string_domain_exits_as_a_model_error(self):
         doc = '{"variables": [{"name": "X", "domain": "01"}], "table": {"default": 1}}'
@@ -494,6 +515,11 @@ class TestGlobalFlags:
             ["indep", "--model", model_path(1), "--a", "X", "--b", "Y",
              "--exact", "--tnorm", "product", "--power", "2"]
         ) == EX_MODEL
+
+    def test_infinite_power_exits_as_a_model_error(self, capsys):
+        assert main(["residual", "--y", "0.5", "--x", "0.9", "--tnorm", "product",
+                     "--power", "inf"]) == EX_MODEL
+        assert "exponent must be finite and > 0" in capsys.readouterr().err
 
     def test_exact_mode_runs_with_fractions(self, model_path):
         code, report = run(

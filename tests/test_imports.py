@@ -8,9 +8,13 @@ since its imports are the package's exports, and so is ``perfbench/``, which
 changes only together with the benchmark.  A private (``_name``) function,
 class or method of the package must be read somewhere in the package
 outside its own definition, so that a refactor leaves no dead helper behind.
+The README and the package's docstrings name, in backticks, only private
+names and ``posscheck.``-dotted names that the package defines, so that a
+rename leaves no stale name in its docs.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -79,3 +83,53 @@ def test_the_check_sees_unread_and_read_private_definitions():
 def test_package_reads_every_private_definition():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_definitions(sources) == []
+
+
+def defined_names(sources):
+    """Every name that ``sources`` bind: functions, classes, and assignment
+    targets, attributes included."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+                names.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return names
+
+
+def undefined_doc_names(texts, defined):
+    """Dotted names in backticks in ``texts`` that name something not in
+    ``defined``: a ``posscheck.``-dotted name with any later part undefined,
+    or another name with an undefined private (``_x``) part, in text order."""
+    missing = []
+    for text in texts:
+        for name in re.findall(r"`+([A-Za-z_]\w*(?:\.\w+)*)`+", text):
+            parts = name.split(".")
+            if parts[0] == "posscheck":
+                checked = parts[1:]
+            else:
+                checked = [part for part in parts if part.startswith("_")]
+            if not set(checked) <= defined:
+                missing.append(name)
+    return missing
+
+
+def test_the_check_sees_undefined_doc_names():
+    defined = defined_names(["def _kept():\n    pass\n\nclass A:\n    _slot = 1\n"])
+    text = ("``_kept`` and `_gone`, ``A._slot`` and ``A._other``, `posscheck.A` and "
+            "`posscheck.B`, ``x.y`` and `a + _gone`")
+    assert undefined_doc_names([text], defined) == ["_gone", "A._other", "posscheck.B"]
+
+
+def test_docs_name_only_defined_names():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    defined = defined_names(sources) | {path.stem for path in PACKAGE.glob("*.py")}
+    docstrings = [
+        ast.get_docstring(node)
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    texts = [(ROOT / "README.md").read_text()] + [doc for doc in docstrings if doc]
+    assert undefined_doc_names(texts, defined) == []

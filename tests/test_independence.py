@@ -35,6 +35,7 @@ from conftest import (
     ARCHIMEDEAN_TNORMS,
     BASE_TNORMS,
     GRID_VALUES,
+    POSITIVE_GRID_VALUES,
     independent_via_ae_equality,
     jittered,
     oracle_independent,
@@ -471,6 +472,22 @@ class TestLattice:
                     assert np.array_equal(got, want)
                     if exact_values:
                         assert all(type(v) is Fraction for v in got.ravel())
+
+    @pytest.mark.parametrize("exact_values", [False, True], ids=["float", "Fraction"])
+    def test_no_cell_of_a_positive_table_is_left_zero(self, exact_values, rng):
+        # the lattice starts from zeros: a slot the fill never writes stays 0
+        for _ in range(20):
+            names = [f"V{8 + i}" for i in rng.permutation(int(rng.integers(1, 5)))]
+            schema = Schema([(n, [str(d) for d in range(int(rng.integers(2, 5)))])
+                             for n in names])
+            values = rng.choice(POSITIVE_GRID_VALUES, size=schema.shape)
+            values.flat[int(rng.integers(0, values.size))] = 1.0
+            table = PossibilityTable(schema, values)
+            pi = (exact(table) if exact_values else table).values
+            drops = list(range(1 << len(names)))
+            # the blocks pi(S), one per subset of the axes, cover the lattice
+            _, m_s, _ = posscheck.independence._lattice(pi)(drops, [0] * len(drops))
+            assert (m_s != 0).all()
 
 
 def naive_scan(table, tn, axioms, eps=EPS):

@@ -3,11 +3,11 @@
 import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import posscheck.markov
 from posscheck import (
-    FactorizationResult,
     IndependenceStatement,
     InternalInconsistencyError,
     MarkovReport,
@@ -43,6 +43,18 @@ from conftest import (
 def model(number):
     m = builtin_example(number)
     return m.table(), m.graph()
+
+
+CHAIN = UndirectedGraph(["A", "B", "C"], [("A", "B"), ("B", "C")])
+
+
+def chain_table(combine, nudge=0.0):
+    """A table on the chain A - B - C: two clique factors combined cell by
+    cell through ``combine``, with the last cell lowered by ``nudge``."""
+    values = combine(np.array([[1, .6], [.7, .5]])[:, :, None],
+                     np.array([[1, .8], [.4, .9]])[None])
+    values[1, 1, 1] -= nudge
+    return PossibilityTable(Schema.binary("A", "B", "C"), values)
 
 
 class TestPairwiseNotLocal:
@@ -320,14 +332,24 @@ class TestImplicationChain:
             chain_report(t, g, TNorm.godel())
 
     def test_archimedean_factorization_without_global_raises(self, monkeypatch):
-        # global fails on the five-vertex path; a factorization under the
-        # product t-norm would imply it
-        t, g = model(4)
-        monkeypatch.setattr(posscheck.markov, "factorizes",
-                            lambda *args, **kwargs: FactorizationResult("yes"))
+        # factors that recombine to the table within eps imply global under
+        # an Archimedean t-norm, not under min
+        monkeypatch.setattr(posscheck.markov, "global_markov",
+                            lambda *args, **kwargs: MarkovReport("global", False, ()))
         with pytest.raises(InternalInconsistencyError, match="verified factorization"):
-            chain_report(t, g, TNorm.product(), include_factorization=True)
-        assert chain_report(t, g, TNorm.godel(), include_factorization=True).factorization.is_yes
+            chain_report(chain_table(np.multiply), CHAIN, TNorm.product(),
+                         include_factorization=True)
+        rep = chain_report(chain_table(np.minimum), CHAIN, TNorm.godel(),
+                           include_factorization=True)
+        assert rep.factorization.is_yes
+
+    def test_a_yes_verified_beyond_eps_does_not_raise(self):
+        # the strict regime verifies its factors at 1e-7, so a cell lowered
+        # by 1e-8 keeps the "yes" while global fails at the default eps
+        rep = chain_report(chain_table(np.multiply, nudge=1e-8), CHAIN, TNorm.product(),
+                           include_factorization=True)
+        assert rep.factorization.is_yes
+        assert not rep.global_report.holds
 
 
 class TestWitnessLookups:

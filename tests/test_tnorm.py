@@ -275,6 +275,11 @@ class TestTransforms:
         with pytest.raises(DomainError):
             PowerTransform(-1.0)
 
+    @pytest.mark.parametrize("p", [float("inf"), float("nan")])
+    def test_non_finite_exponent_rejected(self, p):
+        with pytest.raises(DomainError):
+            TNorm.product(p)
+
     def test_extreme_exponent_warns(self):
         with pytest.warns(UserWarning):
             PowerTransform(50.0)
