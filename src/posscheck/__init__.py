@@ -22,6 +22,7 @@ from .graphs import UndirectedGraph
 from .independence import (
     AXIOMS,
     AxiomReport,
+    ScanReports,
     IndependenceResult,
     IndependenceStatement,
     check_axiom,
@@ -81,6 +82,7 @@ __all__ = [
     "PosscheckError",
     "PowerTransform",
     "STRICT",
+    "ScanReports",
     "Schema",
     "SchemaError",
     "TNorm",

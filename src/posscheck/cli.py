@@ -25,7 +25,6 @@ from .independence import (
     canonical_axioms,
     independent,
     scan_axioms,
-    violations,
 )
 from .markov import GLOBAL, LOCAL, PAIRWISE, chain_report, global_markov, local_markov, pairwise_markov
 from .modelio import load_model
@@ -229,15 +228,14 @@ def _dispatch(args, eps, report):
     if command == "axioms":
         axioms = canonical_axioms(args.axiom)
         reports = scan_axioms(model.table, tn, axioms, scan_limit=args.scan_limit, eps=eps)
-        bad = violations(reports)
-        for axiom in axioms:
-            mine = [r for r in reports if r.axiom == axiom]
-            broken = [r for r in mine if not r.holds]
+        violated = reports.violated
+        for axiom, start, stop in reports.blocks:
+            broken = [reports[i] for i in violated if start <= i < stop]
             report["checks"].append(
                 {
                     "check": "axiom_scan",
                     "axiom": axiom,
-                    "instances": len(mine),
+                    "instances": stop - start,
                     "violations": [
                         {
                             "groups": [list(g) for g in r.groups],
@@ -248,7 +246,7 @@ def _dispatch(args, eps, report):
                     ],
                 }
             )
-        return EX_OK if not bad else EX_FAILS
+        return EX_OK if not violated else EX_FAILS
 
     if model.graph is None:
         raise ModelFormatError(f"the {command} command needs a model with a graph")

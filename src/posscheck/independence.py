@@ -38,17 +38,21 @@ for bit and for exact ``Fraction`` tables too.  A witness is the first
 mismatching cell of the joint, first variable cycling fastest.
 
 Axiom scans enumerate their instances once per (variable names, axioms)
-into a table-independent plan: the distinct statements of all the
-instances, and per instance the indices of its statements among them.  A
-scan decides those statements in one batch, so each is decided once, reads
-each report's verdicts by index, and looks up a witness only for a
-violated report.
+into a table-independent plan of arrays: the role vectors of all instances
+come from ``np.indices``, each group's bitmask is a sum of variable bits,
+and ``np.unique`` numbers the distinct (a, b, given) keys, so the plan
+holds the distinct statements and, per instance, its group masks and the
+indices of its antecedents and consequent.  A scan decides those
+statements in one batch, so each is decided once; which instances are
+vacuous and which are violated are two array reductions over the
+verdicts.  The witness of a violated instance is looked up at once, once
+per distinct consequent, and a report is built only when it is read.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product as iter_product
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -353,21 +357,6 @@ def _axiom_statements(axiom, groups):
     return [statement(form) for form in antecedents], statement(consequent)
 
 
-def _instance_report(table, tn, eps, axiom, groups, antecedents, consequent, consequent_holds,
-                     lazy):
-    """The report of one axiom instance, from its antecedents' (statement,
-    verdict) pairs and its consequent's statement and verdict.  Only a
-    violated instance looks up a witness, through ``independent`` on the
-    consequent."""
-    all_true = all(holds for _, holds in antecedents)
-    if lazy and not all_true:
-        return AxiomReport(axiom, groups, antecedents, consequent, None, True)
-    violated = all_true and not consequent_holds
-    witness = independent(table, tn, consequent, eps).witness if violated else None
-    return AxiomReport(axiom, groups, antecedents, consequent, consequent_holds, not violated,
-                       witness)
-
-
 def check_axiom(table: PossibilityTable, tn: TNorm, axiom, groups,
                 eps=DEFAULT_EPSILON) -> AxiomReport:
     """Test one axiom instantiation, evaluating every antecedent and the consequent.
@@ -388,55 +377,174 @@ def check_axiom(table: PossibilityTable, tn: TNorm, axiom, groups,
         raise DisjointnessError("axiom groups must be pairwise disjoint")
     antecedents, consequent = _axiom_statements(axiom, groups)
     *verdicts, holds = decide_many(table, tn, antecedents + [consequent], eps)
-    return _instance_report(table, tn, eps, axiom, groups, tuple(zip(antecedents, verdicts)),
-                            consequent, holds, lazy=False)
+    violated = all(verdicts) and not holds
+    witness = independent(table, tn, consequent, eps).witness if violated else None
+    return AxiomReport(axiom, groups, tuple(zip(antecedents, verdicts)), consequent, holds,
+                       not violated, witness)
+
+
+@dataclass(frozen=True, eq=False)
+class _ScanPlan:
+    """Every instance of some axioms over some variables, in scan order.
+
+    ``statements`` are the distinct statements of all the instances, in
+    order of first occurrence (an instance's antecedents, then its
+    consequent).  Instance i has the groups whose bitmasks are row i of
+    ``roles`` (X, Y, Z, W; W is 0 for symmetry), the antecedent statements
+    indexed by row i of ``antecedents`` (a one-antecedent axiom repeats its
+    one) and the consequent indexed by ``consequents[i]``.  ``blocks`` holds
+    each axiom's instances as (axiom, start, stop), and ``subsets[m]`` the
+    variables of bitmask m, in schema order.
+    """
+
+    statements: tuple
+    subsets: tuple
+    blocks: tuple
+    roles: np.ndarray
+    antecedents: np.ndarray
+    consequents: np.ndarray
 
 
 # room for four (variable names, axioms) keys, so that scans alternating
 # between a few schemas build each plan once
 @lru_cache(maxsize=4)
 def _scan_plan(names, axioms):
-    """Every instance of ``axioms`` over the variables ``names``, in scan order.
+    """The ``_ScanPlan`` of ``axioms`` over the variables ``names``.
 
-    Returns (statements, instances): the distinct statements of all the
-    instances, and per instance (axiom, groups, antecedent indices,
-    consequent index), the indices pointing into ``statements``.  The plan
-    depends only on the names, so one plan serves every table on them.
-    While the plan is built, groups are bitmasks over ``names``, and a
-    statement is keyed by the masks of its (a, b, given) sides.
+    A role vector puts each variable in one of an axiom's groups or leaves
+    it unused (the last role).  An axiom's instances are its role vectors
+    with X, Y and Z nonempty, in ``itertools.product`` order: the last
+    variable cycles fastest.  A group's bitmask is the sum of its variables'
+    bits, a statement side's the sum of its groups' masks, and a statement
+    is keyed by its (a, b, given) masks packed in one integer, which
+    ``np.unique`` numbers.  The plan depends only on the names, so one plan
+    serves every table on them.
     """
-    subsets = [
-        tuple(v for i, v in enumerate(names) if mask >> i & 1)
-        for mask in range(1 << len(names))
-    ]
-    index = {}
-
-    def statement(masks, form):
-        # the groups are disjoint, so the sum of their masks is their union
-        key = tuple([sum(map(masks.__getitem__, side)) for side in form])
-        return index.setdefault(key, len(index))
-
-    instances = []
+    n = len(names)
+    bits = 1 << np.arange(n, dtype=np.int64)
+    subsets = tuple(tuple(v for i, v in enumerate(names) if m >> i & 1) for m in range(1 << n))
+    # the empty rows let a plan of no axioms concatenate
+    keys, roles, blocks = [np.empty((0, 3), np.int64)], [np.empty((0, 4), np.int64)], []
+    start = 0
     for axiom in axioms:
         n_roles = 3 if axiom == SYMMETRY else 4
+        role = np.indices((n_roles + 1,) * n).reshape(n, (n_roles + 1) ** n)
+        masks = np.zeros((role.shape[1], 4), np.int64)
+        for k in range(n_roles):
+            masks[:, k] = bits @ (role == k)
+        masks = masks[(masks[:, :3] != 0).all(axis=1)]
+
+        def key(form):
+            a, b, given = (masks[:, list(side)].sum(axis=1) for side in form)
+            return (a << n | b) << n | given
+
         antecedent_forms, consequent_form = _AXIOM_FORMS[axiom]
-        for roles in iter_product(range(n_roles + 1), repeat=len(names)):
-            masks = [0] * (n_roles + 1)  # role n_roles marks unused variables
-            for i, r in enumerate(roles):
-                masks[r] |= 1 << i
-            if masks[0] and masks[1] and masks[2]:
-                instances.append((
-                    axiom,
-                    tuple(subsets[m] for m in masks[:n_roles]),
-                    tuple(statement(masks, form) for form in antecedent_forms),
-                    statement(masks, consequent_form),
-                ))
-    statements = tuple(IndependenceStatement(*(subsets[m] for m in key)) for key in index)
-    return statements, tuple(instances)
+        # two antecedent columns: a one-antecedent axiom repeats its one
+        forms = antecedent_forms[:1] + antecedent_forms[-1:] + (consequent_form,)
+        keys.append(np.stack([key(form) for form in forms], axis=1))
+        roles.append(masks)
+        blocks.append((axiom, start, start + len(masks)))
+        start += len(masks)
+    keys = np.concatenate(keys)
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # renumber the distinct keys in order of first occurrence
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    index = rank[inverse].reshape(keys.shape)
+    by_name = [tuple(sorted(s)) for s in subsets]
+    full = (1 << n) - 1
+    statements = tuple(
+        IndependenceStatement._trusted(*(by_name[k >> shift & full] for shift in (2 * n, n, 0)))
+        for k in distinct[order].tolist()
+    )
+    arrays = np.concatenate(roles), index[:, :2], index[:, 2]
+    for a in arrays:
+        a.flags.writeable = False  # shared by every scan of the cached plan
+    return _ScanPlan(statements, subsets, tuple(blocks), *arrays)
+
+
+class ScanReports(Sequence):
+    """The reports of one ``scan_axioms`` call, in scan order.
+
+    A report is built when it is first read and then kept, so
+    ``r[i] is r[i]``; ``len``, ``blocks`` and ``violated`` build none.
+    Iterating builds the missing reports of one axiom's block at a time.
+    As in a list, a slice is a list and a report may be replaced by index.
+    The verdicts and the violated instances' witnesses are held here; the
+    table is not.
+    """
+
+    def __init__(self, plan, verdicts, ante_ok, violated, witnesses):
+        self._plan = plan
+        self._verdicts = verdicts.tolist()
+        self._ante_ok = ante_ok
+        self._violated = violated
+        self._witnesses = witnesses
+        self._built = [None] * len(plan.consequents)
+
+    @property
+    def blocks(self):
+        """Each scanned axiom's instances as (axiom, start, stop), in scan
+        order; an axiom with no instance has start == stop."""
+        return self._plan.blocks
+
+    @property
+    def violated(self):
+        """The indices of the violated reports, ascending."""
+        return np.flatnonzero(self._violated).tolist()
+
+    def __len__(self):
+        return len(self._built)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        if self._built[i] is None:
+            self._build(next(axiom for axiom, _, stop in self._plan.blocks if i < stop), i, i + 1)
+        return self._built[i]
+
+    # a list's item assignment, which callers that patch one report use
+    def __setitem__(self, index, report):
+        i = range(len(self))[index]
+        self._built[i] = report
+        self._violated[i] = not report.holds
+
+    def __iter__(self):
+        for axiom, start, stop in self._plan.blocks:
+            self._build(axiom, start, stop)
+            yield from self._built[start:stop]
+
+    @cached_property
+    def _checked(self):
+        """Each statement with its verdict, as a report's antecedents hold them."""
+        return list(zip(self._plan.statements, self._verdicts))
+
+    def _build(self, axiom, lo, hi):
+        """Build the missing reports among lo..hi - 1, instances of ``axiom``."""
+        plan, built, witnesses = self._plan, self._built, self._witnesses
+        statements, verdicts = plan.statements, self._verdicts
+
+        def rows(array, width, of):
+            # the tuples of ``of`` over the first ``width`` columns of rows lo..hi - 1
+            return zip(*(map(of.__getitem__, array[lo:hi, k].tolist()) for k in range(width)))
+
+        reports = zip(range(lo, hi),
+                      rows(plan.roles, 3 if axiom == SYMMETRY else 4, plan.subsets),
+                      rows(plan.antecedents, len(_AXIOM_FORMS[axiom][0]), self._checked),
+                      plan.consequents[lo:hi].tolist(),
+                      self._ante_ok[lo:hi].tolist(), self._violated[lo:hi].tolist())
+        for i, groups, antecedents, consequent, ante_ok, violated in reports:
+            if built[i] is None:
+                built[i] = AxiomReport(
+                    axiom, groups, antecedents, statements[consequent],
+                    verdicts[consequent] if ante_ok else None, not violated,
+                    dict(witnesses[consequent]) if violated else None)
 
 
 def scan_axioms(table: PossibilityTable, tn: TNorm, axioms=None, scan_limit=SCAN_LIMIT,
-                eps=DEFAULT_EPSILON):
+                eps=DEFAULT_EPSILON) -> ScanReports:
     """Exhaustively instantiate axioms over all disjoint group assignments.
 
     ``axioms`` is read by ``canonical_axioms``: a repeated or aliased axiom
@@ -445,22 +553,30 @@ def scan_axioms(table: PossibilityTable, tn: TNorm, axioms=None, scan_limit=SCAN
     stay unused.  Reports whose antecedents do not all hold are vacuously
     true and carry ``consequent_holds=None``.  Raises LimitError when the
     schema exceeds ``scan_limit`` variables.
+
+    Returns a ``ScanReports``, a sequence of ``AxiomReport`` in scan order:
+    the scan decides every statement and looks up the witness of each
+    violated instance here, once per distinct consequent, but builds a
+    report only when it is read.
     """
     names = table.schema.variables
     if len(names) > scan_limit:
         raise LimitError(
             f"schema has {len(names)} variables, scan limit is {scan_limit}"
         )
-    statements, instances = _scan_plan(names, canonical_axioms(axioms))
-    checked = list(zip(statements, decide_many(table, tn, statements, eps)))
-    return [
-        _instance_report(table, tn, eps, axiom, groups,
-                         tuple(map(checked.__getitem__, antecedents)), *checked[consequent],
-                         lazy=True)
-        for axiom, groups, antecedents, consequent in instances
-    ]
+    plan = _scan_plan(names, canonical_axioms(axioms))
+    verdicts = np.array(decide_many(table, tn, plan.statements, eps), dtype=bool)
+    ante_ok = verdicts[plan.antecedents].all(axis=1)
+    violated = ante_ok & ~verdicts[plan.consequents]
+    witnesses = {c: independent(table, tn, plan.statements[c], eps).witness
+                 for c in np.unique(plan.consequents[violated]).tolist()}
+    return ScanReports(plan, verdicts, ante_ok, violated, witnesses)
 
 
 def violations(reports):
-    """The subset of axiom reports that are actual violations."""
+    """The reports among ``reports`` that are actual violations, in order.
+    Of a ``scan_axioms`` result they are read from its violated indices, so
+    no other report is built."""
+    if isinstance(reports, ScanReports):
+        return [reports[i] for i in reports.violated]
     return [r for r in reports if not r.holds]

@@ -7,7 +7,8 @@ almost-everywhere form of independence on the library's conditionals: a
 second route to every verdict that ``independent`` decides.  The two
 statement oracles are the global property's enumerations written on the
 public graph methods, one validating call per separator or role vector; the
-mask enumerations in ``markov`` must list the same statements in order.
+mask enumerations in ``markov`` must list the same statements in order.  The
+scan-plan oracle is the axiom-scan enumeration as a loop over role vectors.
 """
 
 from itertools import combinations, product as iter_product
@@ -175,6 +176,41 @@ def oracle_exhaustive_statements(graph, order):
             continue
         if graph.separates(s, a, b):
             yield IndependenceStatement(a, b, s)
+
+
+def oracle_scan_plan(names, axioms):
+    """The axiom-scan plan written as a loop over ``itertools.product`` role
+    vectors: (statements, instances), the distinct statements of all the
+    instances in order of first occurrence, and per instance (axiom, groups,
+    antecedent indices, consequent index).  ``_scan_plan`` must give the
+    same statements, instances and indices."""
+    subsets = [
+        tuple(v for i, v in enumerate(names) if mask >> i & 1)
+        for mask in range(1 << len(names))
+    ]
+    index = {}
+
+    def statement(masks, form):
+        key = tuple(sum(masks[k] for k in side) for side in form)
+        return index.setdefault(key, len(index))
+
+    instances = []
+    for axiom in axioms:
+        n_roles = 3 if axiom == "symmetry" else 4
+        antecedent_forms, consequent_form = posscheck.independence._AXIOM_FORMS[axiom]
+        for roles in iter_product(range(n_roles + 1), repeat=len(names)):
+            masks = [0] * (n_roles + 1)  # role n_roles marks unused variables
+            for i, r in enumerate(roles):
+                masks[r] |= 1 << i
+            if masks[0] and masks[1] and masks[2]:
+                instances.append((
+                    axiom,
+                    tuple(subsets[m] for m in masks[:n_roles]),
+                    tuple(statement(masks, form) for form in antecedent_forms),
+                    statement(masks, consequent_form),
+                ))
+    statements = [IndependenceStatement(*(subsets[m] for m in key)) for key in index]
+    return statements, instances
 
 
 # -- random model generators --------------------------------------------------------

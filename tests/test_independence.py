@@ -7,6 +7,9 @@ definition oracle in conftest on random tables, for every t-norm family.
 from fractions import Fraction
 from itertools import combinations, permutations, product as iter_product
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,9 @@ from hypothesis import strategies as st
 
 import posscheck.independence
 from posscheck import (
+    AXIOMS,
     ArityError,
+    AxiomReport,
     DisjointnessError,
     IndependenceStatement,
     LimitError,
@@ -27,8 +32,9 @@ from posscheck import (
     scan_axioms,
     violations,
 )
+from posscheck.cli import EX_FAILS, main
 from posscheck.corpus import builtin_example
-from posscheck.independence import decide_many
+from posscheck.independence import _AXIOM_FORMS, _scan_plan, canonical_axioms, decide_many
 
 from conftest import (
     ALL_TNORMS,
@@ -39,6 +45,7 @@ from conftest import (
     independent_via_ae_equality,
     jittered,
     oracle_independent,
+    oracle_scan_plan,
     permuted,
     planted,
     random_graph,
@@ -529,12 +536,13 @@ def naive_scan(table, tn, axioms, eps=EPS):
     return reports
 
 
+def report_tuple(r):
+    return (r.axiom, r.groups, r.antecedents, r.consequent, r.consequent_holds, r.holds,
+            r.witness)
+
+
 def scan_tuples(table, tn, axioms, eps=EPS):
-    return [
-        (r.axiom, r.groups, r.antecedents, r.consequent, r.consequent_holds, r.holds,
-         r.witness)
-        for r in scan_axioms(table, tn, axioms, eps=eps)
-    ]
+    return [report_tuple(r) for r in scan_axioms(table, tn, axioms, eps=eps)]
 
 
 def grid_table(schema, rng):
@@ -617,6 +625,179 @@ class TestScanAgainstNaiveEnumeration:
                     for stmt in (*(s for s, _ in r[2]), r[3])}
         assert len(decided) == len(set(decided))
         assert set(decided) == expected
+
+
+def plan_instances(plan):
+    """The instances of a ``_scan_plan`` as ``oracle_scan_plan`` lists them."""
+    instances = []
+    for axiom, start, stop in plan.blocks:
+        n_roles = 3 if axiom == "symmetry" else 4
+        n_antecedents = len(_AXIOM_FORMS[axiom][0])
+        for i in range(start, stop):
+            instances.append((
+                axiom,
+                tuple(plan.subsets[m] for m in plan.roles[i, :n_roles].tolist()),
+                tuple(plan.antecedents[i, :n_antecedents].tolist()),
+                int(plan.consequents[i]),
+            ))
+    return instances
+
+
+class TestScanPlan:
+    """The array plan lists the statements and instances of the loop plan
+    in ``conftest``, in the same order and with the same indices."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_axiom_subset_matches_the_loop_plan(self, n):
+        # V8, V9, V10, ...: the schema order is not the name order
+        names = tuple(f"V{i}" for i in range(8, 8 + n))
+        for size in range(1, len(AXIOMS) + 1):
+            for axioms in combinations(AXIOMS, size):
+                self.assert_matches(names, axioms)
+
+    def test_six_variables(self):
+        # each axiom alone, and all of them in either order: the loop plan
+        # of every subset at n = 6 would take seconds
+        names = ("D", "B", "C", "A", "F", "E")
+        for axioms in [(axiom,) for axiom in AXIOMS] + [AXIOMS, AXIOMS[::-1]]:
+            self.assert_matches(names, axioms)
+
+    @staticmethod
+    def assert_matches(names, axioms):
+        statements, instances = oracle_scan_plan(names, axioms)
+        plan = _scan_plan(names, axioms)
+        assert [(s.a, s.b, s.given) for s in plan.statements] == [
+            (s.a, s.b, s.given) for s in statements]
+        assert plan_instances(plan) == instances
+
+    def test_the_cached_plan_is_read_only(self):
+        plan = _scan_plan(("A", "B", "C"), AXIOMS)
+        with pytest.raises(ValueError):
+            plan.consequents[0] = 0
+
+
+class TestScanReports:
+    """``scan_axioms`` returns a sequence that builds each report when it is
+    first read; read in any way, it gives the reports of the naive scan."""
+
+    @pytest.mark.parametrize("tn", BASE_TNORMS, ids=lambda t: t.describe())
+    def test_indexing_matches_the_naive_scan(self, tn, rng):
+        t = grid_table(Schema([("A", "01"), ("B", "012"), ("C", "01"), ("D", "01")]), rng)
+        expected = naive_scan(t, tn, AXIOMS)
+        reports = scan_axioms(t, tn)
+        n = len(reports)
+        assert n == len(expected)
+        # negative indices first, so that they build the reports
+        assert [report_tuple(reports[-k]) for k in range(1, n + 1)] == expected[::-1]
+        assert [report_tuple(reports[i]) for i in range(n)] == expected
+        assert all(reports[i] is reports[i - n] for i in range(n))
+        assert all(a is b for a, b in zip(reports, [reports[i] for i in range(n)]))
+
+    def test_slices_are_lists_of_the_same_reports(self, rng):
+        t = grid_table(Schema([("A", "01"), ("B", "012"), ("C", "01"), ("D", "01")]), rng)
+        expected = naive_scan(t, TNorm.product(), AXIOMS)
+        reports = scan_axioms(t, TNorm.product())
+        n = len(reports)
+        for cut in (slice(3, 40, 7), slice(None, None, -5), slice(-9, None),
+                    slice(n - 2, n + 5), slice(n + 5, None), slice(None)):
+            got = reports[cut]
+            assert isinstance(got, list)
+            assert [report_tuple(r) for r in got] == expected[cut]
+            assert all(r is reports[i] for r, i in zip(got, range(n)[cut]))
+
+    def test_an_index_past_either_end_raises(self):
+        reports = scan_axioms(example1_table(), TNorm.godel())
+        for index in (len(reports), len(reports) + 3, -len(reports) - 1):
+            with pytest.raises(IndexError):
+                reports[index]
+        with pytest.raises(TypeError):
+            reports["0"]
+
+    def test_membership_is_identity(self):
+        reports = scan_axioms(example1_table(), TNorm.godel())
+        bad = violations(reports)
+        assert bad[0] in reports and bad[-1] in reports
+        assert replace(bad[0]) not in reports  # equal fields, another report
+        assert None not in reports and "symmetry" not in reports
+        assert reports.index(bad[0]) == reports.violated[0]
+        assert reports.count(bad[0]) == 1
+
+    @pytest.mark.parametrize("names, axioms", [
+        (("X", "Y"), None),
+        (("X", "Y", "Z"), []),
+        (("X",), ["a2", "a1"]),
+    ], ids=["two-variables", "no-axioms", "one-variable"])
+    def test_empty_scans(self, names, axioms):
+        t = PossibilityTable.load(Schema.binary(*names), [], 1.0)
+        reports = scan_axioms(t, TNorm.godel(), axioms)
+        assert len(reports) == 0 and list(reports) == [] and reports[:] == []
+        assert violations(reports) == [] and reports.violated == []
+        assert [axiom for axiom, _, _ in reports.blocks] == list(canonical_axioms(axioms))
+        with pytest.raises(IndexError):
+            reports[0]
+
+    @pytest.mark.parametrize("tn", BASE_TNORMS, ids=lambda t: t.describe())
+    def test_exact_fraction_tables_at_eps_zero(self, tn, rng):
+        t = exact(grid_table(Schema([("V8", "01"), ("V9", "012"), ("V10", "01")]), rng))
+        expected = naive_scan(t, tn, AXIOMS, eps=0)
+        reports = scan_axioms(t, tn, eps=0)
+        order = rng.permutation(len(reports)).tolist()
+        got = {i: report_tuple(reports[i]) for i in order}
+        assert [got[i] for i in range(len(reports))] == expected
+        assert [report_tuple(r) for r in violations(reports)] == [
+            r for r in expected if not r[5]]
+
+    def test_violations_by_axiom_block(self):
+        reports = scan_axioms(example1_table(), TNorm.godel(), ["a5", "a1"])
+        assert reports.blocks == (("intersection", 0, 6), ("symmetry", 6, 12))
+        assert reports.violated == list(range(6))
+        assert all(reports[i].axiom == "intersection" for i in range(6))
+        assert all(reports[i].axiom == "symmetry" for i in range(6, 12))
+
+    def test_a_replaced_report_is_read_back(self):
+        reports = scan_axioms(example1_table(), TNorm.godel(), ["a1"])
+        assert not violations(reports)
+        broken = replace(reports[2], holds=False)
+        reports[-4] = broken
+        assert reports[2] is broken and list(reports)[2] is broken
+        assert violations(reports) == [broken] and reports.violated == [2]
+
+
+class TestReportsBuiltOnAccess:
+    """A scan builds no report until one is read: the number of reports, the
+    violations and the CLI's axiom checks build only the violated ones."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        reports = []
+        unhooked = AxiomReport.__init__
+
+        def counted(report, *args, **kwargs):
+            unhooked(report, *args, **kwargs)
+            reports.append(report)
+
+        monkeypatch.setattr(AxiomReport, "__init__", counted)
+        return reports
+
+    def test_len_and_violations_build_the_violated_reports_only(self, built, rng):
+        reports = scan_axioms(example1_table(), TNorm.godel())
+        assert len(reports) == 30 and built == []
+        bad = violations(reports)
+        assert len(bad) == 6 and all(a is b for a, b in zip(built, bad))
+        assert len(built) == len(bad)
+
+    def test_a_clean_scan_builds_no_report(self, built, rng):
+        t = random_table(rng, max_vars=4)
+        reports = scan_axioms(t, TNorm.product(), ["symmetry"])
+        assert len(reports) > 0 and violations(reports) == [] and built == []
+
+    def test_the_cli_builds_the_violated_reports_only(self, built, capsys):
+        model = json.dumps(builtin_example(1).to_model_json())
+        code = main(["axioms", "--model", model, "--tnorm", "godel", "--json"])
+        [check] = [c for c in json.loads(capsys.readouterr().out)["checks"]
+                   if c["violations"]]
+        assert code == EX_FAILS and check["axiom"] == "intersection"
+        assert len(built) == len(check["violations"]) == 6
 
 
 class TestAxioms:

@@ -354,7 +354,8 @@ class TestImplicationChain:
 
 class TestWitnessLookups:
     """Verdicts come from ``decide_many``, which looks up no witness; a
-    report looks one up, through ``independent``, only where it shows one."""
+    report looks one up, through ``independent``, only where it shows one,
+    and a scan once per distinct violated consequent."""
 
     @pytest.fixture
     def lookups(self, monkeypatch):
@@ -398,4 +399,6 @@ class TestWitnessLookups:
         reports = scan_axioms(builtin_example(1).table(), TNorm.godel())
         bad = violations(reports)
         assert bad and all(r.witness is not None for r in bad)
-        assert len(lookups) <= len(bad)
+        # one lookup per distinct violated consequent: 3 for the 6 violations
+        assert len(lookups) == len({r.consequent for r in bad}) == 3
+        assert len(bad) == 6
