@@ -31,11 +31,18 @@ residual, the recombination and the comparison with the joint each run
 once per chunk.  A statement whose joint is larger than that is a chunk
 of its own; without the lattice it keeps the keepdims shapes, so it makes
 no stacked copies.  ``independent`` is such a lone chunk, and never
-builds a lattice, which spans more cells than its joint.  A max of maxima
-is exact and every kernel works cell by cell, so the verdicts equal those
-from separately marginalized tables decided one statement at a time, bit
-for bit and for exact ``Fraction`` tables too.  A witness is the first
-mismatching cell of the joint, first variable cycling fastest.
+builds a lattice, which spans more cells than its joint.  An exact table
+(an object array of ``Fraction`` or other rational cells) is first
+written once per call as integer numerators over the least common
+multiple of its denominators, int64 where they fit: its joints, lattices
+and maxima are then maxima of integers, and each base t-norm's mismatch
+test is a closed form in them (``_numerators``), so no ``Fraction`` and
+no t-norm kernel runs per statement.  A max of maxima is exact and every
+kernel works cell by cell, so the verdicts equal those from separately
+marginalized tables decided one statement at a time, bit for bit, and on
+exact tables those of the same tables' ``Fraction`` arithmetic.  A
+witness is the first mismatching cell of the joint, first variable
+cycling fastest.
 
 Axiom scans enumerate their instances once per (variable names, axioms)
 into a table-independent plan of arrays: the role vectors of all instances
@@ -52,15 +59,16 @@ per distinct consequent, and a report is built only when it is read.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .errors import ArityError, DisjointnessError, LimitError
+from .errors import ArityError, DisjointnessError, DomainError, LimitError
 from .numeric import DEFAULT_EPSILON, mismatch_mask
 from .possibility import PossibilityTable
-from .tnorm import TNorm
+from .tnorm import GODEL, PRODUCT, TNorm
 
 SYMMETRY = "symmetry"
 DECOMPOSITION = "decomposition"
@@ -189,7 +197,13 @@ def decide_many(table: PossibilityTable, tn: TNorm, statements, eps=DEFAULT_EPSI
 def _chunks(table, tn, statements, eps):
     """Decide the list ``statements`` chunk by chunk: yields (indices of the
     chunk's statements, their joint, the stacked mismatch mask), the mask's
-    leading axis following the indices."""
+    leading axis following the indices.  An exact table is decided on its
+    integer numerators (``_numerators``); the joint then holds those."""
+    if table.values.dtype == object:
+        table, mismatch = _numerators(table, tn, eps)
+    else:
+        def mismatch(y, x, b, pi):
+            return mismatch_mask(tn.apply_array(tn.residual_array(y, x), b), pi, eps)
     by_joint = {}
     for i, stmt in enumerate(statements):
         by_joint.setdefault(frozenset(stmt.a + stmt.b + stmt.given), []).append(i)
@@ -207,8 +221,72 @@ def _chunks(table, tn, statements, eps):
         step = max(1, _CHUNK_CELLS // pi.size)
         for lo in range(0, len(indices), step):
             m_as, m_s, m_bs = terms(a[lo:lo + step], b[lo:lo + step])
-            lhs = tn.apply_array(tn.residual_array(m_as, m_s), m_bs)
-            yield indices[lo:lo + step], joint, mismatch_mask(lhs, pi, eps)
+            yield indices[lo:lo + step], joint, mismatch(m_as, m_s, m_bs, pi)
+
+
+def _numerators(table, tn, eps):
+    """An exact table as integers: (the table of its numerators N over
+    ``unit``, the least common multiple of its cells' denominators, and the
+    mismatch test ``mismatch(y, x, b, pi)`` on numerators).  The numerator
+    table is built past the constructor, whose [0, 1] check it would fail;
+    it is only marginalized.
+
+    A cell's value is N / unit with unit > 0, so every maximum of values is
+    the maximum of their numerators over the same unit, and the joint,
+    lattice and kept maxima are taken on the integers unchanged.  With
+    y = pi(A, S), x = pi(S) and b = pi(B, S), where x >= y and x >= b, the
+    recombination T(R(y, x), b) of each base t-norm is closed in them:
+
+    - Goedel: R(y, x) is y if x > y, else 1, so T(R, b) is
+      ``where(x > y, min(y, b), b)``, order operations on numerators;
+    - Lukasiewicz: R(y, x) = y - x + 1 as y <= x, so T(R, b) is
+      ``max(y - x + b, 0)``, whose coefficients sum to 1, so it holds for
+      numerators too.  For both, a cell mismatches iff
+      |N_lhs - N_pi| > eps * unit, iff it exceeds floor(eps * unit), the
+      left side being an integer;
+    - product: T(R, b) is b * y / x where x > 0 (which is b where x = y),
+      so multiplying out unit and x, a cell mismatches iff
+      |N_b * N_y - N_pi * N_x| > eps * unit * N_x.  Where x = 0, b and pi
+      are 0 too, and both sides are 0, as |0 - 0| > eps is false.
+
+    ``eps`` is taken exactly, as ``Fraction(eps)``; no difference exceeds
+    unit (unit * N_x, for product), so an eps of 1 or more flags nothing.
+    The numerators are int64 when unit <= 2**31 and the test multiplies no
+    denominator of eps in (eps is 0, or the base is not product): no
+    product then exceeds 2**62.  Otherwise they are Python ints in object
+    arrays, through the same code.
+
+    Raises DomainError for a transformed t-norm, which is not closed on the
+    rationals, and for an eps that is negative or NaN.
+    """
+    if tn.transform is not None:
+        raise DomainError("exact tables do not support transformed t-norms")
+    if not eps >= 0:
+        raise DomainError(f"eps must be a number >= 0, got {eps!r}")
+    cells = [Fraction(v) for v in table.values.flat]
+    unit = math.lcm(*(f.denominator for f in cells))
+    eps = Fraction(min(eps, 1))
+    fits_int64 = unit <= 1 << 31 and (eps == 0 or tn.base != PRODUCT)
+    numerators = np.array([f.numerator * (unit // f.denominator) for f in cells],
+                          np.int64 if fits_int64 else object)
+    scaled = PossibilityTable.__new__(PossibilityTable)
+    scaled.schema = table.schema
+    scaled.values = numerators.reshape(table.values.shape)
+    if tn.base == PRODUCT:
+        p, q = eps.numerator * unit, eps.denominator
+
+        def mismatch(y, x, b, pi):
+            return np.asarray(abs(b * y - pi * x) * q > x * p, dtype=bool)
+    else:
+        t = math.floor(eps * unit)
+
+        def mismatch(y, x, b, pi):
+            if tn.base == GODEL:
+                lhs = np.where(x > y, np.minimum(y, b), b)
+            else:
+                lhs = np.maximum(y - x + b, 0)
+            return np.asarray(abs(lhs - pi) > t, dtype=bool)
+    return scaled, mismatch
 
 
 def _maxima(pi):
@@ -262,8 +340,8 @@ def _lattice(pi):
     whose index-ki axes form the set K is final after step max(K), which
     reads cells whose index-ki axes are K less max(K), final by then; no
     later step writes it.  Slots kj not yet filled are read too, but step j
-    rewrites them; ``z`` starts from zeros, not ``np.empty``, so they hold
-    finite values that compare with ``Fraction``.  ``z`` is a fresh
+    rewrites them; ``z`` starts from zeros, not ``np.empty``, so in an
+    object array they hold ints, which compare.  ``z`` is a fresh
     C-contiguous array, so each ``reshape`` is a view that writes through.
 
     The statements' terms, broadcast to the joint's shape, are gathered

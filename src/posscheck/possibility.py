@@ -159,6 +159,8 @@ class Schema:
             positions = _Positions((label, i) for i, label in enumerate(self._domains[name]))
             labels = map(itemgetter(name), assignments)
             columns.append(np.fromiter(map(positions.__getitem__, labels), np.intp, count))
+        if not columns:  # the one cell of a schema of no variables
+            return np.zeros(count, np.intp)
         return np.ravel_multi_index(tuple(columns), self._shape)
 
     def assignment(self, multi_index):

@@ -4,13 +4,16 @@ The loop oracle implements the definitions directly with Python loops and
 dicts, sharing no array code with the library, so agreement between the two
 is a meaningful dual-route check.  ``independent_via_ae_equality`` is the
 almost-everywhere form of independence on the library's conditionals: a
-second route to every verdict that ``independent`` decides.  The two
-statement oracles are the global property's enumerations written on the
-public graph methods, one validating call per separator or role vector; the
-mask enumerations in ``markov`` must list the same statements in order.  The
-scan-plan oracle is the axiom-scan enumeration as a loop over role vectors.
+second route to every verdict that ``independent`` decides.
+``fraction_independent`` decides an exact table by the Fraction route that
+the engine's integer numerators replaced.  The two statement oracles are
+the global property's enumerations written on the public graph methods, one
+validating call per separator or role vector; the mask enumerations in
+``markov`` must list the same statements in order.  The scan-plan oracle is
+the axiom-scan enumeration as a loop over role vectors.
 """
 
+from fractions import Fraction
 from itertools import combinations, product as iter_product
 
 import numpy as np
@@ -141,6 +144,27 @@ def independent_via_ae_equality(table, tn, statement, eps=DEFAULT_EPSILON):
         pi_s,
     )
     witness = union_schema.first_mismatch(lhs, rhs, eps)
+    return IndependenceResult(statement, witness is None, witness)
+
+
+def fraction_independent(table, tn, statement, eps=0):
+    """``independent`` by the Fraction route the engine took for exact
+    tables before it decided them on integer numerators: every cell taken as
+    the ``Fraction`` it equals, the joint and its keepdims maxima pi(A, S),
+    pi(S) and pi(B, S) as Fraction arrays, recombined through the t-norm's
+    array kernels and compared cell by cell within ``eps``."""
+    cells = [Fraction(v) for v in table.values.flat]
+    exact = PossibilityTable(table.schema, np.array(cells, dtype=object).reshape(table.values.shape))
+    joint = exact.marginalize(statement.a + statement.b + statement.given)
+    pi = joint.values
+
+    def maximum(dropped):
+        axes = tuple(i for i, name in enumerate(joint.schema.variables) if name in dropped)
+        return pi.max(axis=axes, keepdims=True)
+
+    m_as, m_s, m_bs = maximum(statement.b), maximum(statement.a + statement.b), maximum(statement.a)
+    lhs = tn.apply_array(tn.residual_array(m_as, m_s), m_bs)
+    witness = joint.schema.first_mismatch(lhs, pi, eps)
     return IndependenceResult(statement, witness is None, witness)
 
 

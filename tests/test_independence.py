@@ -21,12 +21,14 @@ from posscheck import (
     ArityError,
     AxiomReport,
     DisjointnessError,
+    DomainError,
     IndependenceStatement,
     LimitError,
     PossibilityTable,
     Schema,
     SchemaError,
     TNorm,
+    chain_report,
     check_axiom,
     independent,
     scan_axioms,
@@ -42,6 +44,8 @@ from conftest import (
     BASE_TNORMS,
     GRID_VALUES,
     POSITIVE_GRID_VALUES,
+    TRANSFORMED_TNORMS,
+    fraction_independent,
     independent_via_ae_equality,
     jittered,
     oracle_independent,
@@ -495,6 +499,122 @@ class TestLattice:
             # the blocks pi(S), one per subset of the axes, cover the lattice
             _, m_s, _ = posscheck.independence._lattice(pi)(drops, [0] * len(drops))
             assert (m_s != 0).all()
+
+
+# Denominators on both sides of 2**31, the largest common denominator of an
+# exact table that is decided in int64, and tolerances within [0, 1] and
+# past it, where nothing mismatches.
+DENOMINATORS = (4, 12, 1001, 1 << 31, (1 << 31) + 1, (1 << 40) + 15)
+EXACT_EPS = (0, 1e-9, 0.1, 0.3, Fraction(1, 3), 1, float("inf"))
+
+
+@st.composite
+def exact_tables(draw):
+    """A table on an unsorted schema whose values are multiples of 1/d for
+    a drawn denominator d, with a 1 at a drawn cell; each cell is an int
+    (where the value is 0 or 1), a Fraction or the float nearest the value.
+    As in ``grid_tables``, the values ignore a drawn subset of the variables."""
+    schema = draw(unsorted_schemas())
+    d = draw(st.sampled_from(DENOMINATORS))
+    ignored = draw(st.lists(st.booleans(), min_size=len(schema), max_size=len(schema)))
+    shape = tuple(1 if skip else k for skip, k in zip(ignored, schema.shape))
+    cells = int(np.prod(shape))
+    steps = draw(st.lists(st.integers(0, d), min_size=cells, max_size=cells))
+    steps[draw(st.integers(0, cells - 1))] = d
+    kinds = draw(st.lists(st.sampled_from((int, Fraction, float)), min_size=cells,
+                          max_size=cells))
+    values = [Fraction(k, d) for k in steps]
+    values = [v if kind is int and v.denominator != 1 else kind(v)
+              for v, kind in zip(values, kinds)]
+    values = np.array(values, dtype=object).reshape(shape)
+    return PossibilityTable(schema, np.broadcast_to(values, schema.shape))
+
+
+class TestExactNumerators:
+    """Exact tables are decided on integer numerators over their common
+    denominator, never through the t-norm kernels; ``fraction_independent``,
+    the Fraction route those replaced, is the oracle."""
+
+    @pytest.mark.parametrize("cache", [NO_LATTICE, None], ids=["no-lattice", "default"])
+    @settings(max_examples=150)
+    @given(data=st.data(), t=exact_tables(), tn=st.sampled_from(BASE_TNORMS),
+           eps=st.sampled_from(EXACT_EPS))
+    def test_matches_the_fraction_route(self, cache, data, t, tn, eps):
+        stmts = data.draw(statement_lists(t.schema.variables))
+        want = [fraction_independent(t, tn, s, eps) for s in stmts]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            set_budgets(monkeypatch, None, cache)
+            assert decide_many(t, tn, stmts, eps) == [w.holds for w in want]
+            assert [independent(t, tn, s, eps).witness for s in stmts] == \
+                [w.witness for w in want]
+
+    @pytest.mark.parametrize("tn", BASE_TNORMS, ids=lambda t: t.describe())
+    def test_a_mismatch_of_exactly_eps_is_within_it(self, tn):
+        # I(X; Y) misses by 1/4 (Goedel, Lukasiewicz) or 1/8 (product) at
+        # one cell: eps steps of 1/32 land below, on and above each miss
+        stmt = IndependenceStatement(("X",), ("Y",))
+        verdicts = []
+        for cells in ([[1, 0.5], [0.75, 0.25]], [[1, 0.75], [0.75, 0.75]]):
+            values = np.array([[Fraction(v) for v in row] for row in cells], dtype=object)
+            table = PossibilityTable(Schema.binary("X", "Y"), values)
+            for eps in [Fraction(k, 32) for k in range(10)]:
+                want = fraction_independent(table, tn, stmt, eps)
+                assert decide_many(table, tn, [stmt], eps) == [want.holds]
+                verdicts.append(want.holds)
+        assert {True, False} <= set(verdicts)
+
+    @pytest.mark.parametrize("denominator, base, eps, dtype", [
+        (1 << 31, "product", 0, np.int64),
+        ((1 << 31) + 1, "product", 0, object),
+        ((1 << 31) + 1, "godel", 0.1, object),
+        (1001, "lukasiewicz", 0.1, np.int64),
+        (1001, "product", 0.1, object),
+    ])
+    def test_numerators_are_int64_up_to_a_common_denominator_of_2_to_31(
+            self, denominator, base, eps, dtype):
+        values = np.array([Fraction(1), Fraction(1, denominator)], dtype=object)
+        table = PossibilityTable(Schema.binary("X"), values)
+        scaled, _ = posscheck.independence._numerators(table, TNorm(base), eps)
+        assert scaled.values.dtype == dtype
+        assert scaled.values.tolist() == [denominator, 1]
+
+    def test_exact_tables_never_reach_the_tnorm_kernels(self, monkeypatch, rng):
+        for name in ("apply_array", "residual_array"):
+            def guarded(tn, *arrays, kernel=getattr(TNorm, name)):
+                assert all(np.asarray(a).dtype != object for a in arrays), \
+                    "an object array reached a t-norm kernel"
+                return kernel(tn, *arrays)
+            monkeypatch.setattr(TNorm, name, guarded)
+        with pytest.raises(AssertionError, match="object array"):
+            TNorm.godel().residual_array(np.array([Fraction(1, 2)], dtype=object), np.ones(1))
+        for tn in BASE_TNORMS:
+            for _ in range(4):
+                t = random_table(rng, max_vars=4, max_domain=3)
+                x = exact(t)
+                stmts = statement_list(rng, t.schema.variables, 12)
+                assert decide_many(x, tn, stmts, eps=0) == decide_many(t, tn, stmts)
+                assert scan_tuples(x, tn, AXIOMS, eps=0) == scan_tuples(t, tn, AXIOMS)
+                graph = random_graph(rng, t.schema.variables)
+                here, there = chain_report(x, graph, tn, eps=0), chain_report(t, graph, tn)
+                assert here.summary() == there.summary()
+                assert here.global_report.checked == there.global_report.checked
+
+    @pytest.mark.parametrize("tn", TRANSFORMED_TNORMS, ids=lambda t: t.describe())
+    def test_a_transformed_tnorm_is_refused(self, tn):
+        stmt = IndependenceStatement(("X",), ("Y",), ("Z",))
+        x = builtin_example(1).table(exact=True)
+        with pytest.raises(DomainError, match="transformed"):
+            decide_many(x, tn, [stmt], eps=0)
+        with pytest.raises(DomainError, match="transformed"):
+            independent(x, tn, stmt, eps=0)
+        # the same table in floating point is decided
+        independent(builtin_example(1).table(), tn, stmt)
+
+    @pytest.mark.parametrize("eps", [-0.1, float("nan")])
+    def test_a_negative_or_nan_eps_is_refused(self, eps):
+        stmt = IndependenceStatement(("X",), ("Y",), ("Z",))
+        with pytest.raises(DomainError, match="eps"):
+            independent(builtin_example(1).table(exact=True), TNorm.product(), stmt, eps)
 
 
 def naive_scan(table, tn, axioms, eps=EPS):

@@ -241,15 +241,8 @@ def dyadic_planted(schema, graph, tn, rng):
                          ids=lambda t: t.describe())
 def test_exact_and_float_markov_runs_agree_on_dyadic_grids(tn, rng):
     verdicts = set()
-    for k in range(40):
-        schema = Schema.binary(*(f"V{i}" for i in range(int(rng.integers(3, 6)))))
-        graph = random_graph(rng, schema.variables)
-        if k % 2:
-            values = rng.choice(DYADIC, schema.shape)
-            values[tuple(int(rng.integers(2)) for _ in schema.shape)] = 1.0
-            table = PossibilityTable(schema, values)
-        else:
-            table = dyadic_planted(schema, graph, tn, rng)
+
+    def agree(table, graph):
         rational = exact(table)
         for check in (global_markov, local_markov, pairwise_markov):
             here = check(table, graph, tn)
@@ -258,4 +251,21 @@ def test_exact_and_float_markov_runs_agree_on_dyadic_grids(tn, rng):
             assert here.checked == there.checked, check.__name__
             assert here.witness == there.witness, check.__name__
             verdicts.add(here.holds)
+
+    def random_dyadic(schema):
+        values = rng.choice(DYADIC, schema.shape)
+        values[tuple(int(rng.integers(2)) for _ in schema.shape)] = 1.0
+        return PossibilityTable(schema, values)
+
+    for k in range(40):
+        schema = Schema.binary(*(f"V{i}" for i in range(int(rng.integers(3, 6)))))
+        graph = random_graph(rng, schema.variables)
+        agree(random_dyadic(schema) if k % 2 else dyadic_planted(schema, graph, tn, rng), graph)
+    # binary chains of 8 and 9 variables, planted and random
+    for n in (8, 9):
+        schema = Schema.binary(*(f"V{i}" for i in range(n)))
+        names = schema.variables
+        chain = UndirectedGraph(names, list(zip(names, names[1:])))
+        agree(dyadic_planted(schema, chain, tn, rng), chain)
+        agree(random_dyadic(schema), chain)
     assert verdicts == {True, False}

@@ -187,6 +187,15 @@ class TestLoad:
         assert t.values.dtype == object
         assert t.values.tolist() == [1.0, Fraction(1, 2)]
 
+    @pytest.mark.parametrize("one", [1.0, Fraction(1)], ids=["float", "Fraction"])
+    def test_a_schema_of_no_variables_loads_its_one_cell(self, one):
+        t = PossibilityTable.load(Schema([]), [({}, one)])
+        want = PossibilityTable(Schema([]), np.array(one))
+        assert t.values.shape == want.values.shape == ()
+        assert t.values.dtype == want.values.dtype and t.values.item() == one
+        with pytest.raises(NormalityError):
+            PossibilityTable.load(Schema([]), [({}, 0.5)])
+
     def test_integer_entries_give_a_float_table(self):
         t = PossibilityTable.load(Schema.binary("X"), [({"X": "0"}, 1), ({"X": "1"}, 0)])
         assert t.values.dtype == float and t.values.tolist() == [1.0, 0.0]
