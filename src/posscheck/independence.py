@@ -66,7 +66,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArityError, DisjointnessError, DomainError, LimitError
-from .numeric import DEFAULT_EPSILON, mismatch_mask
+from .numeric import DEFAULT_EPSILON, mismatch_mask, require_eps
 from .possibility import PossibilityTable
 from .tnorm import GODEL, PRODUCT, TNorm
 
@@ -261,11 +261,9 @@ def _numerators(table, tn, eps):
     """
     if tn.transform is not None:
         raise DomainError("exact tables do not support transformed t-norms")
-    if not eps >= 0:
-        raise DomainError(f"eps must be a number >= 0, got {eps!r}")
     cells = [Fraction(v) for v in table.values.flat]
     unit = math.lcm(*(f.denominator for f in cells))
-    eps = Fraction(min(eps, 1))
+    eps = Fraction(min(require_eps(eps), 1))
     fits_int64 = unit <= 1 << 31 and (eps == 0 or tn.base != PRODUCT)
     numerators = np.array([f.numerator * (unit // f.denominator) for f in cells],
                           np.int64 if fits_int64 else object)

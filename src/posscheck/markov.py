@@ -1,32 +1,28 @@
 """Pairwise, local and global Markov properties of a distribution on a graph.
 
-The global check enumerates separator candidates and bipartitions of the
-resulting connectivity components; decomposition of group statements makes
-those bipartitions cover every separated triple.  An exhaustive mode checks
-all disjoint separated triples directly for cross-validation.  All three
-properties read the graph's adjacency bitmasks (see ``graphs``): a
-separator is a mask, its components come from one flood fill of the rest,
-and a bipartition side is an OR of component masks, so no public graph
-method runs per subset.
+Every property enumerates (A, B, S) triples of the graph's bitmasks (see
+``graphs``), and one runner, ``_run_checks``, names and decides them.  The
+global check lists, per separator mask, the bipartitions of the components
+of the rest (one flood fill per separator, each side an OR of component
+masks); decomposition of group statements makes them cover every separated
+triple, and an exhaustive mode lists every one for cross-validation.
 
-Each property hands its whole statement list to ``decide_many`` in one
-call and gets one verdict per statement.  Every statement of the three
-properties spans all variables, so all of them read the one full joint
-(``decide_many`` says how it takes that joint's maxima).  A failing
-property looks up one witness, through ``independent``
-on its first failing statement.  Verdicts, witnesses and the ``checked``
-order are those of deciding each statement alone.  The separator
-enumeration builds its statements through
-``IndependenceStatement._trusted``: their sides come from the graph's
-masks, already sorted and disjoint.
+The runner names each mask once per call and builds every statement through
+``IndependenceStatement._trusted``, since a mask's members read out sorted;
+a triple with an empty side goes to ``skipped``.  It decides the whole list
+in one ``decide_many`` call (every statement spans all variables, so all
+read the one full joint) and looks up one witness, through ``independent``,
+on the first failing statement.  Verdicts, witnesses and the ``checked``
+order are those of deciding each statement alone.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product as iter_product
 from typing import Optional
 
 from .errors import InternalInconsistencyError
-from .factorization import FactorizationResult, _validate_vertices, factorizes
+from .factorization import FactorizationResult, _validate_vertices, factorizes, verify
 from .graphs import UndirectedGraph
 from .independence import IndependenceStatement, decide_many, independent
 from .numeric import DEFAULT_EPSILON
@@ -55,59 +51,66 @@ class MarkovReport:
     mode: str = "components"
 
 
-def _run_checks(table, tn, statements, eps, property_name, skipped=(), mode="components"):
-    statements = list(statements)
+def _named(graph, triples):
+    """(statements, skipped) of the mask ``triples``: each mask named once,
+    a triple with an empty side recorded as skipped."""
+    members = cache(graph._members)
+    statements, skipped = [], []
+    for a, b, s in triples:
+        if a and b:
+            statements.append(IndependenceStatement._trusted(members(a), members(b), members(s)))
+        else:
+            skipped.append({"a": members(a), "b": members(b), "given": members(s)})
+    return statements, tuple(skipped)
+
+
+def _run_checks(table, graph, tn, triples, eps, property_name, mode="components"):
+    statements, skipped = _named(graph, triples)
     checked = tuple(zip(statements, decide_many(table, tn, statements, eps)))
     failing = next((stmt for stmt, holds in checked if not holds), None)
     witness = None if failing is None else (failing, independent(table, tn, failing, eps).witness)
-    return MarkovReport(property_name, failing is None, checked, witness, tuple(skipped), mode)
+    return MarkovReport(property_name, failing is None, checked, witness, skipped, mode)
+
+
+def _bits(table, graph):
+    """The graph bit of each schema variable, in schema order."""
+    _validate_vertices(table, graph)
+    return [graph._mask((v,)) for v in table.schema.variables]
+
+
+def _pairwise_statements(graph, bits):
+    """I(i; j | V minus i, j) for each non-adjacent pair, i before j in schema order."""
+    full = sum(bits)
+    for i, j in combinations(bits, 2):
+        if not graph._neighborhood(i) & j:
+            yield i, j, full ^ i ^ j
+
+
+def _local_statements(graph, bits):
+    """I(i; V minus cl(i) | bd(i)) for each vertex i, B empty where cl(i) is V."""
+    full = sum(bits)
+    for i in bits:
+        bd = graph._neighborhood(i)
+        yield i, full & ~(i | bd), bd
 
 
 def pairwise_markov(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
                     eps=DEFAULT_EPSILON) -> MarkovReport:
     """Check independence of every non-adjacent vertex pair given the rest."""
-    _validate_vertices(table, graph)
-    order = table.schema.variables
-    statements = []
-    for i, j in combinations(order, 2):
-        if graph._neighborhood(graph._mask((i,))) & graph._mask((j,)):
-            continue
-        rest = tuple(v for v in order if v not in (i, j))
-        statements.append(IndependenceStatement((i,), (j,), rest))
-    return _run_checks(table, tn, statements, eps, PAIRWISE)
+    triples = _pairwise_statements(graph, _bits(table, graph))
+    return _run_checks(table, graph, tn, triples, eps, PAIRWISE)
 
 
 def local_markov(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
                  eps=DEFAULT_EPSILON) -> MarkovReport:
     """Check independence of each vertex from its non-closure given its boundary."""
-    _validate_vertices(table, graph)
-    statements = []
-    skipped = []
-    for i in table.schema.variables:
-        bd = graph._members(graph._neighborhood(graph._mask((i,))))
-        rest = tuple(v for v in table.schema.variables if v != i and v not in bd)
-        if not rest:
-            skipped.append({"a": (i,), "b": (), "given": bd})
-            continue
-        statements.append(IndependenceStatement((i,), rest, bd))
-    return _run_checks(table, tn, statements, eps, LOCAL, skipped)
+    triples = _local_statements(graph, _bits(table, graph))
+    return _run_checks(table, graph, tn, triples, eps, LOCAL)
 
 
-def _component_statements(graph, order):
-    """Separator candidates with bipartitions of their components.
-
-    Separators come in ``combinations`` over schema order; each side of a
-    bipartition is an OR of component masks, named once per mask.
-    """
-    names = {}
-
-    def members(mask):
-        found = names.get(mask)
-        if found is None:
-            found = names[mask] = graph._members(mask)
-        return found
-
-    bits = [graph._mask((v,)) for v in order]
+def _component_statements(graph, bits):
+    """Per separator, in ``combinations`` over the schema-order ``bits``,
+    every bipartition of its components, each side an OR of their masks."""
     full = sum(bits)
     for size in range(len(bits) + 1):
         for s in combinations(bits, size):
@@ -115,28 +118,27 @@ def _component_statements(graph, order):
             comps = graph._component_masks(remaining)
             if len(comps) < 2:
                 continue
-            given = graph._members(full ^ remaining)
             sides = [0]
             for comp in comps[1:]:
                 sides += [side | comp for side in sides]
             for side_b in sides[1:]:
-                yield IndependenceStatement._trusted(members(remaining ^ side_b), members(side_b),
-                                                     given)
+                yield remaining ^ side_b, side_b, full ^ remaining
 
 
-def _exhaustive_statements(graph, order):
-    """All disjoint triples (A, B, S) with S separating A from B; A, B nonempty.
+def _exhaustive_statements(graph, bits, order):
+    """Every disjoint (A, B, S), A and B nonempty, with S separating them.
 
-    The components of V minus S are found once per separator mask; a role
-    vector is separated iff no component meets both A and B.
+    Role vectors (A, B, S, unused) run over the schema-order ``bits``.  Each
+    pair of sides is listed once, dropping a vector whose B has a first
+    variable in schema ``order`` with a name that sorts before A's: A and B
+    are disjoint and nonempty, so their name tuples in schema order differ at
+    their first element.  This test comes before any mask is built; the
+    components of V minus S are found once per separator mask.
     """
-    bits = [graph._mask((v,)) for v in order]
     full = sum(bits)
     components = {}
-    for roles in iter_product(range(4), repeat=len(order)):
-        a = tuple(v for v, r in zip(order, roles) if r == 0)
-        b = tuple(v for v, r in zip(order, roles) if r == 1)
-        if not a or not b or b < a:
+    for roles in iter_product(range(4), repeat=len(bits)):
+        if 0 not in roles or 1 not in roles or order[roles.index(1)] < order[roles.index(0)]:
             continue
         masks = [0, 0, 0, 0]
         for bit, r in zip(bits, roles):
@@ -145,26 +147,20 @@ def _exhaustive_statements(graph, order):
         if comps is None:
             comps = components[masks[2]] = graph._component_masks(full & ~masks[2])
         if not any(c & masks[0] and c & masks[1] for c in comps):
-            s = tuple(v for v, r in zip(order, roles) if r == 2)
-            yield IndependenceStatement(a, b, s)
+            yield masks[0], masks[1], masks[2]
 
 
 def global_markov(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
                   eps=DEFAULT_EPSILON, exhaustive=False) -> MarkovReport:
-    """Check independence across every separating triple of the graph.
-
-    The default mode enumerates, per separator candidate, bipartitions of
-    the remaining connectivity components (sound and complete for continuous
-    t-norms via decomposition of group statements); ``exhaustive=True``
-    instead tests every disjoint separated triple directly.
-    """
-    _validate_vertices(table, graph)
-    order = table.schema.variables
-    gen = _exhaustive_statements if exhaustive else _component_statements
-    return _run_checks(
-        table, tn, gen(graph, order), eps, GLOBAL,
-        mode="exhaustive" if exhaustive else "components",
-    )
+    """Check independence across every separating triple of the graph:
+    per separator, the bipartitions of its components (sound and complete
+    for continuous t-norms by decomposition), or with ``exhaustive=True``
+    every disjoint separated triple."""
+    bits = _bits(table, graph)
+    triples = (_exhaustive_statements(graph, bits, table.schema.variables) if exhaustive
+               else _component_statements(graph, bits))
+    return _run_checks(table, graph, tn, triples, eps, GLOBAL,
+                       "exhaustive" if exhaustive else "components")
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +189,9 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
 
     Any result pattern violating global => local => pairwise, or a verified
     factorization with an Archimedean t-norm that fails the global property,
-    signals an engine bug and raises InternalInconsistencyError.  A "yes"
-    is policed only if its factors, folded without ``combine``'s warning,
-    recombine to the table within ``eps``: a regime may verify at 1e-7.
+    signals an engine bug and raises InternalInconsistencyError.  A "yes" is
+    policed only if ``verify`` accepts it at ``eps`` itself: a regime may
+    verify at 1e-7.
     """
     f_result = factorizes(table, graph, tn, eps) if include_factorization else None
     g = global_markov(table, graph, tn, eps, exhaustive=exhaustive)
@@ -210,8 +206,7 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
         and f_result.status == "yes"
         and tn.is_archimedean
         and not g.holds
-        and table.schema.first_mismatch(f_result.factorization.fold(table.schema),
-                                        table.values, eps) is None
+        and verify(table, graph, f_result.factorization, eps)[0]
     ):
         raise InternalInconsistencyError(
             "verified factorization with an Archimedean t-norm but global fails"

@@ -13,9 +13,18 @@ from .errors import DomainError
 DEFAULT_EPSILON = 1e-9
 
 
+def require_eps(eps):
+    """Raise DomainError unless ``eps`` is a number >= 0; NaN, which compares
+    False to everything, fails the test."""
+    if not eps >= 0:
+        raise DomainError(f"eps must be a number >= 0, got {eps!r}")
+    return eps
+
+
 def mismatch_mask(a, b, eps=DEFAULT_EPSILON):
-    """Boolean array marking cells where two arrays disagree beyond ``eps``."""
-    if eps == 0:
+    """Boolean array marking cells where two arrays disagree beyond ``eps``;
+    DomainError for a negative or NaN ``eps``."""
+    if require_eps(eps) == 0:
         return np.asarray(a != b, dtype=bool)
     return np.asarray(abs(a - b) > eps, dtype=bool)
 

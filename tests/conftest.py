@@ -6,11 +6,12 @@ is a meaningful dual-route check.  ``independent_via_ae_equality`` is the
 almost-everywhere form of independence on the library's conditionals: a
 second route to every verdict that ``independent`` decides.
 ``fraction_independent`` decides an exact table by the Fraction route that
-the engine's integer numerators replaced.  The two statement oracles are
-the global property's enumerations written on the public graph methods, one
-validating call per separator or role vector; the mask enumerations in
-``markov`` must list the same statements in order.  The scan-plan oracle is
-the axiom-scan enumeration as a loop over role vectors.
+the engine's integer numerators replaced.  The four statement oracles are
+the Markov enumerations written on names, through the public graph methods
+and the validating ``IndependenceStatement``: the mask enumerations in
+``markov``, named by its runner, must list the same statements in order.
+The scan-plan oracle is the axiom-scan enumeration as a loop over role
+vectors.
 """
 
 from fractions import Fraction
@@ -166,6 +167,29 @@ def fraction_independent(table, tn, statement, eps=0):
     lhs = tn.apply_array(tn.residual_array(m_as, m_s), m_bs)
     witness = joint.schema.first_mismatch(lhs, pi, eps)
     return IndependenceResult(statement, witness is None, witness)
+
+
+def oracle_pairwise_statements(graph, order):
+    """I(i; j | rest) for every non-adjacent pair, i before j in ``order``,
+    through the public ``neighbors``."""
+    for i, j in combinations(order, 2):
+        if j not in graph.neighbors(i):
+            yield IndependenceStatement((i,), (j,), [v for v in order if v not in (i, j)])
+
+
+def oracle_local_statements(graph, order):
+    """(statements, skipped): I(i; rest | bd(i)) for each vertex i in
+    ``order``, through the public ``neighbors``; a vertex with no rest is
+    skipped as ``{"a": (i,), "b": (), "given": bd(i)}``."""
+    statements, skipped = [], []
+    for i in order:
+        bd = tuple(sorted(graph.neighbors(i)))
+        rest = tuple(v for v in order if v != i and v not in bd)
+        if rest:
+            statements.append(IndependenceStatement((i,), rest, bd))
+        else:
+            skipped.append({"a": (i,), "b": (), "given": bd})
+    return statements, tuple(skipped)
 
 
 def oracle_component_statements(graph, order):

@@ -429,7 +429,6 @@ class TestProjection:
             assert matrix.shape[0] <= matrix.shape[1]
             assert np.linalg.matrix_rank(matrix) == np.linalg.matrix_rank(full)
 
-    @pytest.mark.filterwarnings("ignore:combined factorization is not normal")
     @pytest.mark.parametrize("tn", ARCHIMEDEAN_TNORMS, ids=lambda t: t.describe())
     def test_residual_bound_admits_tables_within_eps_of_a_clique_sum(self, tn, rng):
         # g is a sum of clique terms in the box, 0 at every clique's first

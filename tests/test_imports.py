@@ -7,7 +7,9 @@ somewhere else in the module.  The package's ``__init__.py`` is left out,
 since its imports are the package's exports, and so is ``perfbench/``, which
 changes only together with the benchmark.  A private (``_name``) function,
 class or method of the package must be read somewhere in the package
-outside its own definition, so that a refactor leaves no dead helper behind.
+outside its own definition, so that a refactor leaves no dead helper behind;
+likewise each top-level function and fixture of ``tests/conftest.py`` must
+be read by a test module or elsewhere in conftest.
 The README and the package's docstrings name, in backticks, only private
 names and ``posscheck.``-dotted names that the package defines, so that a
 rename leaves no stale name in its docs.
@@ -83,6 +85,46 @@ def test_the_check_sees_unread_and_read_private_definitions():
 def test_package_reads_every_private_definition():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_definitions(sources) == []
+
+
+def unread_conftest_definitions(conftest, modules):
+    """Top-level functions of the ``conftest`` source, fixtures included,
+    that neither the ``modules`` sources nor conftest outside the definition
+    itself read, as a name or as a parameter (how a test asks for a
+    fixture), in source order."""
+    trees = [ast.parse(conftest)] + [ast.parse(source) for source in modules]
+
+    def reads(tree):
+        return Counter(
+            node.arg if isinstance(node, ast.arg) else node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.arg)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        )
+
+    everywhere = sum(map(reads, trees), Counter())
+    return [
+        node.name
+        for node in trees[0].body
+        if isinstance(node, ast.FunctionDef) and everywhere[node.name] == reads(node)[node.name]
+    ]
+
+
+def test_the_check_sees_unread_and_read_conftest_definitions():
+    conftest = ("import pytest\n\n"
+                "def oracle(n):\n    return oracle(n - 1)\n\n"
+                "def helper():\n    pass\n\n"
+                "def used():\n    return helper()\n\n"
+                "@pytest.fixture\ndef rng():\n    pass\n\n"
+                "@pytest.fixture\ndef idle():\n    pass\n")
+    module = "from conftest import used\n\ndef test_x(rng):\n    used()\n"
+    assert unread_conftest_definitions(conftest, [module]) == ["oracle", "idle"]
+
+
+def test_conftest_definitions_are_read():
+    tests = ROOT / "tests"
+    modules = [path.read_text() for path in sorted(tests.glob("test_*.py"))]
+    assert unread_conftest_definitions((tests / "conftest.py").read_text(), modules) == []
 
 
 def defined_names(sources):

@@ -22,16 +22,21 @@ from posscheck import (
     AxiomReport,
     DisjointnessError,
     DomainError,
+    Factorization,
     IndependenceStatement,
     LimitError,
     PossibilityTable,
     Schema,
     SchemaError,
     TNorm,
+    UndirectedGraph,
     chain_report,
     check_axiom,
+    factorizes,
+    global_markov,
     independent,
     scan_axioms,
+    verify,
     violations,
 )
 from posscheck.cli import EX_FAILS, main
@@ -612,9 +617,26 @@ class TestExactNumerators:
 
     @pytest.mark.parametrize("eps", [-0.1, float("nan")])
     def test_a_negative_or_nan_eps_is_refused(self, eps):
-        stmt = IndependenceStatement(("X",), ("Y",), ("Z",))
-        with pytest.raises(DomainError, match="eps"):
-            independent(builtin_example(1).table(exact=True), TNorm.product(), stmt, eps)
+        # on float tables a NaN eps once passed every comparison and a
+        # negative one failed every one; exact tables refused both
+        stmt = IndependenceStatement(("X",), ("Y",))
+        graph = UndirectedGraph(["X", "Y"])
+        cells = [[Fraction(1), Fraction(1, 5)], [Fraction(3, 10), Fraction(9, 10)]]
+        for values in (np.array(cells, dtype=float), np.array(cells, dtype=object)):
+            table = PossibilityTable(Schema.binary("X", "Y"), values)
+            factors = Factorization(TNorm.godel(), {(v,): table.marginalize((v,)) for v in "XY"})
+            assert not independent(table, TNorm.product(), stmt, 1e-9).holds
+            assert factorizes(table, graph, TNorm.godel(), 1e-9).status == "no"
+            calls = [
+                lambda: independent(table, TNorm.product(), stmt, eps),
+                lambda: decide_many(table, TNorm.product(), [stmt], eps),
+                lambda: global_markov(table, graph, TNorm.product(), eps),
+                lambda: factorizes(table, graph, TNorm.godel(), eps),
+                lambda: verify(table, graph, factors, eps),
+            ]
+            for call in calls:
+                with pytest.raises(DomainError, match="eps"):
+                    call()
 
 
 def naive_scan(table, tn, axioms, eps=EPS):

@@ -11,7 +11,6 @@ import pytest
 import posscheck.markov
 from posscheck import (
     Factorization,
-    IndependenceStatement,
     InternalInconsistencyError,
     MarkovReport,
     PossibilityTable,
@@ -28,7 +27,13 @@ from posscheck import (
 )
 from posscheck.corpus import builtin_example
 from posscheck.independence import decide_many
-from posscheck.markov import _component_statements, _exhaustive_statements
+from posscheck.markov import (
+    _component_statements,
+    _exhaustive_statements,
+    _local_statements,
+    _named,
+    _pairwise_statements,
+)
 
 from conftest import (
     ALL_TNORMS,
@@ -37,6 +42,8 @@ from conftest import (
     jittered,
     oracle_component_statements,
     oracle_exhaustive_statements,
+    oracle_local_statements,
+    oracle_pairwise_statements,
     planted,
     random_graph,
     random_table,
@@ -185,25 +192,33 @@ class TestModesAgree:
         assert True in verdicts and False in verdicts
 
 
-def listed(statements):
-    return [(s.a, s.b, s.given) for s in statements]
+def bits(graph, order):
+    return [graph._mask((v,)) for v in order]
 
 
 class TestSeparatorEnumeration:
-    """The mask enumerations list the set-based oracles' statements, in
-    their order."""
+    """The four mask enumerations, named by the runner's ``_named``, list the
+    name-level oracles' statements, in their order."""
 
     def assert_matches_oracles(self, graph, order):
-        statements = list(_component_statements(graph, order))
-        assert listed(statements) == listed(oracle_component_statements(graph, order))
-        # built without the checks of __post_init__, yet equal to the
-        # validated statements, hash included
-        validated = [IndependenceStatement(s.a, s.b, s.given) for s in statements]
-        assert statements == validated
-        assert list(map(hash, statements)) == list(map(hash, validated))
+        masks = bits(graph, order)
+        local, local_skipped = oracle_local_statements(graph, order)
+        cases = [
+            (_component_statements(graph, masks), oracle_component_statements(graph, order), ()),
+            (_pairwise_statements(graph, masks), oracle_pairwise_statements(graph, order), ()),
+            (_local_statements(graph, masks), local, local_skipped),
+        ]
         if len(order) <= 5:
-            assert listed(_exhaustive_statements(graph, order)) == listed(
-                oracle_exhaustive_statements(graph, order))
+            cases.append((_exhaustive_statements(graph, masks, order),
+                          oracle_exhaustive_statements(graph, order), ()))
+        for triples, oracle, oracle_skipped in cases:
+            statements, skipped = _named(graph, triples)
+            validated = list(oracle)
+            assert skipped == oracle_skipped
+            # built without the checks of __post_init__, yet equal to the
+            # validated statements, hash included
+            assert statements == validated
+            assert list(map(hash, statements)) == list(map(hash, validated))
 
     def test_random_graphs(self, rng):
         for _ in range(60):
@@ -232,7 +247,9 @@ class TestSeparatorEnumeration:
         complete = UndirectedGraph(names, combinations(names, 2))
         self.assert_matches_oracles(edgeless, names)
         self.assert_matches_oracles(complete, names[::-1])
-        assert listed(_component_statements(complete, names)) == []
+        assert list(_component_statements(complete, bits(complete, names))) == []
+        # every vertex of the complete graph is skipped by the local property
+        assert len(_named(complete, _local_statements(complete, bits(complete, names)))[1]) == n
 
     def test_no_public_graph_call_per_subset(self, monkeypatch, rng):
         # the Markov checks read the graph's masks; a validating public call
@@ -397,8 +414,8 @@ class TestWitnessLookups:
 
     def test_decide_many_looks_up_no_witness(self, lookups, rng):
         t = random_table(rng, max_vars=4, max_domain=3)
-        stmts = list(_component_statements(UndirectedGraph(t.schema.variables, []),
-                                           t.schema.variables))
+        g = UndirectedGraph(t.schema.variables, [])
+        stmts, _ = _named(g, _component_statements(g, bits(g, t.schema.variables)))
         verdicts = decide_many(t, TNorm.product(), stmts)
         assert False in verdicts and lookups == []
 
