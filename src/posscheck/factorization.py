@@ -2,21 +2,23 @@
 
 A factorization assigns each maximal clique a factor table over that
 clique's variables; combining all factors through the n-ary t-norm must
-reproduce the distribution.  Verification is direct.  ``factorizes`` is the
-one dispatch: it decides three regimes, each with a soundness argument,
-and reports "unknown" outside them:
+reproduce the distribution.  ``factorizes`` is the one dispatch: it
+enumerates the cliques once, builds the candidate of the regime the table
+and t-norm fall in, each with a soundness argument, and one step verifies
+every candidate, answering "yes" or "no" with the first cell where its fold
+misses the table.  Outside the regimes it reports "unknown":
 
-* Goedel: the clique marginals are a canonical candidate.  Idempotence of
-  min makes this complete: any factor dominates the distribution on its
-  cylinder, so each marginal is squeezed between the distribution and the
-  factor, and the marginal candidate reproduces the distribution whenever
-  any factorization does.
+* one clique, or Goedel: the clique marginals.  One clique's marginal is
+  the table.  Under min, idempotence makes the candidate complete: any
+  factor dominates the distribution on its cylinder, so each marginal is
+  squeezed between the distribution and the factor, and the marginal
+  candidate reproduces the distribution whenever any factorization does.
 * crisp tables, any t-norm: factors are forced to 1 on projections of the
   1-set (because T(a, b) <= min(a, b) and the combination must reach 1),
   so a factorization exists iff the intersection of the projection
-  cylinders adds no cell outside the 1-set.  The Goedel and crisp regimes
-  share one path: verify the clique marginals (snapped to {0, 1} when
-  crisp) as the candidate.
+  cylinders adds no cell outside the 1-set.  The candidate is the clique
+  marginals of the table snapped to {0, 1}; snapping at 0.5 is monotone,
+  so it commutes with max and is done once, on the table.
 * strictly positive tables, Archimedean t-norms: rescaling by the
   automorphism that presents the t-norm as a transform of product (or of
   Lukasiewicz) turns the combination into a sum of clique-local terms.  The
@@ -26,9 +28,9 @@ and reports "unknown" outside them:
   those moves under P: a residual beyond that bound is a sure "no" with the
   worst cell as witness.  Otherwise the factors still have to lie in the
   unit interval: one linear program looks for box terms whose sum is P(f),
-  and verifying their combination decides.  Its equations are only the
-  anchored cells, which fix a sum of clique terms, so no row is built for
-  any other cell.
+  and their combination is the candidate, verified at ``max(eps, 1e-7)``.
+  Its equations are only the anchored cells, which fix a sum of clique
+  terms, so no row is built for any other cell.
 """
 
 import warnings
@@ -42,7 +44,7 @@ from scipy.optimize import linprog
 
 from .errors import SchemaError
 from .graphs import UndirectedGraph
-from .numeric import DEFAULT_EPSILON, first_true
+from .numeric import DEFAULT_EPSILON, first_true, require_eps
 from .possibility import PossibilityTable, Schema
 from .tnorm import GODEL, STRICT, TNorm
 
@@ -102,25 +104,28 @@ def verify(table: PossibilityTable, graph: UndirectedGraph, factorization: Facto
     """
     expected = tuple(graph.cliques())
     got = factorization.cliques()
-    if tuple(sorted(expected)) != got:
-        raise SchemaError(
-            f"factor cliques {got} do not match graph cliques {tuple(sorted(expected))}"
-        )
-    witness = table.schema.first_mismatch(factorization.fold(table.schema), table.values, eps)
-    return witness is None, witness
+    if expected != got:
+        raise SchemaError(f"factor cliques {got} do not match graph cliques {expected}")
+    result = _verified(table, factorization, eps, "")
+    return result.is_yes, result.witness
 
 
-def _marginal_candidate(table, graph, tn, snap_crisp=False):
-    factors = {}
-    for clique in graph.cliques():
-        marginal = table.marginalize(clique)
-        if snap_crisp:
-            values = np.where(marginal.values > 0.5, 1, 0).astype(
-                marginal.values.dtype if marginal.values.dtype == object else float
-            )
-            marginal = PossibilityTable(marginal.schema, values)
-        factors[tuple(clique)] = marginal
-    return Factorization(tn, factors)
+def _verified(table, candidate, eps, reason):
+    """"yes" with the candidate if its fold matches the table within eps,
+    else "no" with the first cell where it misses and ``reason``."""
+    witness = table.schema.first_mismatch(candidate.fold(table.schema), table.values, eps)
+    if witness is None:
+        return FactorizationResult("yes", candidate)
+    return FactorizationResult("no", witness=witness, reason=reason)
+
+
+def _marginal_candidate(table, cliques, tn):
+    return Factorization(tn, {clique: table.marginalize(clique) for clique in cliques})
+
+
+def _crisp_candidate(table, cliques, tn):
+    snapped = np.where(table.values > 0.5, 1, 0).astype(table.values.dtype)
+    return _marginal_candidate(PossibilityTable(table.schema, snapped), cliques, tn)
 
 
 def _validate_vertices(table, graph):
@@ -178,8 +183,9 @@ def _anchored_system(schema, cliques):
     return cells, matrix, sub_schemas, offsets
 
 
-def _rescaled_factorization(table, graph, tn, eps):
-    """Decide a strictly positive table under an Archimedean t-norm.
+def _rescaled_candidate(table, cliques, tn, eps):
+    """The candidate of a strictly positive table under an Archimedean
+    t-norm, or the "no" of the residual bound or of an infeasible LP.
 
     The unknowns are the clique terms of the rescaled table f: theta <= 0
     with f = log phi(pi) and factors phi_inverse(exp theta) (strict base), or
@@ -192,7 +198,6 @@ def _rescaled_factorization(table, graph, tn, eps):
     family = tn.classify()
     phi = tn.transform.apply if tn.transform is not None else (lambda x: x)
     phi_inv = tn.transform.inverse if tn.transform is not None else (lambda x: x)
-    cliques = graph.cliques()
 
     def rescale(values):
         return np.log(phi(values)) if family == STRICT else phi(values) + (len(cliques) - 1)
@@ -228,55 +233,43 @@ def _rescaled_factorization(table, graph, tn, eps):
                          "infeasible within the unit interval",
         )
     factor_values = phi_inv(np.exp(res.x) if family == STRICT else res.x)
-
-    factors = {}
-    for k, (clique, sub) in enumerate(zip(cliques, sub_schemas)):
-        chunk = factor_values[offsets[k]:offsets[k + 1]]
-        factors[tuple(clique)] = PossibilityTable(
-            sub, np.clip(chunk, 0.0, 1.0).reshape(sub.shape)
-        )
-    candidate = Factorization(tn, factors)
-    ok, witness = verify(table, graph, candidate, max(eps, 1e-7))
-    if ok:
-        return FactorizationResult("yes", candidate)
-    return FactorizationResult(
-        "no", witness=witness,
-        reason="the factors fitted to the least-squares projection of the rescaled "
-               "table miss the table beyond eps at the witness cell",
-    )
+    return Factorization(tn, {
+        clique: PossibilityTable(sub, np.clip(factor_values[lo:hi], 0.0, 1.0).reshape(sub.shape))
+        for clique, sub, lo, hi in zip(cliques, sub_schemas, offsets, offsets[1:])
+    })
 
 
 def factorizes(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
                eps=DEFAULT_EPSILON) -> FactorizationResult:
     """Decide whether the table factorizes over the graph's cliques.
 
-    Runs the decision procedure of the regime the table and t-norm fall in
-    and returns yes (with the factorization), no (with a witness cell where
-    the canonical candidate misses, when one exists), or unknown when no
-    decision procedure applies.
+    Builds the candidate of the regime the table and t-norm fall in and
+    returns yes (with the factorization), no (with a witness cell where the
+    candidate misses, when one exists), or unknown when no decision
+    procedure applies.
     """
     _validate_vertices(table, graph)
+    require_eps(eps)
     cliques = graph.cliques()
-    if len(cliques) == 1:
-        whole = table.marginalize(cliques[0])
+    tol = eps
+    if len(cliques) == 1 or tn.base == GODEL:
+        candidate = _marginal_candidate(table, cliques, tn)
+        reason = ("the clique-marginal candidate misses the table, and under min "
+                  "it succeeds whenever any factorization exists")
+    elif table.is_crisp(eps):
+        candidate = _crisp_candidate(table, cliques, tn)
+        reason = "a cell outside the 1-set lies in every clique cylinder of the 1-set"
+    elif table.is_strictly_positive():
+        candidate = _rescaled_candidate(table, cliques, tn, eps)
+        if isinstance(candidate, FactorizationResult):
+            return candidate
+        tol = max(eps, 1e-7)
+        reason = ("the factors fitted to the least-squares projection of the rescaled "
+                  "table miss the table beyond eps at the witness cell")
+    else:
         return FactorizationResult(
-            "yes", Factorization(tn, {tuple(cliques[0]): whole})
+            "unknown",
+            reason="no decision procedure applies: the table is neither crisp nor "
+                   "strictly positive and the t-norm is Archimedean",
         )
-    if tn.base == GODEL or table.is_crisp(eps):
-        candidate = _marginal_candidate(table, graph, tn, snap_crisp=tn.base != GODEL)
-        ok, witness = verify(table, graph, candidate, eps)
-        if ok:
-            return FactorizationResult("yes", candidate)
-        if tn.base == GODEL:
-            reason = ("the clique-marginal candidate misses the table, and under min "
-                      "it succeeds whenever any factorization exists")
-        else:
-            reason = "a cell outside the 1-set lies in every clique cylinder of the 1-set"
-        return FactorizationResult("no", witness=witness, reason=reason)
-    if table.is_strictly_positive():
-        return _rescaled_factorization(table, graph, tn, eps)
-    return FactorizationResult(
-        "unknown",
-        reason="no decision procedure applies: the table is neither crisp nor "
-               "strictly positive and the t-norm is Archimedean",
-    )
+    return _verified(table, candidate, tol, reason)

@@ -198,7 +198,9 @@ def _chunks(table, tn, statements, eps):
     """Decide the list ``statements`` chunk by chunk: yields (indices of the
     chunk's statements, their joint, the stacked mismatch mask), the mask's
     leading axis following the indices.  An exact table is decided on its
-    integer numerators (``_numerators``); the joint then holds those."""
+    integer numerators (``_numerators``); the joint then holds those.
+    Raises DomainError for a negative or NaN eps, even with no statements."""
+    require_eps(eps)
     if table.values.dtype == object:
         table, mismatch = _numerators(table, tn, eps)
     else:
@@ -257,13 +259,13 @@ def _numerators(table, tn, eps):
     arrays, through the same code.
 
     Raises DomainError for a transformed t-norm, which is not closed on the
-    rationals, and for an eps that is negative or NaN.
+    rationals.
     """
     if tn.transform is not None:
         raise DomainError("exact tables do not support transformed t-norms")
     cells = [Fraction(v) for v in table.values.flat]
     unit = math.lcm(*(f.denominator for f in cells))
-    eps = Fraction(min(require_eps(eps), 1))
+    eps = Fraction(min(eps, 1))
     fits_int64 = unit <= 1 << 31 and (eps == 0 or tn.base != PRODUCT)
     numerators = np.array([f.numerator * (unit // f.denominator) for f in cells],
                           np.int64 if fits_int64 else object)
@@ -421,6 +423,9 @@ _AXIOM_FORMS = {
     CONTRACTION: ((((0,), (1,), (2, 3)), ((0,), (2,), (3,))), ((0,), (1, 2), (3,))),
     INTERSECTION: ((((0,), (1,), (2, 3)), ((0,), (2,), (1, 3))), ((0,), (1, 2), (3,))),
 }
+# the number of groups each axiom takes: one past the last group its forms join
+_ARITY = {axiom: 1 + max(k for form in (*antecedents, consequent) for side in form for k in side)
+          for axiom, (antecedents, consequent) in _AXIOM_FORMS.items()}
 
 
 def _axiom_statements(axiom, groups):
@@ -442,7 +447,7 @@ def check_axiom(table: PossibilityTable, tn: TNorm, axiom, groups,
     """
     axiom = canonical_axiom(axiom)
     groups = tuple(tuple(g) for g in groups)
-    expected = 3 if axiom == SYMMETRY else 4
+    expected = _ARITY[axiom]
     if len(groups) != expected:
         raise ArityError(f"{axiom} takes {expected} groups, got {len(groups)}")
     if not all(groups[:-1]):
@@ -490,7 +495,10 @@ def _scan_plan(names, axioms):
     A role vector puts each variable in one of an axiom's groups or leaves
     it unused (the last role).  An axiom's instances are its role vectors
     with X, Y and Z nonempty, in ``itertools.product`` order: the last
-    variable cycles fastest.  A group's bitmask is the sum of its variables'
+    variable cycles fastest.  The vectors over (X, Y, Z, W, unused) are
+    enumerated once; a three-group axiom's instances are those with W
+    empty, in the same order, as mapping its unused role 3 to 4 keeps the
+    order of the vectors.  A group's bitmask is the sum of its variables'
     bits, a statement side's the sum of its groups' masks, and a statement
     is keyed by its (a, b, given) masks packed in one integer, which
     ``np.unique`` numbers.  The plan depends only on the names, so one plan
@@ -501,14 +509,12 @@ def _scan_plan(names, axioms):
     subsets = tuple(tuple(v for i, v in enumerate(names) if m >> i & 1) for m in range(1 << n))
     # the empty rows let a plan of no axioms concatenate
     keys, roles, blocks = [np.empty((0, 3), np.int64)], [np.empty((0, 4), np.int64)], []
+    role = np.indices((5,) * n).reshape(n, 5 ** n)
+    every = np.stack([bits @ (role == k) for k in range(4)], axis=1)
+    every = every[(every[:, :3] != 0).all(axis=1)]
     start = 0
     for axiom in axioms:
-        n_roles = 3 if axiom == SYMMETRY else 4
-        role = np.indices((n_roles + 1,) * n).reshape(n, (n_roles + 1) ** n)
-        masks = np.zeros((role.shape[1], 4), np.int64)
-        for k in range(n_roles):
-            masks[:, k] = bits @ (role == k)
-        masks = masks[(masks[:, :3] != 0).all(axis=1)]
+        masks = every[(every[:, _ARITY[axiom]:] == 0).all(axis=1)]
 
         def key(form):
             a, b, given = (masks[:, list(side)].sum(axis=1) for side in form)
@@ -607,7 +613,7 @@ class ScanReports(Sequence):
             return zip(*(map(of.__getitem__, array[lo:hi, k].tolist()) for k in range(width)))
 
         reports = zip(range(lo, hi),
-                      rows(plan.roles, 3 if axiom == SYMMETRY else 4, plan.subsets),
+                      rows(plan.roles, _ARITY[axiom], plan.subsets),
                       rows(plan.antecedents, len(_AXIOM_FORMS[axiom][0]), self._checked),
                       plan.consequents[lo:hi].tolist(),
                       self._ante_ok[lo:hi].tolist(), self._violated[lo:hi].tolist())

@@ -11,7 +11,8 @@ the Markov enumerations written on names, through the public graph methods
 and the validating ``IndependenceStatement``: the mask enumerations in
 ``markov``, named by its runner, must list the same statements in order.
 The scan-plan oracle is the axiom-scan enumeration as a loop over role
-vectors.
+vectors.  The crisp-candidate oracle snaps each clique marginal to {0, 1}
+on its own, where ``factorizes`` snaps the table once.
 """
 
 from fractions import Fraction
@@ -259,6 +260,19 @@ def oracle_scan_plan(names, axioms):
                 ))
     statements = [IndependenceStatement(*(subsets[m] for m in key)) for key in index]
     return statements, instances
+
+
+def oracle_crisp_candidate(table, graph, tn):
+    """The crisp regime's candidate with each clique marginal snapped to
+    {0, 1} on its own, kept in its dtype (object for an exact table)."""
+    factors = {}
+    for clique in graph.cliques():
+        marginal = table.marginalize(clique)
+        values = np.where(marginal.values > 0.5, 1, 0).astype(
+            marginal.values.dtype if marginal.values.dtype == object else float
+        )
+        factors[tuple(clique)] = PossibilityTable(marginal.schema, values)
+    return Factorization(tn, factors)
 
 
 # -- random model generators --------------------------------------------------------

@@ -7,6 +7,8 @@ from itertools import combinations, product as iter_product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from posscheck import (
@@ -22,10 +24,13 @@ from posscheck import (
 )
 from posscheck.corpus import builtin_example
 import posscheck.factorization
-from posscheck.factorization import _anchored_system, _clique_sum_projection
+from posscheck.factorization import (
+    _anchored_system, _clique_sum_projection, _crisp_candidate
+)
 
 from conftest import (
-    ARCHIMEDEAN_TNORMS, BASE_TNORMS, jittered, planted, random_graph, random_table
+    ARCHIMEDEAN_TNORMS, BASE_TNORMS, jittered, oracle_crisp_candidate, planted, random_graph,
+    random_table
 )
 
 EPS = 1e-9
@@ -543,6 +548,72 @@ class TestFactorizes:
             res = factorizes(t, g, tn)
             assert res.status == "yes"
             assert global_markov(t, g, tn).holds
+
+
+def factor_bytes(factorization):
+    """Each factor's clique, variables, dtype and cells: the bytes of a
+    float factor, the type and value of each cell of an exact one."""
+    return [
+        (clique, f.schema.variables, f.values.dtype,
+         [(type(v), v) for v in f.values.flat] if f.values.dtype == object
+         else f.values.tobytes())
+        for clique, f in factorization.factors.items()
+    ]
+
+
+class TestOneVerifyStep:
+    """``factorizes`` enumerates the cliques once, whatever the regime, and
+    the crisp candidate snaps the table once."""
+
+    @pytest.mark.parametrize("regime", ["single-clique", "godel", "crisp", "strict", "nilpotent"])
+    def test_the_cliques_are_enumerated_once(self, regime, rng, monkeypatch):
+        schema = Schema.binary("V0", "V1", "V2", "V3")
+        graph, tn, status = chain_of(4), TNorm.product(), "yes"
+        if regime == "single-clique":
+            graph = UndirectedGraph.from_edges(list(combinations(schema.variables, 2)))
+            t = planted(schema, graph, tn, rng, 0.0)[0]
+        elif regime == "godel":
+            tn = TNorm.godel()
+            t = planted(schema, graph, tn, rng, 0.0)[0]
+        elif regime == "crisp":
+            t, graph, status = builtin_example(5).table(), builtin_example(5).graph(), "no"
+        else:
+            tn = TNorm.product() if regime == "strict" else TNorm.lukasiewicz()
+            t = planted(schema, graph, tn, rng, 0.3 if regime == "strict" else 0.8)[0]
+        calls = []
+        cliques = UndirectedGraph.cliques
+
+        def counted(self):
+            calls.append(self)
+            return cliques(self)
+
+        monkeypatch.setattr(UndirectedGraph, "cliques", counted)
+        assert factorizes(t, graph, tn).status == status
+        assert calls == [graph]
+
+    @settings(max_examples=100)
+    @given(data=st.data(), exact=st.booleans(),
+           tn=st.sampled_from((TNorm.product(), TNorm.lukasiewicz())))
+    def test_the_crisp_candidate_matches_per_marginal_snapping(self, data, exact, tn):
+        # cells within the default eps of 0 or 1, in float or as fractions
+        near = Fraction(1, 2 * 10**9)
+        pool = [0, near, 1 - near, 1] if exact else [0.0, 4e-10, 1 - 8e-10, 1.0]
+        n = data.draw(st.integers(2, 4))
+        names = data.draw(st.permutations([f"V{8 + i}" for i in range(n)]))
+        sizes = data.draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+        schema = Schema([(v, [str(d) for d in range(k)]) for v, k in zip(names, sizes)])
+        cells = math.prod(schema.shape)
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=cells, max_size=cells))
+        values[data.draw(st.integers(0, cells - 1))] = pool[-1]
+        t = PossibilityTable(schema, np.array(values, dtype=object if exact else float))
+        edges = data.draw(st.lists(st.sampled_from(list(combinations(names, 2))), unique=True))
+        graph = UndirectedGraph(names, edges)
+        assert t.is_crisp(EPS)
+        want = factor_bytes(oracle_crisp_candidate(t, graph, tn))
+        assert factor_bytes(_crisp_candidate(t, graph.cliques(), tn)) == want
+        result = factorizes(t, graph, tn)
+        if result.is_yes and len(graph.cliques()) > 1:
+            assert factor_bytes(result.factorization) == want
 
 
 class TestMixedDifferences:

@@ -35,6 +35,8 @@ from posscheck import (
     factorizes,
     global_markov,
     independent,
+    local_markov,
+    pairwise_markov,
     scan_axioms,
     verify,
     violations,
@@ -615,12 +617,15 @@ class TestExactNumerators:
         # the same table in floating point is decided
         independent(builtin_example(1).table(), tn, stmt)
 
-    @pytest.mark.parametrize("eps", [-0.1, float("nan")])
+    @pytest.mark.parametrize("eps", [-0.1, -1, float("nan")])
     def test_a_negative_or_nan_eps_is_refused(self, eps):
         # on float tables a NaN eps once passed every comparison and a
-        # negative one failed every one; exact tables refused both
+        # negative one failed every one; exact tables refused both.  A
+        # decision that compares nothing refuses it too: no statement, an
+        # empty scan, a complete graph, a single clique.
         stmt = IndependenceStatement(("X",), ("Y",))
         graph = UndirectedGraph(["X", "Y"])
+        complete = UndirectedGraph.from_edges([("X", "Y")])
         cells = [[Fraction(1), Fraction(1, 5)], [Fraction(3, 10), Fraction(9, 10)]]
         for values in (np.array(cells, dtype=float), np.array(cells, dtype=object)):
             table = PossibilityTable(Schema.binary("X", "Y"), values)
@@ -633,6 +638,14 @@ class TestExactNumerators:
                 lambda: global_markov(table, graph, TNorm.product(), eps),
                 lambda: factorizes(table, graph, TNorm.godel(), eps),
                 lambda: verify(table, graph, factors, eps),
+                lambda: decide_many(table, TNorm.product(), [], eps),
+                lambda: global_markov(table, complete, TNorm.product(), eps),
+                lambda: local_markov(table, complete, TNorm.product(), eps),
+                lambda: pairwise_markov(table, complete, TNorm.product(), eps),
+                lambda: scan_axioms(table, TNorm.product(), eps=eps),
+                lambda: factorizes(table, complete, TNorm.product(), eps),
+                lambda: chain_report(table, complete, TNorm.product(), eps=eps,
+                                     include_factorization=True),
             ]
             for call in calls:
                 with pytest.raises(DomainError, match="eps"):
