@@ -30,12 +30,19 @@ misses the table.  Outside the regimes it reports "unknown":
   unit interval: one linear program looks for box terms whose sum is P(f),
   and their combination is the candidate, verified at ``max(eps, 1e-7)``.
   Its equations are only the anchored cells, which fix a sum of clique
-  terms, so no row is built for any other cell.
+  terms, so no row is built for any other cell.  An exact table is
+  verified at eps itself: it first tries the clique residuals along a
+  maximum cardinality clique order, phi_j = R(pi(C_j), pi(S_j)) in its
+  own arithmetic (on a chordal graph, the factorization whenever the
+  table is global Markov), then the float factors; if neither verifies,
+  the answer is "unknown", as float factors decide nothing at eps on
+  exact cells.
 """
 
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
@@ -126,6 +133,43 @@ def _marginal_candidate(table, cliques, tn):
 def _crisp_candidate(table, cliques, tn):
     snapped = np.where(table.values > 0.5, 1, 0).astype(table.values.dtype)
     return _marginal_candidate(PossibilityTable(table.schema, snapped), cliques, tn)
+
+
+def _clique_sequence(cliques):
+    """The cliques in maximum cardinality order: the first one first, then
+    each time the one sharing the most variables with those before it (the
+    first such, on a tie).  On a chordal graph the order is perfect: each
+    clique's overlap with the earlier ones lies in one of them."""
+    rest, order, seen = list(cliques), [], set()
+    while rest:
+        clique = max(rest, key=lambda c: len(seen.intersection(c)))
+        rest.remove(clique)
+        order.append(clique)
+        seen.update(clique)
+    return order
+
+
+def _residual_candidate(table, cliques, tn):
+    """The clique residuals of an exact table along ``_clique_sequence``:
+    phi_1 = pi(C_1) and phi_j = R(pi(C_j), pi(S_j)), where S_j is the part
+    of C_j in the earlier cliques, in the table's own arithmetic.  Along a
+    perfect sequence, S_j separates C_j minus S_j from the earlier cliques,
+    so a global Markov table is the fold of these factors (for product,
+    pi = prod pi(C_j) / pi(S_j)); on other graphs it is only a candidate,
+    verified like any other."""
+    factors, seen = {}, set()
+    for clique in _clique_sequence(cliques):
+        marginal = table.marginalize(clique)
+        separator = [v for v in clique if v in seen]
+        values = marginal.values
+        if separator:
+            given = marginal.marginalize(separator).extend_values(marginal.schema)
+            values = tn.residual_array(values, given)
+        # the residual's 1s are ints: every cell a Fraction, written as "p/q"
+        factors[clique] = PossibilityTable(marginal.schema,
+                                           np.vectorize(Fraction, otypes=[object])(values))
+        seen.update(clique)
+    return Factorization(tn, factors)
 
 
 def _validate_vertices(table, graph):
@@ -260,9 +304,22 @@ def factorizes(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
         candidate = _crisp_candidate(table, cliques, tn)
         reason = "a cell outside the 1-set lies in every clique cylinder of the 1-set"
     elif table.is_strictly_positive():
+        exact = table.values.dtype == object
+        if exact:
+            found = _verified(table, _residual_candidate(table, cliques, tn), eps, "")
+            if found.is_yes:
+                return found
         candidate = _rescaled_candidate(table, cliques, tn, eps)
         if isinstance(candidate, FactorizationResult):
             return candidate
+        if exact:
+            found = _verified(table, candidate, eps, "")
+            return found if found.is_yes else FactorizationResult(
+                "unknown",
+                reason="exact check: neither the clique residuals, in the table's own "
+                       "arithmetic, nor the factors fitted to the rescaled table in floating "
+                       "point recombine to the table within eps",
+            )
         tol = max(eps, 1e-7)
         reason = ("the factors fitted to the least-squares projection of the rescaled "
                   "table miss the table beyond eps at the witness cell")

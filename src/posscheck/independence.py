@@ -4,53 +4,58 @@ A group statement (A independent of B given S) holds when recombining the
 residual conditional of A given S with the marginal of B union S through the
 t-norm reproduces the joint marginal of A, B, S at every assignment.  For
 continuous t-norms this pointwise test is equivalent to the almost-everywhere
-form stated on conditional distributions.  ``decide_many`` is the one
-decider: the Markov checks and the axiom scans pass it whole statement
-lists and get one verdict per statement.  ``independent`` decides one
-statement the same way and is the one place a witness is looked up; the
-reports call it only for the witnesses they show.
+form stated on conditional distributions.  ``decide_many`` decides a
+statement list and gives one verdict per statement; the axiom scans and
+the Markov checks hand over their statements as bitmasks instead, grouped
+by joint (``_joint_groups``), and ``_decide_groups`` gives their verdicts.
+``independent`` decides one statement the same way and is the one place a
+witness is looked up; the reports call it only for the witnesses they show.
 
 How a statement is decided: statements are grouped by their joint
 A u B u S, and ``table.marginalize`` supplies each joint pi(A, B, S) once
-per batch.  The marginals pi(A, S), pi(B, S) and pi(S) are maxima of the
-joint over its own B, A and A u B axes, kept as size-1 axes.  Where it
-fits, a batch builds the max-marginal lattice of the joint (Gray et al.,
-"Data Cube", 1997): one array of shape (k0 + 1, k1 + 1, ...) that holds
-the maximum over every subset of the axes, filled by one reduction per
-axis i over its contiguous (outer, ki + 1, inner) view.  It is built when
-it spans no more than ``_CACHE_CELLS`` cells and
-no more than the batch's statements times the joint's cells, the stacks
-the batch writes anyway.  Otherwise the batch takes each maximum once
-and keeps it by the bitmask of the axes it drops, so statements that drop
-the same axes share it; a joint's kept maxima are dropped when they span
-more than ``_CACHE_CELLS`` cells.  The statements of a joint are decided
-in chunks of at most ``_CHUNK_CELLS`` cells: their maxima are broadcast
-to the joint's shape and stacked along a new leading axis, gathered from
-the lattice in one fancy index or copied from the kept maxima, so the
-residual, the recombination and the comparison with the joint each run
-once per chunk.  A statement whose joint is larger than that is a chunk
-of its own; without the lattice it keeps the keepdims shapes, so it makes
-no stacked copies.  ``independent`` is such a lone chunk, and never
-builds a lattice, which spans more cells than its joint.  An exact table
-(an object array of ``Fraction`` or other rational cells) is first
-written once per call as integer numerators over the least common
-multiple of its denominators, int64 where they fit: its joints, lattices
-and maxima are then maxima of integers, and each base t-norm's mismatch
-test is a closed form in them (``_numerators``), so no ``Fraction`` and
-no t-norm kernel runs per statement.  A max of maxima is exact and every
-kernel works cell by cell, so the verdicts equal those from separately
-marginalized tables decided one statement at a time, bit for bit, and on
-exact tables those of the same tables' ``Fraction`` arithmetic.  A
-witness is the first mismatching cell of the joint, first variable
-cycling fastest.
+per batch; one core, ``_joint_chunks``, decides each joint's statements
+from the bitmasks of their A and B axes.  The marginals pi(A, S), pi(B, S)
+and pi(S) are maxima of the joint over its own B, A and A u B axes, kept as
+size-1 axes.  Where it fits, a batch builds the max-marginal lattice of the
+joint (Gray et al., "Data Cube", 1997): one array of shape
+(k0 + 1, k1 + 1, ...) that holds the maximum over every subset of the axes,
+filled by one reduction per axis i over its contiguous (outer, ki + 1,
+inner) view.  It is built when it spans no more than ``_CACHE_CELLS`` cells
+and no more than the batch's statements times the joint's cells, the stacks
+the batch writes anyway.  Otherwise the batch takes each maximum once and
+keeps it by the bitmask of the axes it drops, so statements that drop the
+same axes share it; a joint's kept maxima are dropped when they span more
+than ``_CACHE_CELLS`` cells.  The statements of a joint are decided in
+chunks of at most ``_CHUNK_CELLS`` cells: their maxima are broadcast to the
+joint's shape and stacked along a new leading axis, gathered from the
+lattice in one fancy index or copied from the kept maxima, so the residual,
+the recombination and the comparison with the joint each run once per
+chunk.  A statement whose joint is larger than that is a chunk of its own;
+without the lattice it keeps the keepdims shapes, so it makes no stacked
+copies.  ``independent`` is such a lone chunk, and never builds a lattice,
+which spans more cells than its joint.  An exact table (an object array of
+``Fraction`` or other rational cells) is first written once per call as
+integer numerators over the least common multiple of its denominators,
+int64 where they fit: its joints, lattices and maxima are then maxima of
+integers, and each base t-norm's mismatch test is a closed form in them
+(``_numerators``), so no ``Fraction`` and no t-norm kernel runs per
+statement.  A max of maxima is exact and every kernel works cell by cell,
+so the verdicts equal those from separately marginalized tables decided one
+statement at a time, bit for bit, and on exact tables those of the same
+tables' ``Fraction`` arithmetic.  A witness is the first mismatching cell
+of the joint, first variable cycling fastest.
 
 Axiom scans enumerate their instances once per (variable names, axioms)
 into a table-independent plan of arrays: the role vectors of all instances
 come from ``np.indices``, each group's bitmask is a sum of variable bits,
 and ``np.unique`` numbers the distinct (a, b, given) keys, so the plan
 holds the distinct statements and, per instance, its group masks and the
-indices of its antecedents and consequent.  A scan decides those
-statements in one batch, so each is decided once; which instances are
+indices of its antecedents and consequent.  The plan also groups the
+distinct statements by joint, once, in numpy: ``np.unique`` over their
+joint masks, and each statement's A and B masks compressed onto its
+joint's axes, an axis's rank there being the ``np.bitwise_count`` of the
+joint's bits below it.  A scan decides those groups, so each statement is
+decided once and nothing is regrouped or renamed per table; which instances are
 vacuous and which are violated are two array reductions over the
 verdicts.  The witness of a violated instance is looked up at once, once
 per distinct consequent, and a report is built only when it is read.
@@ -89,7 +94,7 @@ AXIOM_ALIASES = {
 
 # The most variables an axiom scan takes unless told otherwise (scan_axioms
 # and the CLI's --scan-limit).
-SCAN_LIMIT = 6
+SCAN_LIMIT = 7
 
 
 def canonical_axiom(name):
@@ -197,33 +202,97 @@ def decide_many(table: PossibilityTable, tn: TNorm, statements, eps=DEFAULT_EPSI
 def _chunks(table, tn, statements, eps):
     """Decide the list ``statements`` chunk by chunk: yields (indices of the
     chunk's statements, their joint, the stacked mismatch mask), the mask's
-    leading axis following the indices.  An exact table is decided on its
-    integer numerators (``_numerators``); the joint then holds those.
-    Raises DomainError for a negative or NaN eps, even with no statements."""
-    require_eps(eps)
-    if table.values.dtype == object:
-        table, mismatch = _numerators(table, tn, eps)
-    else:
-        def mismatch(y, x, b, pi):
-            return mismatch_mask(tn.apply_array(tn.residual_array(y, x), b), pi, eps)
+    leading axis following the indices.  Statements are grouped by the names
+    of their joint, which ``table.marginalize`` supplies; an exact table is
+    decided on its integer numerators (``_numerators``), and the joint then
+    holds those.  Raises DomainError for a negative or NaN eps, even with no
+    statements."""
+    table, mismatch = _decider(table, tn, eps)
     by_joint = {}
     for i, stmt in enumerate(statements):
         by_joint.setdefault(frozenset(stmt.a + stmt.b + stmt.given), []).append(i)
     for key, indices in by_joint.items():
         joint = table.marginalize(key)
-        pi = joint.values
         bit = {name: 1 << i for i, name in enumerate(joint.schema.variables)}
         # the bitmasks of each statement's A and B axes
-        a = [sum(map(bit.__getitem__, statements[i].a)) for i in indices]
-        b = [sum(map(bit.__getitem__, statements[i].b)) for i in indices]
-        # the lattice may span no more than the cache budget, nor than the
-        # stacks the batch writes anyway
-        fits = math.prod(k + 1 for k in pi.shape) <= min(_CACHE_CELLS, len(indices) * pi.size)
-        terms = (_lattice if fits else _maxima)(pi)
-        step = max(1, _CHUNK_CELLS // pi.size)
-        for lo in range(0, len(indices), step):
-            m_as, m_s, m_bs = terms(a[lo:lo + step], b[lo:lo + step])
-            yield indices[lo:lo + step], joint, mismatch(m_as, m_s, m_bs, pi)
+        a = np.array([sum(map(bit.__getitem__, statements[i].a)) for i in indices], np.int64)
+        b = np.array([sum(map(bit.__getitem__, statements[i].b)) for i in indices], np.int64)
+        for chunk, mask in _joint_chunks(joint.values, a, b, mismatch):
+            yield indices[chunk], joint, mask
+
+
+def _decider(table, tn, eps):
+    """(the table whose maxima a decision reads, the mismatch test
+    ``mismatch(y, x, b, pi)`` on them): the table itself and the t-norm's
+    recombination compared within eps, or for an exact table its integer
+    numerators (``_numerators``).  Raises DomainError for a negative or NaN
+    eps."""
+    require_eps(eps)
+    if table.values.dtype == object:
+        return _numerators(table, tn, eps)
+
+    def mismatch(y, x, b, pi):
+        return mismatch_mask(tn.apply_array(tn.residual_array(y, x), b), pi, eps)
+    return table, mismatch
+
+
+def _joint_chunks(pi, a, b, mismatch):
+    """Decide the statements on the joint values ``pi`` whose A and B axes
+    are the bitmasks ``a`` and ``b`` (int64 arrays, on the axes of ``pi``)
+    chunk by chunk: yields (the slice of the chunk's statements, their
+    stacked mismatch mask)."""
+    # the lattice may span no more than the cache budget, nor than the
+    # stacks the batch writes anyway
+    fits = math.prod(k + 1 for k in pi.shape) <= min(_CACHE_CELLS, len(a) * pi.size)
+    terms = (_lattice if fits else _maxima)(pi)
+    step = max(1, _CHUNK_CELLS // pi.size)
+    for lo in range(0, len(a), step):
+        chunk = slice(lo, lo + step)
+        # held across the yield: freed before the next chunk's stacks are
+        # built, their pages go back to the system and fault in again
+        m_as, m_s, m_bs = terms(a[chunk], b[chunk])
+        yield chunk, mismatch(m_as, m_s, m_bs, pi)
+
+
+def _joint_groups(a, b, given, names):
+    """The statements whose A, B and S axes are the bitmasks ``a``, ``b``
+    and ``given`` (int64 arrays; bit i is the variable ``names[i]``),
+    grouped by their joint A u B u S: a tuple of (the joint's variables,
+    the indices of its statements, their A and B bitmasks on the joint's
+    own axes), one per joint, in ascending joint mask.  An axis of the joint
+    moves to its rank among the joint's axes, the count of the joint's bits
+    below it."""
+    n = len(names)
+    joint = a | b | given
+    if (joint == (1 << n) - 1).all():
+        # every statement spans every variable, as the component, local and
+        # pairwise statements do: one group, its masks already on its axes
+        return ((tuple(names), np.arange(len(a)), a, b),)
+    joints, inverse, counts = np.unique(joint, return_inverse=True, return_counts=True)
+    joint = joints[inverse]
+    on_a, on_b = np.zeros_like(a), np.zeros_like(b)
+    for i in range(n):
+        rank = np.bitwise_count(joint & ((1 << i) - 1)).astype(np.int64)
+        on_a |= (a >> i & 1) << rank
+        on_b |= (b >> i & 1) << rank
+    by_joint = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    return tuple((tuple(v for i, v in enumerate(names) if j >> i & 1), indices,
+                  on_a[indices], on_b[indices])
+                 for j, indices in zip(joints.tolist(), by_joint))
+
+
+def _decide_groups(table, tn, groups, count, eps):
+    """Whether each of ``count`` statements holds, as a bool array: the
+    statements in ``groups`` (as ``_joint_groups`` gives them) decided on
+    each joint, which ``table.marginalize`` supplies (on the numerators, for
+    an exact table).  Raises DomainError for a negative or NaN eps."""
+    table, mismatch = _decider(table, tn, eps)
+    verdicts = np.ones(count, dtype=bool)
+    for keep, indices, a, b in groups:
+        pi = table.marginalize(keep).values
+        for chunk, mask in _joint_chunks(pi, a, b, mismatch):
+            verdicts[indices[chunk]] = ~mask.reshape(len(mask), -1).any(axis=1)
+    return verdicts
 
 
 def _numerators(table, tn, eps):
@@ -290,9 +359,10 @@ def _numerators(table, tn, eps):
 
 
 def _maxima(pi):
-    """A function ``terms(a, b)``: for the bitmasks ``a`` and ``b`` of some
-    statements' A and B axes, their keepdims maxima pi(A, S), pi(S) and
-    pi(B, S) of ``pi``, each stacked along a new leading axis.
+    """A function ``terms(a, b)``: for the int arrays ``a`` and ``b`` of the
+    bitmasks of some statements' A and B axes, their keepdims maxima
+    pi(A, S), pi(S) and pi(B, S) of ``pi``, each stacked along a new leading
+    axis.
 
     Each maximum is taken once and kept; the kept ones are dropped when they
     span more than ``_CACHE_CELLS`` cells.  A lone statement keeps the
@@ -315,7 +385,7 @@ def _maxima(pi):
 
     def terms(a, b):
         found = []
-        for a_i, b_i in zip(a, b):
+        for a_i, b_i in zip(a.tolist(), b.tolist()):
             m_as = maximum(b_i, pi)
             found.append((m_as, maximum(a_i | b_i, m_as), maximum(a_i, pi)))
         if len(found) == 1:
@@ -357,7 +427,7 @@ def _lattice(pi):
     flat = z.reshape(-1)
 
     def terms(a, b):
-        a, b = np.array(a), np.array(b)
+        a, b = np.asarray(a), np.asarray(b)
         drops = np.concatenate([b, a | b, a])
         idx = lead[drops & ((1 << h) - 1)][:, :, None] + trail[drops >> h][:, None, :]
         return flat[idx].reshape((3, len(a)) + pi.shape)
@@ -474,8 +544,9 @@ class _ScanPlan:
     ``roles`` (X, Y, Z, W; W is 0 for symmetry), the antecedent statements
     indexed by row i of ``antecedents`` (a one-antecedent axiom repeats its
     one) and the consequent indexed by ``consequents[i]``.  ``blocks`` holds
-    each axiom's instances as (axiom, start, stop), and ``subsets[m]`` the
-    variables of bitmask m, in schema order.
+    each axiom's instances as (axiom, start, stop), ``subsets[m]`` the
+    variables of bitmask m, in schema order, and ``joints`` the statements
+    grouped by their joint, as ``_joint_groups`` gives them.
     """
 
     statements: tuple
@@ -484,6 +555,7 @@ class _ScanPlan:
     roles: np.ndarray
     antecedents: np.ndarray
     consequents: np.ndarray
+    joints: tuple
 
 
 # room for four (variable names, axioms) keys, so that scans alternating
@@ -501,8 +573,9 @@ def _scan_plan(names, axioms):
     order of the vectors.  A group's bitmask is the sum of its variables'
     bits, a statement side's the sum of its groups' masks, and a statement
     is keyed by its (a, b, given) masks packed in one integer, which
-    ``np.unique`` numbers.  The plan depends only on the names, so one plan
-    serves every table on them.
+    ``np.unique`` numbers; the unpacked masks of the distinct keys give the
+    joint groups.  The plan depends only on the names, so one plan serves
+    every table on them.
     """
     n = len(names)
     bits = 1 << np.arange(n, dtype=np.int64)
@@ -536,14 +609,16 @@ def _scan_plan(names, axioms):
     index = rank[inverse].reshape(keys.shape)
     by_name = [tuple(sorted(s)) for s in subsets]
     full = (1 << n) - 1
+    sides = [distinct[order] >> shift & full for shift in (2 * n, n, 0)]
     statements = tuple(
-        IndependenceStatement._trusted(*(by_name[k >> shift & full] for shift in (2 * n, n, 0)))
-        for k in distinct[order].tolist()
+        IndependenceStatement._trusted(*map(by_name.__getitem__, k))
+        for k in zip(*(side.tolist() for side in sides))
     )
+    joints = _joint_groups(*sides, names)
     arrays = np.concatenate(roles), index[:, :2], index[:, 2]
-    for a in arrays:
+    for a in (*arrays, *(a for _, *group in joints for a in group)):
         a.flags.writeable = False  # shared by every scan of the cached plan
-    return _ScanPlan(statements, subsets, tuple(blocks), *arrays)
+    return _ScanPlan(statements, subsets, tuple(blocks), *arrays, joints)
 
 
 class ScanReports(Sequence):
@@ -647,7 +722,7 @@ def scan_axioms(table: PossibilityTable, tn: TNorm, axioms=None, scan_limit=SCAN
             f"schema has {len(names)} variables, scan limit is {scan_limit}"
         )
     plan = _scan_plan(names, canonical_axioms(axioms))
-    verdicts = np.array(decide_many(table, tn, plan.statements, eps), dtype=bool)
+    verdicts = _decide_groups(table, tn, plan.joints, len(plan.statements), eps)
     ante_ok = verdicts[plan.antecedents].all(axis=1)
     violated = ante_ok & ~verdicts[plan.consequents]
     witnesses = {c: independent(table, tn, plan.statements[c], eps).witness

@@ -10,10 +10,13 @@ triple, and an exhaustive mode lists every one for cross-validation.
 The runner names each mask once per call and builds every statement through
 ``IndependenceStatement._trusted``, since a mask's members read out sorted;
 a triple with an empty side goes to ``skipped``.  It decides the whole list
-in one ``decide_many`` call (every statement spans all variables, so all
-read the one full joint) and looks up one witness, through ``independent``,
-on the first failing statement.  Verdicts, witnesses and the ``checked``
-order are those of deciding each statement alone.
+on the masks themselves: the graph bits (name-sorted) are moved to schema
+axes once per call, as arrays, and the statements go to the decider grouped
+by joint (the component, local and pairwise statements span every variable,
+so they form one group on the table itself).  It looks up one witness,
+through ``independent``, on the first failing statement.  Verdicts,
+witnesses and the ``checked`` order are those of deciding each statement
+alone.
 """
 
 from dataclasses import dataclass
@@ -21,10 +24,12 @@ from functools import cache
 from itertools import combinations, product as iter_product
 from typing import Optional
 
+import numpy as np
+
 from .errors import InternalInconsistencyError
 from .factorization import FactorizationResult, _validate_vertices, factorizes, verify
 from .graphs import UndirectedGraph
-from .independence import IndependenceStatement, decide_many, independent
+from .independence import IndependenceStatement, _decide_groups, _joint_groups, independent
 from .numeric import DEFAULT_EPSILON
 from .possibility import PossibilityTable
 from .tnorm import TNorm
@@ -64,9 +69,27 @@ def _named(graph, triples):
     return statements, tuple(skipped)
 
 
+def _axis_masks(table, graph, triples):
+    """The schema-axis bitmasks (a, b, given), as int64 arrays, of the mask
+    ``triples`` with both sides nonempty: graph bits are numbered in
+    name-sorted order, axes in schema order."""
+    masks = np.array(triples, np.int64).reshape(-1, 3)
+    masks = masks[(masks[:, 0] != 0) & (masks[:, 1] != 0)]
+    bits = _bits(table, graph)
+    if bits != [1 << i for i in range(len(bits))]:  # names that do not sort in schema order
+        axes = np.zeros_like(masks)
+        for i, bit in enumerate(bits):
+            axes |= (masks >> (bit.bit_length() - 1) & 1) << i
+        masks = axes
+    return masks.T
+
+
 def _run_checks(table, graph, tn, triples, eps, property_name, mode="components"):
+    triples = list(triples)
     statements, skipped = _named(graph, triples)
-    checked = tuple(zip(statements, decide_many(table, tn, statements, eps)))
+    groups = _joint_groups(*_axis_masks(table, graph, triples), table.schema.variables)
+    verdicts = _decide_groups(table, tn, groups, len(statements), eps).tolist()
+    checked = tuple(zip(statements, verdicts))
     failing = next((stmt for stmt, holds in checked if not holds), None)
     witness = None if failing is None else (failing, independent(table, tn, failing, eps).witness)
     return MarkovReport(property_name, failing is None, checked, witness, skipped, mode)

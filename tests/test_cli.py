@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -212,6 +213,32 @@ class TestFactorize:
         assert report["checks"][0]["factorization"]["cliques"][0]["entries"] == [
             "1", "1/4", "1/4", "1/4"
         ]
+
+    @pytest.mark.parametrize("nudge", [0, 10 ** -15], ids=["planted", "lowered"])
+    def test_exact_product_chain_says_yes_only_with_exact_factors(self, nudge, tmp_path):
+        # dyadic product factors on X - Y - Z; lowering one cell by 1e-15
+        # leaves the table within 1e-7 of a factorization but not one
+        f1, f2 = [[1, 7 / 8], [3 / 4, 7 / 8]], [[1, 3 / 4], [7 / 8, 3 / 4]]
+        entries = [{"assignment": {"X": str(x), "Y": str(y), "Z": str(z)},
+                    "value": str(Fraction(f1[x][y] * f2[y][z])
+                                 - (Fraction(nudge) if (x, y, z) == (1, 1, 1) else 0))}
+                   for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+        doc = {"variables": [{"name": v, "domain": ["0", "1"]} for v in "XYZ"],
+               "table": {"entries": entries}, "graph": {"edges": [["X", "Y"], ["Y", "Z"]]}}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        code, report = run(["factorize", "--model", str(path), "--exact", "--tnorm", "product"])
+        markov, _ = run(["markov", "--model", str(path), "--exact", "--tnorm", "product",
+                         "--property", "global"])
+        if nudge:
+            assert code == EX_UNKNOWN and markov == EX_FAILS
+            assert report["checks"][0]["status"] == "unknown"
+        else:
+            assert code == EX_OK and markov == EX_OK
+            cliques = report["checks"][0]["factorization"]["cliques"]
+            assert [c["vars"] for c in cliques] == [["X", "Y"], ["Y", "Z"]]
+            assert cliques[0]["entries"] == ["1", "49/64", "3/4", "49/64"]
+            assert all(isinstance(v, str) for c in cliques for v in c["entries"])
 
     @pytest.mark.parametrize("base", ["godel", "product"])
     def test_factors_fold_back_when_names_do_not_sort_in_schema_order(self, base, tmp_path):

@@ -25,7 +25,7 @@ from posscheck import (
 from posscheck.corpus import builtin_example
 import posscheck.factorization
 from posscheck.factorization import (
-    _anchored_system, _clique_sum_projection, _crisp_candidate
+    _anchored_system, _clique_sequence, _clique_sum_projection, _crisp_candidate
 )
 
 from conftest import (
@@ -107,6 +107,9 @@ def loop_residual_witness(table, graph, tn, eps=EPS):
 BOX_REASON = ("the clique-local linear system for the rescaled table is "
               "infeasible within the unit interval")
 RESIDUAL_REASON = "the rescaled table is not a sum of clique terms within eps"
+EXACT_REASON = ("exact check: neither the clique residuals, in the table's own arithmetic, "
+                "nor the factors fitted to the rescaled table in floating point recombine "
+                "to the table within eps")
 VERIFY_REASON = ("the factors fitted to the least-squares projection of the rescaled "
                  "table miss the table beyond eps at the witness cell")
 
@@ -706,7 +709,7 @@ class TestMixedDifferences:
         t = PossibilityTable(Schema.binary("X", "Y", "Z"), values)
         res = factorizes(t, chain_graph(), TNorm.product(), eps=0)
         assert res.is_yes
-        ok, _ = verify(t, chain_graph(), res.factorization, 1e-7)
+        ok, _ = verify(t, chain_graph(), res.factorization, 0)
         assert ok
         values[1, 1, 0] *= Fraction(1, 2)
         t = PossibilityTable(t.schema, values)
@@ -782,3 +785,91 @@ class TestMixedDifferences:
                 assert RESIDUAL_REASON not in res.reason
                 yes += res.is_yes
         assert yes >= floor
+
+
+def exact_fold(graph, schema, tn, levels, draw_level):
+    """An exact table that factorizes by construction: each clique factor
+    takes values drawn by ``draw_level`` from ``levels`` (Fractions) and is
+    1 at the first cell, so the fold is normal."""
+    factors = {}
+    for clique in graph.cliques():
+        sub = schema.project(clique)
+        cells = [Fraction(1)] + [draw_level(levels) for _ in range(math.prod(sub.shape) - 1)]
+        factors[clique] = PossibilityTable(sub, np.array(cells, dtype=object).reshape(sub.shape))
+    return PossibilityTable(schema, Factorization(tn, factors).fold(schema))
+
+
+class TestExactRescaledRegime:
+    """An exact, strictly positive table under product or Lukasiewicz is
+    answered "yes" only with factors that verify at the caller's eps."""
+
+    EXACT_LEVELS = {"product": [Fraction(k, 8) for k in range(4, 9)],
+                    "lukasiewicz": [Fraction(7, 8), Fraction(1)]}
+
+    @staticmethod
+    def dyadic_chain(tn, nudge=0):
+        """The chain X - Y - Z as dyadic clique factors folded through
+        ``tn``, with the cell (1, 1, 1) lowered by ``nudge``."""
+        f1 = [[Fraction(1), Fraction(7, 8)], [Fraction(3, 4), Fraction(7, 8)]]
+        f2 = [[Fraction(1), Fraction(3, 4)], [Fraction(7, 8), Fraction(3, 4)]]
+        values = np.empty((2, 2, 2), dtype=object)
+        for x, y, z in iter_product((0, 1), repeat=3):
+            a, b = f1[x][y], f2[y][z]
+            values[x, y, z] = a * b if tn.base == "product" else a + b - 1
+        values[1, 1, 1] -= nudge
+        return PossibilityTable(Schema.binary("X", "Y", "Z"), values)
+
+    @pytest.mark.parametrize("tn", [TNorm.product(), TNorm.lukasiewicz()],
+                             ids=lambda t: t.describe())
+    def test_the_dyadic_chain_is_yes_with_exact_factors(self, tn):
+        t = self.dyadic_chain(tn)
+        res = factorizes(t, chain_graph(), tn, eps=0)
+        assert res.is_yes
+        assert verify(t, chain_graph(), res.factorization, 0) == (True, None)
+        cells = [v for f in res.factorization.factors.values() for v in f.values.flat]
+        assert all(isinstance(v, Fraction) for v in cells)
+
+    @pytest.mark.parametrize("tn", [TNorm.product(), TNorm.lukasiewicz()],
+                             ids=lambda t: t.describe())
+    def test_a_chain_lowered_by_1e_15_is_not_yes(self, tn):
+        # within 1e-7 of a factorization, but not one: global fails at eps 0
+        t = self.dyadic_chain(tn, nudge=Fraction(1, 10 ** 15))
+        res = factorizes(t, chain_graph(), tn, eps=0)
+        assert res.status == "unknown" and res.reason == EXACT_REASON
+        assert not global_markov(t, chain_graph(), tn, eps=0).holds
+        # the float table keeps its "yes" within 1e-7
+        assert factorizes(PossibilityTable(t.schema, t.values.astype(float)), chain_graph(),
+                          tn).is_yes
+
+    def test_clique_sequences_are_perfect_on_chordal_graphs(self):
+        graph = UndirectedGraph.from_edges([("A", "B"), ("B", "C"), ("C", "D"), ("B", "D"),
+                                            ("D", "E"), ("A", "F")])
+        order = _clique_sequence(graph.cliques())
+        assert sorted(order) == graph.cliques()
+        for j, clique in enumerate(order[1:], 1):
+            earlier = {v for c in order[:j] for v in c}
+            overlap = set(clique) & earlier
+            assert any(overlap <= set(c) for c in order[:j])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), base=st.sampled_from(["product", "lukasiewicz"]),
+           n=st.integers(3, 5), cycle=st.booleans(),
+           nudge=st.sampled_from([0, Fraction(1, 10 ** 15), Fraction(1, 64)]),
+           eps=st.sampled_from([0, 1e-12, 1e-9]))
+    def test_no_exact_yes_fails_verify(self, data, base, n, cycle, nudge, eps):
+        tn = TNorm(base)
+        names = [f"V{i}" for i in range(n)]
+        edges = list(zip(names, names[1:])) + ([(names[-1], names[0])] if cycle else [])
+        graph = UndirectedGraph.from_edges(edges)
+        schema = Schema.binary(*names)
+        t = exact_fold(graph, schema, tn, self.EXACT_LEVELS[base],
+                       lambda levels: data.draw(st.sampled_from(levels)))
+        values = t.values.copy()
+        values.flat[data.draw(st.integers(1, values.size - 1))] -= nudge
+        t = PossibilityTable(schema, values)
+        res = factorizes(t, graph, tn, eps)
+        if res.is_yes:
+            assert verify(t, graph, res.factorization, eps)[0]
+        if nudge == 0 and not cycle:
+            # on a chain the clique residuals reproduce a planted table exactly
+            assert res.is_yes

@@ -537,6 +537,21 @@ def exact_tables(draw):
     return PossibilityTable(schema, np.broadcast_to(values, schema.shape))
 
 
+class TestScanJointGroups:
+    """A scan decides its plan's statements on the plan's joint groups, the
+    masks compressed onto each joint's axes; its verdicts equal those of
+    ``decide_many`` on the plan's statements."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=grid_tables(), tn=st.sampled_from(ALL_TNORMS), exact_values=st.booleans())
+    def test_matches_decide_many(self, t, tn, exact_values):
+        eps = EPS
+        if exact_values and tn.transform is None:  # transforms force floating point
+            t, eps = exact(t), 0
+        plan = _scan_plan(t.schema.variables, AXIOMS)
+        assert scan_axioms(t, tn, eps=eps)._verdicts == decide_many(t, tn, plan.statements, eps)
+
+
 class TestExactNumerators:
     """Exact tables are decided on integer numerators over their common
     denominator, never through the t-norm kernels; ``fraction_independent``,
@@ -767,18 +782,20 @@ class TestScanAgainstNaiveEnumeration:
     def test_each_distinct_statement_is_decided_once(self, axioms, canonical, rng,
                                                      monkeypatch):
         t = grid_table(Schema([("A", "01"), ("B", "012"), ("C", "01"), ("D", "01")]), rng)
+        statements = _scan_plan(t.schema.variables, tuple(canonical)).statements
         batches = []
+        unhooked = posscheck.independence._decide_groups
 
-        def recorded(table, tn, statements, eps):
-            batches.append(list(statements))
-            return decide_many(table, tn, statements, eps)
+        def recorded(table, tn, groups, count, eps):
+            batches.append([statements[i] for _, indices, _, _ in groups for i in indices])
+            return unhooked(table, tn, groups, count, eps)
 
-        monkeypatch.setattr(posscheck.independence, "decide_many", recorded)
+        monkeypatch.setattr(posscheck.independence, "_decide_groups", recorded)
         scan_axioms(t, TNorm.godel(), axioms)
         [decided] = batches
         expected = {stmt for r in naive_scan(t, TNorm.godel(), canonical)
                     for stmt in (*(s for s, _ in r[2]), r[3])}
-        assert len(decided) == len(set(decided))
+        assert len(decided) == len(set(decided)) == len(statements)
         assert set(decided) == expected
 
 
@@ -1047,7 +1064,7 @@ class TestAxioms:
             t, TNorm.godel(), TestScanAgainstNaiveEnumeration.AXIOM_NAMES)
 
     def test_scan_limit(self):
-        schema = Schema.binary(*[f"V{i}" for i in range(7)])
+        schema = Schema.binary(*[f"V{i}" for i in range(8)])
         t = PossibilityTable.load(schema, [], 1.0)
         with pytest.raises(LimitError):
             scan_axioms(t, TNorm.godel(), ["symmetry"])

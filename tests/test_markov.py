@@ -26,7 +26,7 @@ from posscheck import (
     violations,
 )
 from posscheck.corpus import builtin_example
-from posscheck.independence import decide_many
+from posscheck.independence import decide_many, independent
 from posscheck.markov import (
     _component_statements,
     _exhaustive_statements,
@@ -270,6 +270,56 @@ class TestSeparatorEnumeration:
         report = chain_report(t, g, TNorm.product())
         assert [holds for _, holds in report.summary()] == [True, True, True]
         assert calls == []
+
+
+class TestAxisMasks:
+    """The runner moves its name-sorted graph masks to schema axes and
+    decides them by joint; its reports equal those of deciding each
+    statement alone through ``independent``, witness included."""
+
+    @staticmethod
+    def assert_matches_independent(report, table, tn):
+        results = [independent(table, tn, stmt) for stmt, _ in report.checked]
+        assert report.checked == tuple((r.statement, r.holds) for r in results)
+        failing = next((r for r in results if not r.holds), None)
+        assert report.holds == (failing is None)
+        assert report.witness == (None if failing is None else (failing.statement,
+                                                                failing.witness))
+
+    @pytest.mark.parametrize("n, trials", [(4, 12), (6, 6), (11, 2)])
+    def test_reports_on_schemas_out_of_name_order(self, n, trials, rng):
+        # V10 sorts before V2, and the schema order is a random permutation
+        names = [f"V{i}" for i in range(n)]
+        for trial in range(trials):
+            order = [names[k] for k in rng.permutation(n)]
+            schema = Schema([(v, "012" if rng.random() < 0.25 else "01") for v in order])
+            graph = random_graph(rng, names)
+            tn = ALL_TNORMS[trial % len(ALL_TNORMS)]
+            t, anchor = planted(schema, graph, tn, rng, 0.5)
+            if trial % 2:
+                t = jittered(t, anchor, rng, 1e-3)
+            reports = [pairwise_markov(t, graph, tn), local_markov(t, graph, tn),
+                       global_markov(t, graph, tn)]
+            if n <= 6:
+                reports.append(global_markov(t, graph, tn, exhaustive=True))
+            for report in reports:
+                self.assert_matches_independent(report, t, tn)
+            assert reports[1].skipped == tuple(oracle_local_statements(graph, order)[1])
+            assert reports[0].skipped == reports[2].skipped == ()
+
+    @pytest.mark.parametrize("tn", BASE_TNORMS, ids=lambda t: t.describe())
+    def test_exact_tables_out_of_name_order(self, tn, rng):
+        names = ["V9", "V10", "V11", "V8", "V2"]
+        for _ in range(3):
+            graph = random_graph(rng, sorted(names))
+            t, _ = planted(Schema.binary(*names), graph, tn, rng, 0.5)
+            values = np.array([Fraction(str(round(v, 3))) for v in t.values.flat],
+                              dtype=object).reshape(t.values.shape)
+            x = PossibilityTable(t.schema, values / values.max())
+            for exhaustive in (False, True):
+                report = global_markov(x, graph, tn, eps=0, exhaustive=exhaustive)
+                results = [independent(x, tn, stmt, eps=0) for stmt, _ in report.checked]
+                assert report.checked == tuple((r.statement, r.holds) for r in results)
 
 
 class TestMemory:
