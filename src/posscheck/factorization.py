@@ -51,6 +51,7 @@ from scipy.optimize import linprog
 
 from .errors import SchemaError
 from .graphs import UndirectedGraph
+from .independence import _require_closed
 from .numeric import DEFAULT_EPSILON, first_true, require_eps
 from .possibility import PossibilityTable, Schema
 from .tnorm import GODEL, STRICT, TNorm
@@ -290,10 +291,12 @@ def factorizes(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
     Builds the candidate of the regime the table and t-norm fall in and
     returns yes (with the factorization), no (with a witness cell where the
     candidate misses, when one exists), or unknown when no decision
-    procedure applies.
+    procedure applies.  Raises DomainError for a negative or NaN eps, and
+    for an exact table with a transformed t-norm, as ``decide_many`` does.
     """
     _validate_vertices(table, graph)
     require_eps(eps)
+    _require_closed(table, tn)
     cliques = graph.cliques()
     tol = eps
     if len(cliques) == 1 or tn.base == GODEL:

@@ -295,6 +295,13 @@ def _decide_groups(table, tn, groups, count, eps):
     return verdicts
 
 
+def _require_closed(table, tn):
+    """Raise DomainError for an exact (object-dtype) table with a transformed
+    t-norm, which is not closed on the rationals."""
+    if table.values.dtype == object and tn.transform is not None:
+        raise DomainError("exact tables do not support transformed t-norms")
+
+
 def _numerators(table, tn, eps):
     """An exact table as integers: (the table of its numerators N over
     ``unit``, the least common multiple of its cells' denominators, and the
@@ -327,11 +334,9 @@ def _numerators(table, tn, eps):
     product then exceeds 2**62.  Otherwise they are Python ints in object
     arrays, through the same code.
 
-    Raises DomainError for a transformed t-norm, which is not closed on the
-    rationals.
+    Raises DomainError for a transformed t-norm (``_require_closed``).
     """
-    if tn.transform is not None:
-        raise DomainError("exact tables do not support transformed t-norms")
+    _require_closed(table, tn)
     cells = [Fraction(v) for v in table.values.flat]
     unit = math.lcm(*(f.denominator for f in cells))
     eps = Fraction(min(eps, 1))

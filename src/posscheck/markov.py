@@ -17,8 +17,21 @@ so they form one group on the table itself).  It looks up one witness,
 through ``independent``, on the first failing statement.  Verdicts,
 witnesses and the ``checked`` order are those of deciding each statement
 alone.
+
+The runner keeps its verdicts by mask triple, and hands the decider only
+the distinct triples it lacks.  Outside a chain that memo lasts one call.
+``chain_report`` shares one memo across its three property calls and drops
+it when they return or raise: a pairwise statement I(i; j | V minus i, j)
+is a separated triple, as is a local one whose sides are both nonempty, so
+global's component enumeration has already decided nearly every pairwise
+statement and some local ones (others appear with A and B swapped, which at
+eps is another test, decided anew).  A triple names one statement on the
+same table, t-norm and eps, and a statement's verdict does not depend on
+the batch it is decided in, so the reports are those of the standalone
+calls.
 """
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product as iter_product
@@ -37,6 +50,11 @@ from .tnorm import TNorm
 PAIRWISE = "pairwise"
 LOCAL = "local"
 GLOBAL = "global"
+
+# The verdicts of one ``chain_report`` call, by graph-mask triple (a, b, s):
+# its three properties decide each distinct statement once.  None outside
+# a chain, where each call decides its own list.
+_VERDICTS = ContextVar("_VERDICTS", default=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,10 +89,9 @@ def _named(graph, triples):
 
 def _axis_masks(table, graph, triples):
     """The schema-axis bitmasks (a, b, given), as int64 arrays, of the mask
-    ``triples`` with both sides nonempty: graph bits are numbered in
-    name-sorted order, axes in schema order."""
+    ``triples``: graph bits are numbered in name-sorted order, axes in
+    schema order."""
     masks = np.array(triples, np.int64).reshape(-1, 3)
-    masks = masks[(masks[:, 0] != 0) & (masks[:, 1] != 0)]
     bits = _bits(table, graph)
     if bits != [1 << i for i in range(len(bits))]:  # names that do not sort in schema order
         axes = np.zeros_like(masks)
@@ -87,9 +104,14 @@ def _axis_masks(table, graph, triples):
 def _run_checks(table, graph, tn, triples, eps, property_name, mode="components"):
     triples = list(triples)
     statements, skipped = _named(graph, triples)
-    groups = _joint_groups(*_axis_masks(table, graph, triples), table.schema.variables)
-    verdicts = _decide_groups(table, tn, groups, len(statements), eps).tolist()
-    checked = tuple(zip(statements, verdicts))
+    memo = _VERDICTS.get()
+    if memo is None:
+        memo = {}
+    decided = [t for t in triples if t[0] and t[1]]
+    missing = [t for t in decided if t not in memo]  # each enumeration lists a triple once
+    groups = _joint_groups(*_axis_masks(table, graph, missing), table.schema.variables)
+    memo.update(zip(missing, _decide_groups(table, tn, groups, len(missing), eps).tolist()))
+    checked = tuple(zip(statements, map(memo.__getitem__, decided)))
     failing = next((stmt for stmt, holds in checked if not holds), None)
     witness = None if failing is None else (failing, independent(table, tn, failing, eps).witness)
     return MarkovReport(property_name, failing is None, checked, witness, skipped, mode)
@@ -210,6 +232,10 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
                  exhaustive=False) -> ChainReport:
     """Run the Markov checks (optionally factorization) and police implications.
 
+    The three properties share one verdict memo for the call, so each
+    distinct statement is decided once; the reports are those of the
+    standalone calls.
+
     Any result pattern violating global => local => pairwise, or a verified
     factorization with an Archimedean t-norm that fails the global property,
     signals an engine bug and raises InternalInconsistencyError.  A "yes" is
@@ -217,9 +243,13 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
     verify at 1e-7.
     """
     f_result = factorizes(table, graph, tn, eps) if include_factorization else None
-    g = global_markov(table, graph, tn, eps, exhaustive=exhaustive)
-    l = local_markov(table, graph, tn, eps)
-    p = pairwise_markov(table, graph, tn, eps)
+    token = _VERDICTS.set({})
+    try:
+        g = global_markov(table, graph, tn, eps, exhaustive=exhaustive)
+        l = local_markov(table, graph, tn, eps)
+        p = pairwise_markov(table, graph, tn, eps)
+    finally:
+        _VERDICTS.reset(token)
     if g.holds and not l.holds:
         raise InternalInconsistencyError("global holds but local fails")
     if l.holds and not p.holds:

@@ -12,14 +12,16 @@ Values may be decimal numbers or "p/q" strings; in exact mode every value
 becomes a ``fractions.Fraction`` and transformed t-norms are rejected.
 
 A table is built from its entries as columns, not entry by entry: the entry
-shapes are checked once; values that are all plain numbers become one float
-array in a single ``np.array`` call, while a value column holding strings or
-Fractions, and every value in exact mode, goes through ``parse_value``; each
-variable's labels are mapped to positions in one pass; and the values are
-range-checked together and written into the table in one scatter.  When a
-check fails, the entries are checked one by one, so the error is that of the
-first bad entry: shape and value errors of all entries first, then, entry by
-entry, the value's range before the assignment's labels.
+shapes are checked once, by the type sets of the entries and of their
+assignments and one ``itemgetter`` pass per key; values that are all plain
+numbers become one float array in a single ``np.array`` call, while a value
+column holding strings or Fractions, and every value in exact mode, goes
+through ``parse_value``; each variable's labels are mapped to positions in
+one pass; and the values are range-checked together and written into the
+table in one scatter.  When a check fails, the entries are checked one by
+one, so the error is that of the first bad entry: shape and value errors of
+all entries first, then, entry by entry, the value's range before the
+assignment's labels.
 
 A model file is read once, as bytes, and parsed from them: JSON in UTF-8,
 UTF-16 or UTF-32, whatever the locale.  A model's digest is the first 16
@@ -116,14 +118,25 @@ def _entry_columns(entries, exact):
     Raises ModelFormatError for the first entry that is not an object with
     an object 'assignment' and a 'value', or whose value does not parse.
     """
-    if any(map(_shape_error, entries)):
+    # plain dicts throughout, checked in C-level passes; anything else (a
+    # dict subclass included) is checked entry by entry
+    shaped = set(map(type, entries)) <= {dict}
+    if shaped:
+        try:
+            assignments = list(map(itemgetter("assignment"), entries))
+            raw = list(map(itemgetter("value"), entries))
+        except KeyError:
+            shaped = False
+        else:
+            shaped = set(map(type, assignments)) <= {dict}
+    if not shaped:
         for entry in entries:
             error = _shape_error(entry)
             if error:
                 raise ModelFormatError(error)
             parse_value(entry["value"], exact)
-    assignments = list(map(itemgetter("assignment"), entries))
-    raw = list(map(itemgetter("value"), entries))
+        assignments = list(map(itemgetter("assignment"), entries))
+        raw = list(map(itemgetter("value"), entries))
     if not exact and set(map(type, raw)) <= {float, int}:
         try:
             return assignments, np.array(raw, dtype=float)

@@ -12,18 +12,21 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from posscheck import (
+    DomainError,
     Factorization,
     PossibilityTable,
     Schema,
     SchemaError,
     TNorm,
     UndirectedGraph,
+    chain_report,
     factorizes,
     global_markov,
     verify,
 )
 from posscheck.corpus import builtin_example
 import posscheck.factorization
+from posscheck.independence import decide_many
 from posscheck.factorization import (
     _anchored_system, _clique_sequence, _clique_sum_projection, _crisp_candidate
 )
@@ -840,6 +843,23 @@ class TestExactRescaledRegime:
         # the float table keeps its "yes" within 1e-7
         assert factorizes(PossibilityTable(t.schema, t.values.astype(float)), chain_graph(),
                           tn).is_yes
+
+    @pytest.mark.parametrize("tn", [TNorm.product(2.0), TNorm.lukasiewicz(0.5)],
+                             ids=lambda t: t.describe())
+    def test_a_transformed_tnorm_is_refused_as_decide_many_refuses_it(self, tn):
+        # the untransformed base's fold: under the transform it would be "yes"
+        # in floats, but an exact table is not closed under the transform
+        t = self.dyadic_chain(TNorm(tn.base))
+        with pytest.raises(DomainError) as decided:
+            decide_many(t, tn, [], eps=0)
+        with pytest.raises(DomainError) as factorized:
+            factorizes(t, chain_graph(), tn, eps=0)
+        assert str(factorized.value) == str(decided.value)
+        with pytest.raises(DomainError, match="^exact tables do not support transformed"):
+            chain_report(t, chain_graph(), tn, eps=0, include_factorization=True)
+        # without factorization the Markov checks refuse it as well
+        with pytest.raises(DomainError, match="^exact tables do not support transformed"):
+            chain_report(t, chain_graph(), tn, eps=0)
 
     def test_clique_sequences_are_perfect_on_chordal_graphs(self):
         graph = UndirectedGraph.from_edges([("A", "B"), ("B", "C"), ("C", "D"), ("B", "D"),

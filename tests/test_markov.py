@@ -7,9 +7,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posscheck.markov
 from posscheck import (
+    DomainError,
     Factorization,
     InternalInconsistencyError,
     MarkovReport,
@@ -495,3 +498,135 @@ class TestWitnessLookups:
         # one lookup per distinct violated consequent: 3 for the 6 violations
         assert len(lookups) == len({r.consequent for r in bad}) == 3
         assert len(bad) == 6
+
+
+def report_fields(report):
+    return (report.property_name, report.holds, report.checked, report.witness,
+            report.skipped, report.mode)
+
+
+class TestChainVerdictMemo:
+    """Within one ``chain_report`` the three properties decide each distinct
+    (A, B, S) mask triple once; their reports are those of the standalone
+    calls, and the memo lives only as long as the call."""
+
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        """The statement count of each call to the runner's decider."""
+        counts = []
+        unhooked = posscheck.markov._decide_groups
+
+        def counted(table, tn, groups, count, eps):
+            counts.append(count)
+            return unhooked(table, tn, groups, count, eps)
+
+        monkeypatch.setattr(posscheck.markov, "_decide_groups", counted)
+        return counts
+
+    @staticmethod
+    def distinct(graph, masks, exhaustive=False, order=None):
+        """The distinct decided triples of global, local and pairwise, in turn."""
+        lists = [_exhaustive_statements(graph, masks, order) if exhaustive
+                 else _component_statements(graph, masks),
+                 _local_statements(graph, masks), _pairwise_statements(graph, masks)]
+        seen, new = set(), []
+        for triples in lists:
+            fresh = {t for t in triples if t[0] and t[1]} - seen
+            seen |= fresh
+            new.append(len(fresh))
+        return new
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3, 4, 5, 6, 11]),
+           kind=st.sampled_from(["planted", "jittered", "random", "exact"]),
+           exhaustive=st.booleans())
+    def test_reports_equal_the_standalone_calls(self, seed, n, kind, exhaustive):
+        rng = np.random.default_rng(seed)
+        # V10 sorts before V2, and the schema order is a random permutation
+        names = [f"V{i}" for i in range(n)]
+        order = [names[k] for k in rng.permutation(n)]
+        schema = Schema([(v, "012" if n <= 6 and rng.random() < 0.25 else "01") for v in order])
+        graph = random_graph(rng, names)
+        # the base t-norms come first; an exact table takes no transform
+        tn = ALL_TNORMS[int(rng.integers(3 if kind == "exact" else len(ALL_TNORMS)))]
+        t, anchor = planted(schema, graph, tn, rng, 0.5)
+        eps = 1e-9
+        if kind == "jittered":
+            t = jittered(t, anchor, rng, 1e-3)
+        elif kind == "random":
+            values = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], schema.shape)
+            values[anchor] = 1.0
+            t = PossibilityTable(schema, values)
+        elif kind == "exact":
+            values = np.array([Fraction(str(round(v, 3))) for v in t.values.flat],
+                              dtype=object).reshape(schema.shape)
+            t, eps = PossibilityTable(schema, values / values.max()), 0
+        exhaustive = exhaustive and n <= 6
+        rep = chain_report(t, graph, tn, eps, exhaustive=exhaustive)
+        alone = [global_markov(t, graph, tn, eps, exhaustive=exhaustive),
+                 local_markov(t, graph, tn, eps), pairwise_markov(t, graph, tn, eps)]
+        for chained, standalone in zip(
+                (rep.global_report, rep.local_report, rep.pairwise_report), alone):
+            assert report_fields(chained) == report_fields(standalone)
+
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_each_distinct_statement_is_handed_over_once(self, handed, exhaustive, rng):
+        names = [f"V{i}" for i in range(6)]
+        for _ in range(8):
+            order = [names[k] for k in rng.permutation(6)]
+            graph = random_graph(rng, names)
+            tn = TNorm.product()
+            t, anchor = planted(Schema.binary(*order), graph, tn, rng, 0.5)
+            handed.clear()
+            chain_report(jittered(t, anchor, rng, 1e-3), graph, tn, exhaustive=exhaustive)
+            assert handed == self.distinct(graph, bits(graph, order), exhaustive, order)
+
+    def test_pairwise_on_a_chain_hands_over_nothing(self, handed, rng):
+        schema = Schema.binary(*(f"V{i}" for i in range(8)))
+        g = UndirectedGraph(schema.variables, zip(schema.variables, schema.variables[1:]))
+        t, _ = planted(schema, g, TNorm.product(), rng, 0.3)
+        rep = chain_report(t, g, TNorm.product())
+        # 21 pairwise statements, every one a separated triple global decided
+        assert len(rep.pairwise_report.checked) == 21
+        assert handed == self.distinct(g, bits(g, schema.variables))
+        assert handed[2] == 0
+        # a standalone call decides its own list
+        handed.clear()
+        assert pairwise_markov(t, g, TNorm.product()).holds and handed == [21]
+
+    def test_chain_report_calls_each_property_once(self, monkeypatch):
+        calls = []
+        for name in ("global_markov", "local_markov", "pairwise_markov"):
+            original = getattr(posscheck.markov, name)
+
+            def wrapped(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(posscheck.markov, name, wrapped)
+        t, g = model(4)
+        chain_report(t, g, TNorm.product())
+        assert calls == ["global_markov", "local_markov", "pairwise_markov"]
+
+    def test_the_memo_ends_with_the_call(self, handed, rng):
+        schema = Schema.binary(*(f"V{i}" for i in range(6)))
+        g = UndirectedGraph(schema.variables, zip(schema.variables, schema.variables[1:]))
+        t, _ = planted(schema, g, TNorm.product(), rng, 0.3)
+        chain_report(t, g, TNorm.product())
+        assert posscheck.markov._VERDICTS.get() is None
+        with pytest.raises(DomainError):
+            chain_report(t, g, TNorm.product(), eps=float("nan"))
+        assert posscheck.markov._VERDICTS.get() is None
+        handed.clear()
+        report = pairwise_markov(t, g, TNorm.product())
+        assert handed == [len(report.checked)] == [10]
+
+    def test_a_bad_eps_raises_with_nothing_left_to_decide(self, rng):
+        names = [f"V{i}" for i in range(4)]
+        complete = UndirectedGraph(names, combinations(names, 2))
+        t, _ = planted(Schema.binary(*names), complete, TNorm.godel(), rng, 0.5)
+        for eps in (-1, float("nan")):
+            with pytest.raises(DomainError):
+                pairwise_markov(t, complete, TNorm.godel(), eps=eps)
+            with pytest.raises(DomainError):
+                chain_report(t, complete, TNorm.godel(), eps=eps)

@@ -5,8 +5,10 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -455,6 +457,47 @@ class TestBadShapes:
         ])
         with pytest.raises(ModelFormatError, match="cannot parse value 'x'"):
             load_model(doc)
+
+    NEEDS = "each entry needs 'assignment' and 'value'"
+
+    @pytest.mark.parametrize("bad, message", [
+        (["X", "0"], NEEDS),
+        ("X0", NEEDS),
+        (None, NEEDS),
+        ({"value": 1.0}, NEEDS),
+        ({"assignment": {"X": "1"}}, NEEDS),
+        ({"assignment": ["X", "1"], "value": 1.0}, "assignment ['X', '1'] is not an object"),
+        ({"assignment": "X1", "value": 1.0}, "assignment 'X1' is not an object"),
+        ({"assignment": None, "value": 1.0}, "assignment None is not an object"),
+        # a mapping that is not a dict, in a parsed-dict document
+        (MappingProxyType({"assignment": {"X": "1"}, "value": 1.0}), NEEDS),
+        ({"assignment": MappingProxyType({"X": "1"}), "value": 1.0},
+         "assignment mappingproxy({'X': '1'}) is not an object"),
+    ])
+    def test_the_first_bad_shape_gives_its_message(self, bad, message):
+        good = {"assignment": {"X": "0"}, "value": 1.0}
+        later = {"assignment": "X", "value": 0.5}  # a second bad shape, after it
+        doc = binary_doc(["X"], [good, bad, later])
+        with pytest.raises(ModelFormatError) as info:
+            load_model(doc)
+        assert str(info.value) == message
+
+    def test_a_bad_value_before_a_bad_shape_gives_the_value_message(self):
+        for later in (None, {"value": 1.0}, {"assignment": [], "value": 1.0}):
+            doc = binary_doc(["X"], [
+                {"assignment": {"X": "0"}, "value": 1.0},
+                {"assignment": {"X": "1"}, "value": "2/0"},
+                later,
+            ])
+            with pytest.raises(ModelFormatError) as info:
+                load_model(doc)
+            assert str(info.value) == "cannot parse value '2/0': Fraction(2, 0)"
+
+    def test_dict_subclasses_are_entries_and_assignments(self):
+        entries = [OrderedDict(assignment={"X": "0"}, value=1.0),
+                   {"assignment": OrderedDict(X="1"), "value": 0.5}]
+        values = load_model(binary_doc(["X"], entries)).table.values
+        assert values.tolist() == [1.0, 0.5]
 
     def test_too_large_integer_value(self):
         with pytest.raises(ModelFormatError, match="too large"):
