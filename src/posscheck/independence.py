@@ -12,57 +12,78 @@ by joint (``_joint_groups``), and ``_decide_groups`` gives their verdicts.
 witness is looked up; the reports call it only for the witnesses they show.
 
 How a statement is decided: statements are grouped by their joint
-A u B u S, and ``table.marginalize`` supplies each joint pi(A, B, S) once
-per batch; one core, ``_joint_chunks``, decides each joint's statements
+A u B u S, and one core, ``_joint_chunks``, decides each joint's statements
 from the bitmasks of their A and B axes.  The marginals pi(A, S), pi(B, S)
 and pi(S) are maxima of the joint over its own B, A and A u B axes, kept as
-size-1 axes.  Where it fits, a batch builds the max-marginal lattice of the
-joint (Gray et al., "Data Cube", 1997): one array of shape
+size-1 axes.  Where it fits, they are read from the max-marginal lattice of
+the joint (Gray et al., "Data Cube", 1997): one array of shape
 (k0 + 1, k1 + 1, ...) that holds the maximum over every subset of the axes,
 filled by one reduction per axis i over its contiguous (outer, ki + 1,
-inner) view.  It is built when it spans no more than ``_CACHE_CELLS`` cells
-and no more than the batch's statements times the joint's cells, the stacks
-the batch writes anyway.  Otherwise the batch takes each maximum once and
-keeps it by the bitmask of the axes it drops, so statements that drop the
-same axes share it; a joint's kept maxima are dropped when they span more
-than ``_CACHE_CELLS`` cells.  The statements of a joint are decided in
-chunks of at most ``_CHUNK_CELLS`` cells: their maxima are broadcast to the
-joint's shape and stacked along a new leading axis, gathered from the
-lattice in one fancy index or copied from the kept maxima, so the residual,
-the recombination and the comparison with the joint each run once per
-chunk.  A statement whose joint is larger than that is a chunk of its own;
-without the lattice it keeps the keepdims shapes, so it makes no stacked
-copies.  ``independent`` is such a lone chunk, and never builds a lattice,
-which spans more cells than its joint.  An exact table (an object array of
-``Fraction`` or other rational cells) is first written once per call as
-integer numerators over the least common multiple of its denominators,
-int64 where they fit: its joints, lattices and maxima are then maxima of
+inner) view (``_lattice``).  A batch builds it when it spans no more than
+``_CACHE_CELLS`` cells and no more than the batch's statements times the
+joint's cells, the stacks the batch writes anyway (``_fits``).  Otherwise
+the batch takes each maximum once and keeps it by the bitmask of the axes
+it drops, so statements that drop the same axes share it; a joint's kept
+maxima are dropped when they span more than ``_CACHE_CELLS`` cells.  The
+statements of a joint are decided in chunks of at most ``_CHUNK_CELLS``
+cells: their maxima are broadcast to the joint's shape and stacked along a
+new leading axis, gathered from the lattice in one fancy index
+(``_blocks``) or copied from the kept maxima, so the residual, the
+recombination and the comparison with the joint each run once per chunk.
+A statement whose joint is larger than that is a chunk of its own; without
+the lattice it keeps the keepdims shapes, so it makes no stacked copies.
+
+``decide_many`` and ``independent`` take each joint from
+``table.marginalize``; ``independent`` is a lone chunk, and never builds a
+lattice, which spans more cells than its joint.  The scans and the Markov
+checks, through ``_decide_groups``, apply the lattice rule once to the
+table itself and their whole list.  Where it holds they fill the table's
+lattice once and read every joint from it: every maximum of a joint is a
+maximum of the table, so a joint's values and its lattice are the block of
+the table's lattice with index ki on the axes the joint leaves out (Gray et
+al. again: fill the cube once, answer every group-by from it).  A list
+whose statements times the table's cells fit one chunk is decided as that
+chunk on the table's shape, each statement's unused axes added to the
+drops of its three terms and its joint read as a fourth term; larger lists
+keep their joints' own shapes, as stretching small joints to the table's
+cells costs more than it saves.  Where the table's lattice does not fit,
+each joint is marginalized and decided as in ``decide_many``.
+
+An exact table (an object array of ``Fraction`` or other rational cells)
+is first written once per call (once per ``chain_report``) as integer
+numerators over the least common multiple of its denominators, int64
+where they fit: its joints, lattices and maxima are then maxima of
 integers, and each base t-norm's mismatch test is a closed form in them
 (``_numerators``), so no ``Fraction`` and no t-norm kernel runs per
 statement.  A max of maxima is exact and every kernel works cell by cell,
 so the verdicts equal those from separately marginalized tables decided one
-statement at a time, bit for bit, and on exact tables those of the same
-tables' ``Fraction`` arithmetic.  A witness is the first mismatching cell
-of the joint, first variable cycling fastest.
+statement at a time, bit for bit, on any route, and on exact tables those
+of the same tables' ``Fraction`` arithmetic.  A witness is the first
+mismatching cell of the joint, first variable cycling fastest.
 
 Axiom scans enumerate their instances once per (variable names, axioms)
 into a table-independent plan of arrays: the role vectors of all instances
 come from ``np.indices``, each group's bitmask is a sum of variable bits,
 and ``np.unique`` numbers the distinct (a, b, given) keys, so the plan
-holds the distinct statements and, per instance, its group masks and the
-indices of its antecedents and consequent.  The plan also groups the
-distinct statements by joint, once, in numpy: ``np.unique`` over their
-joint masks, and each statement's A and B masks compressed onto its
-joint's axes, an axis's rank there being the ``np.bitwise_count`` of the
-joint's bits below it.  A scan decides those groups, so each statement is
-decided once and nothing is regrouped or renamed per table; which instances are
-vacuous and which are violated are two array reductions over the
-verdicts.  The witness of a violated instance is looked up at once, once
-per distinct consequent, and a report is built only when it is read.
+holds the distinct statements, their side masks on the schema's axes,
+and, per instance, its group masks and the indices of its antecedents and
+consequent.  The plan also groups the distinct statements by joint, once,
+in numpy: ``np.unique`` over their joint masks, and each statement's A and
+B masks compressed onto its joint's axes, an axis's rank there being the
+``np.bitwise_count`` of the joint's bits below it.  A scan decides those
+groups through ``_decide_groups``, so each statement is decided once and
+nothing is regrouped or renamed per table: on the table's lattice, a scan
+of four variables is one chunk and a larger one one block per joint.
+Which instances are vacuous and which are violated are two array
+reductions over the verdicts.  The witness of a violated instance is
+looked up at once, once per distinct consequent, and a report is built
+only when it is read.
 """
 
 import math
 from collections.abc import Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -221,30 +242,62 @@ def _chunks(table, tn, statements, eps):
             yield indices[chunk], joint, mask
 
 
+# An exact table's numerators, by (id of the table, t-norm, eps), with the
+# table itself, which keeps its id from being reused: ``_numerators_kept``
+# sets it for a caller that decides several lists on one table
+# (``chain_report``), so that they are built once.  None elsewhere, where
+# each call builds its own.
+_NUMERATORS = ContextVar("_NUMERATORS", default=None)
+
+
+@contextmanager
+def _numerators_kept():
+    """Within the block, ``_decider`` builds each exact table's numerators
+    once per t-norm and eps; they are dropped when the block exits or
+    raises."""
+    token = _NUMERATORS.set({})
+    try:
+        yield
+    finally:
+        _NUMERATORS.reset(token)
+
+
 def _decider(table, tn, eps):
     """(the table whose maxima a decision reads, the mismatch test
     ``mismatch(y, x, b, pi)`` on them): the table itself and the t-norm's
     recombination compared within eps, or for an exact table its integer
-    numerators (``_numerators``).  Raises DomainError for a negative or NaN
-    eps."""
+    numerators (``_numerators``), kept within ``_numerators_kept``.  Raises
+    DomainError for a negative or NaN eps."""
     require_eps(eps)
     if table.values.dtype == object:
-        return _numerators(table, tn, eps)
+        kept = _NUMERATORS.get()
+        if kept is None:
+            return _numerators(table, tn, eps)
+        key = (id(table), tn, eps)
+        if key not in kept:
+            kept[key] = table, _numerators(table, tn, eps)
+        return kept[key][1]
 
     def mismatch(y, x, b, pi):
         return mismatch_mask(tn.apply_array(tn.residual_array(y, x), b), pi, eps)
     return table, mismatch
 
 
-def _joint_chunks(pi, a, b, mismatch):
+def _joint_chunks(pi, a, b, mismatch, z=None):
     """Decide the statements on the joint values ``pi`` whose A and B axes
     are the bitmasks ``a`` and ``b`` (int64 arrays, on the axes of ``pi``)
     chunk by chunk: yields (the slice of the chunk's statements, their
-    stacked mismatch mask)."""
-    # the lattice may span no more than the cache budget, nor than the
-    # stacks the batch writes anyway
-    fits = math.prod(k + 1 for k in pi.shape) <= min(_CACHE_CELLS, len(a) * pi.size)
-    terms = (_lattice if fits else _maxima)(pi)
+    stacked mismatch mask).  The maxima are read from ``z``, the joint's
+    lattice, when it is given, and otherwise from the lattice the batch
+    builds where it fits (``_fits``), or else taken one by one
+    (``_maxima``)."""
+    if z is None and _fits(pi.shape, len(a)):
+        z = _lattice(pi)
+    if z is None:
+        terms = _maxima(pi)
+    else:
+        def terms(a, b):
+            return _blocks(z, np.stack([b, a | b, a]))
     step = max(1, _CHUNK_CELLS // pi.size)
     for lo in range(0, len(a), step):
         chunk = slice(lo, lo + step)
@@ -252,6 +305,13 @@ def _joint_chunks(pi, a, b, mismatch):
         # built, their pages go back to the system and fault in again
         m_as, m_s, m_bs = terms(a[chunk], b[chunk])
         yield chunk, mismatch(m_as, m_s, m_bs, pi)
+
+
+def _fits(shape, count):
+    """Whether a batch of ``count`` statements builds the lattice of a joint
+    of ``shape``: the lattice may span no more than ``_CACHE_CELLS`` cells,
+    nor more than the stacks the batch writes anyway."""
+    return math.prod(k + 1 for k in shape) <= min(_CACHE_CELLS, count * math.prod(shape))
 
 
 def _joint_groups(a, b, given, names):
@@ -281,16 +341,45 @@ def _joint_groups(a, b, given, names):
                  for j, indices in zip(joints.tolist(), by_joint))
 
 
-def _decide_groups(table, tn, groups, count, eps):
-    """Whether each of ``count`` statements holds, as a bool array: the
-    statements in ``groups`` (as ``_joint_groups`` gives them) decided on
-    each joint, which ``table.marginalize`` supplies (on the numerators, for
-    an exact table).  Raises DomainError for a negative or NaN eps."""
+def _decide_groups(table, tn, masks, groups, eps):
+    """Whether each statement holds, as a bool array: the statements whose
+    A, B and S axes are the bitmasks ``masks`` = (a, b, given), int64
+    arrays on the table's axes, grouped by joint in ``groups`` as
+    ``_joint_groups`` gives them (decided on the numerators, for an exact
+    table).  Where the table's lattice fits the whole list (``_fits``),
+    every joint is read from it, and a list that fits one chunk on the
+    table's shape is decided as that chunk; otherwise each joint is
+    marginalized.  Raises DomainError for a negative or NaN eps."""
     table, mismatch = _decider(table, tn, eps)
-    verdicts = np.ones(count, dtype=bool)
-    for keep, indices, a, b in groups:
-        pi = table.marginalize(keep).values
-        for chunk, mask in _joint_chunks(pi, a, b, mismatch):
+    names = table.schema.variables
+    a, b, given = masks
+    verdicts = np.ones(len(a), dtype=bool)
+    z = None
+    if _fits(table.values.shape, len(a)):
+        pi = table.marginalize(names).values
+        z = _lattice(pi)
+        if len(a) * pi.size <= _CHUNK_CELLS:
+            # a statement's terms also drop the axes it leaves unused, and
+            # its joint is the maximum over those
+            unused = ((1 << len(names)) - 1) ^ (a | b | given)
+            drops = [b | unused, a | b | unused, a | unused]
+            if unused.any():
+                drops.append(unused)
+            m_as, m_s, m_bs, *joint = _blocks(z, np.stack(drops))
+            mask = mismatch(m_as, m_s, m_bs, joint[0] if joint else pi)
+            return ~mask.reshape(len(a), -1).any(axis=1)
+    for keep, indices, on_a, on_b in groups:
+        if z is None:
+            joint, block = table.marginalize(keep).values, None
+        elif len(keep) == len(names):
+            joint, block = pi, z
+        else:
+            # the joint's lattice: index ki on the axes the joint leaves out
+            kept = set(keep)
+            block = np.ascontiguousarray(
+                z[tuple(slice(None) if v in kept else k for v, k in zip(names, pi.shape))])
+            joint = block[tuple(slice(k - 1) for k in block.shape)]
+        for chunk, mask in _joint_chunks(joint, on_a, on_b, mismatch, block):
             verdicts[indices[chunk]] = ~mask.reshape(len(mask), -1).any(axis=1)
     return verdicts
 
@@ -404,47 +493,44 @@ def _maxima(pi):
 
 
 def _lattice(pi):
-    """A function ``terms(a, b)`` as ``_maxima`` gives, reading every
-    maximum from the max-marginal lattice of ``pi``.
+    """The max-marginal lattice ``z`` of ``pi``, of shape (k0 + 1, k1 + 1,
+    ...): ``pi`` fills the cells below every ki, and index ki on an axis
+    holds the maximum over that axis, so the block with index ki on some
+    axes is the keepdims maximum over them.
 
-    The lattice ``z`` has shape (k0 + 1, k1 + 1, ...): ``pi`` fills the
-    cells below every ki, and index ki on an axis holds the maximum over
-    that axis, so the block with index ki on the dropped axes is the
-    keepdims maximum over them.  Step j writes the maximum of rows below kj
-    of the (outer, kj + 1, inner) view into row kj.  This is exact: a cell
-    whose index-ki axes form the set K is final after step max(K), which
-    reads cells whose index-ki axes are K less max(K), final by then; no
-    later step writes it.  Slots kj not yet filled are read too, but step j
-    rewrites them; ``z`` starts from zeros, not ``np.empty``, so in an
-    object array they hold ints, which compare.  ``z`` is a fresh
-    C-contiguous array, so each ``reshape`` is a view that writes through.
-
-    The statements' terms, broadcast to the joint's shape, are gathered
-    from ``z`` in one fancy index.  A batch of one statement never reads
-    the lattice, which spans more cells than its joint.
+    Step j writes the maximum of rows below kj of the (outer, kj + 1, inner)
+    view into row kj.  This is exact: a cell whose index-ki axes form the
+    set K is final after step max(K), which reads cells whose index-ki axes
+    are K less max(K), final by then; no later step writes it.  Slots kj
+    not yet filled are read too, but step j rewrites them; ``z`` starts
+    from zeros, not ``np.empty``, so in an object array they hold ints,
+    which compare.  ``z`` is a fresh C-contiguous array, so each
+    ``reshape`` is a view that writes through.
     """
-    h, lead, trail = _lattice_plan(pi.shape)
     z = np.zeros([k + 1 for k in pi.shape], pi.dtype)
     z[tuple(slice(k) for k in pi.shape)] = pi
     for axis, k in enumerate(pi.shape):
         v = z.reshape(math.prod(z.shape[:axis]), k + 1, -1)
         np.max(v[:, :k], axis=1, out=v[:, k])
-    flat = z.reshape(-1)
+    return z
 
-    def terms(a, b):
-        a, b = np.asarray(a), np.asarray(b)
-        drops = np.concatenate([b, a | b, a])
-        idx = lead[drops & ((1 << h) - 1)][:, :, None] + trail[drops >> h][:, None, :]
-        return flat[idx].reshape((3, len(a)) + pi.shape)
 
-    return terms
+def _blocks(z, drops):
+    """The maxima over the axes of each bitmask in ``drops`` (an int array),
+    read from the C-contiguous lattice ``z`` (``_lattice``) and broadcast to
+    its joint's shape, in one fancy index: an array of shape
+    ``drops.shape`` + the joint's shape."""
+    shape = tuple(k - 1 for k in z.shape)
+    h, lead, trail = _lattice_plan(shape)
+    idx = lead[drops & ((1 << h) - 1)][..., :, None] + trail[drops >> h][..., None, :]
+    return z.reshape(-1)[idx].reshape(drops.shape + shape)
 
 
 # room for the joint shapes of a few schemas, so that batches alternating
 # between them build each plan once
 @lru_cache(maxsize=64)
 def _lattice_plan(shape):
-    """How ``_lattice`` reads the lattice of a joint of ``shape``: (h, lead,
+    """How ``_blocks`` reads the lattice of a joint of ``shape``: (h, lead,
     trail).  The flat lattice index of a statement's term at a joint cell is
     the sum of a part from the h leading axes and one from the trailing ones:
     for a term dropping the axes of ``drop``, ``lead[drop & ((1 << h) - 1)]``
@@ -550,8 +636,9 @@ class _ScanPlan:
     indexed by row i of ``antecedents`` (a one-antecedent axiom repeats its
     one) and the consequent indexed by ``consequents[i]``.  ``blocks`` holds
     each axiom's instances as (axiom, start, stop), ``subsets[m]`` the
-    variables of bitmask m, in schema order, and ``joints`` the statements
-    grouped by their joint, as ``_joint_groups`` gives them.
+    variables of bitmask m, in schema order, ``masks`` the bitmasks (a, b,
+    given) of the statements' sides, on the schema's axes, and ``joints``
+    the statements grouped by their joint, as ``_joint_groups`` gives them.
     """
 
     statements: tuple
@@ -560,6 +647,7 @@ class _ScanPlan:
     roles: np.ndarray
     antecedents: np.ndarray
     consequents: np.ndarray
+    masks: tuple
     joints: tuple
 
 
@@ -621,9 +709,9 @@ def _scan_plan(names, axioms):
     )
     joints = _joint_groups(*sides, names)
     arrays = np.concatenate(roles), index[:, :2], index[:, 2]
-    for a in (*arrays, *(a for _, *group in joints for a in group)):
+    for a in (*arrays, *sides, *(a for _, *group in joints for a in group)):
         a.flags.writeable = False  # shared by every scan of the cached plan
-    return _ScanPlan(statements, subsets, tuple(blocks), *arrays, joints)
+    return _ScanPlan(statements, subsets, tuple(blocks), *arrays, tuple(sides), joints)
 
 
 class ScanReports(Sequence):
@@ -727,7 +815,7 @@ def scan_axioms(table: PossibilityTable, tn: TNorm, axioms=None, scan_limit=SCAN
             f"schema has {len(names)} variables, scan limit is {scan_limit}"
         )
     plan = _scan_plan(names, canonical_axioms(axioms))
-    verdicts = _decide_groups(table, tn, plan.joints, len(plan.statements), eps)
+    verdicts = _decide_groups(table, tn, plan.masks, plan.joints, eps)
     ante_ok = verdicts[plan.antecedents].all(axis=1)
     violated = ante_ok & ~verdicts[plan.consequents]
     witnesses = {c: independent(table, tn, plan.statements[c], eps).witness

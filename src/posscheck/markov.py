@@ -28,7 +28,9 @@ statement and some local ones (others appear with A and B swapped, which at
 eps is another test, decided anew).  A triple names one statement on the
 same table, t-norm and eps, and a statement's verdict does not depend on
 the batch it is decided in, so the reports are those of the standalone
-calls.
+calls.  For the same span, an exact table's integer numerators are built
+once (``independence._numerators_kept``), for the decisions and the
+witness lookups alike.
 """
 
 from contextvars import ContextVar
@@ -42,7 +44,8 @@ import numpy as np
 from .errors import InternalInconsistencyError
 from .factorization import FactorizationResult, _validate_vertices, factorizes, verify
 from .graphs import UndirectedGraph
-from .independence import IndependenceStatement, _decide_groups, _joint_groups, independent
+from .independence import (IndependenceStatement, _decide_groups, _joint_groups, _numerators_kept,
+                           independent)
 from .numeric import DEFAULT_EPSILON
 from .possibility import PossibilityTable
 from .tnorm import TNorm
@@ -109,8 +112,9 @@ def _run_checks(table, graph, tn, triples, eps, property_name, mode="components"
         memo = {}
     decided = [t for t in triples if t[0] and t[1]]
     missing = [t for t in decided if t not in memo]  # each enumeration lists a triple once
-    groups = _joint_groups(*_axis_masks(table, graph, missing), table.schema.variables)
-    memo.update(zip(missing, _decide_groups(table, tn, groups, len(missing), eps).tolist()))
+    masks = _axis_masks(table, graph, missing)
+    groups = _joint_groups(*masks, table.schema.variables)
+    memo.update(zip(missing, _decide_groups(table, tn, masks, groups, eps).tolist()))
     checked = tuple(zip(statements, map(memo.__getitem__, decided)))
     failing = next((stmt for stmt, holds in checked if not holds), None)
     witness = None if failing is None else (failing, independent(table, tn, failing, eps).witness)
@@ -233,7 +237,8 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
     """Run the Markov checks (optionally factorization) and police implications.
 
     The three properties share one verdict memo for the call, so each
-    distinct statement is decided once; the reports are those of the
+    distinct statement is decided once, and an exact table's numerators
+    are built once, witness lookups included; the reports are those of the
     standalone calls.
 
     Any result pattern violating global => local => pairwise, or a verified
@@ -245,9 +250,10 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
     f_result = factorizes(table, graph, tn, eps) if include_factorization else None
     token = _VERDICTS.set({})
     try:
-        g = global_markov(table, graph, tn, eps, exhaustive=exhaustive)
-        l = local_markov(table, graph, tn, eps)
-        p = pairwise_markov(table, graph, tn, eps)
+        with _numerators_kept():
+            g = global_markov(table, graph, tn, eps, exhaustive=exhaustive)
+            l = local_markov(table, graph, tn, eps)
+            p = pairwise_markov(table, graph, tn, eps)
     finally:
         _VERDICTS.reset(token)
     if g.holds and not l.holds:

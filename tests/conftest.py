@@ -339,8 +339,9 @@ def rng():
 
 @pytest.fixture
 def lattices(monkeypatch):
-    """The shapes of the joints whose max-marginal lattice ``decide_many``
-    builds, in order."""
+    """The shapes of the joints whose max-marginal lattice is built, in
+    order: one per joint whose batch fits it in ``decide_many``, and the
+    table's own in a scan or Markov check that fits it."""
     built = []
     original = posscheck.independence._lattice
 

@@ -478,14 +478,16 @@ class TestLattice:
                              for n in names])
             table = grid_table(schema, rng)
             pi = (exact(table) if exact_values else table).values
-            drops = list(range(1 << len(names)))
-            # with an empty B, pi(A, S) is pi itself, and pi(S) and pi(B, S)
-            # are the maxima over the axes of A: every block of the lattice
-            m_as, m_s, m_bs = posscheck.independence._lattice(pi)(drops, [0] * len(drops))
-            for drop in drops:
+            # every block of the lattice, read once alone and once in a
+            # stack of two rows, the second dropping no axis
+            drops = np.arange(1 << len(names))
+            z = posscheck.independence._lattice(pi)
+            alone = posscheck.independence._blocks(z, drops)
+            stacked, whole = posscheck.independence._blocks(z, np.stack([drops, 0 * drops]))
+            for drop in drops.tolist():
                 axes = tuple(i for i in range(len(names)) if drop >> i & 1)
                 block = np.broadcast_to(pi.max(axis=axes, keepdims=True), pi.shape)
-                for got, want in ((m_as[drop], pi), (m_s[drop], block), (m_bs[drop], block)):
+                for got, want in ((alone[drop], block), (stacked[drop], block), (whole[drop], pi)):
                     assert got.dtype == pi.dtype
                     assert np.array_equal(got, want)
                     if exact_values:
@@ -502,10 +504,8 @@ class TestLattice:
             values.flat[int(rng.integers(0, values.size))] = 1.0
             table = PossibilityTable(schema, values)
             pi = (exact(table) if exact_values else table).values
-            drops = list(range(1 << len(names)))
-            # the blocks pi(S), one per subset of the axes, cover the lattice
-            _, m_s, _ = posscheck.independence._lattice(pi)(drops, [0] * len(drops))
-            assert (m_s != 0).all()
+            z = posscheck.independence._lattice(pi)
+            assert (z != 0).all()
 
 
 # Denominators on both sides of 2**31, the largest common denominator of an
@@ -550,6 +550,142 @@ class TestScanJointGroups:
             t, eps = exact(t), 0
         plan = _scan_plan(t.schema.variables, AXIOMS)
         assert scan_axioms(t, tn, eps=eps)._verdicts == decide_many(t, tn, plan.statements, eps)
+
+
+# (chunk budget, cache budget) forcing each route of ``_decide_groups``
+# wherever the table's lattice fits: the whole list as one chunk on the
+# table's lattice, each joint read as a block of that lattice, and each
+# joint marginalized and decided on its own
+ROUTES = {"one-chunk": (ANY_LATTICE, ANY_LATTICE), "joint-blocks": (0, ANY_LATTICE),
+          "fallback": (None, NO_LATTICE)}
+
+
+@st.composite
+def route_inputs(draw):
+    """(schema, graph, kind, rng): a schema on V8..V11 in a drawn order with
+    2-4 labels per variable, a graph on its variables, and how to fill the
+    table with the seeded rng: grid values, the same exact at eps 0, or
+    planted on the graph and jittered at the scale of eps."""
+    names = draw(st.permutations([f"V{8 + i}" for i in range(draw(st.integers(1, 4)))]))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=len(names), max_size=len(names)))
+    schema = Schema([(n, [str(d) for d in range(k)]) for n, k in zip(names, sizes)])
+    edges = [e for e in combinations(sorted(names), 2) if draw(st.booleans())]
+    graph = UndirectedGraph(sorted(names), edges)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["grid", "exact", "jittered"]))
+    return schema, graph, kind, rng
+
+
+def routes_taken(monkeypatch):
+    """The shapes of the lattices built and, per ``_joint_chunks`` call,
+    whether it was handed a lattice."""
+    lattices, handed = [], []
+    unhooked_lattice = posscheck.independence._lattice
+    unhooked_chunks = posscheck.independence._joint_chunks
+
+    def lattice(pi):
+        lattices.append(pi.shape)
+        return unhooked_lattice(pi)
+
+    def chunks(pi, a, b, mismatch, z=None):
+        handed.append(z is not None)
+        return unhooked_chunks(pi, a, b, mismatch, z)
+
+    monkeypatch.setattr(posscheck.independence, "_lattice", lattice)
+    monkeypatch.setattr(posscheck.independence, "_joint_chunks", chunks)
+    return lattices, handed
+
+
+def assert_route(route, shape, count, lattices, handed):
+    if route == "fallback" or not posscheck.independence._fits(shape, count):
+        assert lattices == [] and not any(handed)
+    else:
+        assert lattices == [shape]
+        assert any(handed) == (route == "joint-blocks")
+
+
+class TestDecisionRoutes:
+    """Each route of ``_decide_groups`` gives the verdicts of ``decide_many``
+    in a scan, and the reports of deciding each statement through
+    ``independent`` in an exhaustive global check."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @settings(max_examples=80, deadline=None)
+    @given(drawn=route_inputs(), tn=st.sampled_from(ALL_TNORMS))
+    def test_scans_and_exhaustive_global_checks(self, route, drawn, tn):
+        schema, graph, kind, rng = drawn
+        eps = EPS
+        if kind == "jittered":
+            t, anchor = planted(schema, graph, tn, rng, 0.3)
+            t = jittered(t, anchor, rng, rng.choice([0.5, 1.0, 2.0]) * EPS)
+        else:
+            t = grid_table(schema, rng)
+            if kind == "exact" and tn.transform is None:  # transforms force floating point
+                t, eps = exact(t), 0
+        plan = _scan_plan(schema.variables, AXIOMS)
+        want = decide_many(t, tn, plan.statements, eps)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            set_budgets(monkeypatch, *ROUTES[route])
+            lattices, handed = routes_taken(monkeypatch)
+            reports = scan_axioms(t, tn, eps=eps)
+            assert_route(route, schema.shape, len(plan.statements), lattices, handed)
+            assert reports._verdicts == want
+            for r in violations(reports):
+                assert r.witness == independent(t, tn, r.consequent, eps).witness
+            lattices.clear(), handed.clear()
+            report = global_markov(t, graph, tn, eps, exhaustive=True)
+            assert_route(route, schema.shape, len(report.checked), lattices, handed)
+        results = [independent(t, tn, stmt, eps) for stmt, _ in report.checked]
+        assert report.checked == tuple((r.statement, r.holds) for r in results)
+        failing = next((r for r in results if not r.holds), None)
+        assert report.holds == (failing is None)
+        assert report.witness == (None if failing is None else (failing.statement, failing.witness))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("names", [("X",), ("X", "Y")], ids=["one-variable", "two-variables"])
+    def test_scans_of_one_and_two_variables_are_empty(self, route, names, monkeypatch):
+        set_budgets(monkeypatch, *ROUTES[route])
+        t = PossibilityTable.load(Schema.binary(*names), [], 1.0)
+        for eps in (EPS, 0):
+            reports = scan_axioms(t, TNorm.godel(), eps=eps)
+            assert len(reports) == 0 and list(reports) == [] and reports.violated == []
+        for eps in (-1, float("nan")):
+            with pytest.raises(DomainError, match="eps"):
+                scan_axioms(t, TNorm.godel(), eps=eps)
+            with pytest.raises(DomainError, match="eps"):
+                complete = UndirectedGraph(names, combinations(names, 2))
+                global_markov(t, complete, TNorm.godel(), eps)
+
+
+class TestScanCallCounts:
+    """A scan that builds the table's lattice fills it once and reads every
+    joint from it, marginalizing nothing but the whole table."""
+
+    @pytest.fixture
+    def kept(self, monkeypatch):
+        """The variables of each ``marginalize`` call, as a set."""
+        calls = []
+        unhooked = PossibilityTable.marginalize
+
+        def counted(table, keep):
+            calls.append(set(keep))
+            return unhooked(table, keep)
+
+        monkeypatch.setattr(PossibilityTable, "marginalize", counted)
+        return calls
+
+    # a 4-variable scan fits one chunk, a 5-variable one reads joint blocks
+    @pytest.mark.parametrize("domains", [("01", "012", "01", "01"), ("01",) * 5, ("012",) * 5],
+                             ids=["one-chunk", "joint-blocks", "joint-blocks-ternary"])
+    @pytest.mark.parametrize("tn", BASE_TNORMS, ids=lambda t: t.describe())
+    def test_one_lattice_and_no_proper_marginal(self, domains, tn, rng, kept, lattices):
+        schema = Schema([(f"V{8 + i}", labels) for i, labels in enumerate(domains)])
+        t = grid_table(schema, rng)
+        # the semigraphoid axioms hold on every table: no witness is looked up
+        reports = scan_axioms(t, tn, AXIOMS[:4])
+        assert len(reports) and violations(reports) == []
+        assert lattices == [schema.shape]
+        assert kept and all(k == set(schema.variables) for k in kept)
 
 
 class TestExactNumerators:
@@ -786,9 +922,9 @@ class TestScanAgainstNaiveEnumeration:
         batches = []
         unhooked = posscheck.independence._decide_groups
 
-        def recorded(table, tn, groups, count, eps):
+        def recorded(table, tn, masks, groups, eps):
             batches.append([statements[i] for _, indices, _, _ in groups for i in indices])
-            return unhooked(table, tn, groups, count, eps)
+            return unhooked(table, tn, masks, groups, eps)
 
         monkeypatch.setattr(posscheck.independence, "_decide_groups", recorded)
         scan_axioms(t, TNorm.godel(), axioms)
@@ -846,6 +982,9 @@ class TestScanPlan:
         plan = _scan_plan(("A", "B", "C"), AXIOMS)
         with pytest.raises(ValueError):
             plan.consequents[0] = 0
+        for masks in plan.masks:
+            with pytest.raises(ValueError):
+                masks[0] = 0
 
 
 class TestScanReports:

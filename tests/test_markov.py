@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posscheck.markov
+import posscheck.independence
 from posscheck import (
     DomainError,
     Factorization,
@@ -158,6 +159,23 @@ class TestVacuousCases:
         g = UndirectedGraph.from_edges([("A", "B")])
         rep = global_markov(t, g, TNorm.godel())
         assert rep.holds and not rep.checked
+
+    # (chunk budget, cache budget) of each route of the decider: one chunk
+    # on the table's lattice, joint blocks of it, and no lattice
+    @pytest.mark.parametrize("chunk, cache", [(1 << 40, 1 << 40), (0, 1 << 40), (None, 0)],
+                             ids=["one-chunk", "joint-blocks", "fallback"])
+    @pytest.mark.parametrize("exhaustive", [False, True])
+    def test_a_one_variable_chain_holds(self, chunk, cache, exhaustive, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(posscheck.independence, "_CHUNK_CELLS", chunk)
+        monkeypatch.setattr(posscheck.independence, "_CACHE_CELLS", cache)
+        g = UndirectedGraph(["X"])
+        for values, eps in (([1.0, 0.5], 1e-9), (np.array([1, Fraction(1, 2)], object), 0)):
+            t = PossibilityTable(Schema.binary("X"), values)
+            rep = chain_report(t, g, TNorm.product(), eps, exhaustive=exhaustive)
+            reports = (rep.global_report, rep.local_report, rep.pairwise_report)
+            assert all(r.holds and r.checked == () and r.witness is None for r in reports)
+            assert rep.local_report.skipped == ({"a": ("X",), "b": (), "given": ()},)
 
     def test_vertex_mismatch_rejected(self):
         t, _ = model(3)
@@ -516,9 +534,9 @@ class TestChainVerdictMemo:
         counts = []
         unhooked = posscheck.markov._decide_groups
 
-        def counted(table, tn, groups, count, eps):
-            counts.append(count)
-            return unhooked(table, tn, groups, count, eps)
+        def counted(table, tn, masks, groups, eps):
+            counts.append(len(masks[0]))
+            return unhooked(table, tn, masks, groups, eps)
 
         monkeypatch.setattr(posscheck.markov, "_decide_groups", counted)
         return counts
@@ -630,3 +648,77 @@ class TestChainVerdictMemo:
                 pairwise_markov(t, complete, TNorm.godel(), eps=eps)
             with pytest.raises(DomainError):
                 chain_report(t, complete, TNorm.godel(), eps=eps)
+
+
+class TestExactNumeratorsPerChain:
+    """An exact ``chain_report`` writes its table as integer numerators once,
+    for its decisions and its witness lookups alike, and keeps nothing once
+    it returns or raises; a standalone call builds its own."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The table of each ``_numerators`` call."""
+        tables = []
+        unhooked = posscheck.independence._numerators
+
+        def counted(table, tn, eps):
+            tables.append(table)
+            return unhooked(table, tn, eps)
+
+        monkeypatch.setattr(posscheck.independence, "_numerators", counted)
+        return tables
+
+    @staticmethod
+    def exact(table):
+        values = [Fraction(v) for v in table.values.flat]
+        return PossibilityTable(table.schema, np.array(values, object).reshape(table.values.shape))
+
+    def test_a_passing_chain_builds_once(self, builds, rng):
+        # a product of quarter-grid factors is exact in floating point
+        schema = Schema.binary(*(f"V{i}" for i in range(6)))
+        g = UndirectedGraph(schema.variables, zip(schema.variables, schema.variables[1:]))
+        tn = TNorm.product()
+        factors = {}
+        for clique in g.cliques():
+            values = rng.choice([0.25, 0.5, 0.75, 1.0], (2, 2))
+            values[0, 0] = 1.0
+            factors[clique] = PossibilityTable(schema.project(clique), values)
+        x = self.exact(Factorization(tn, factors).combine(schema))
+        rep = chain_report(x, g, tn, eps=0)
+        assert rep.global_report.holds and rep.local_report.holds and rep.pairwise_report.holds
+        assert builds == [x]
+        assert posscheck.independence._NUMERATORS.get() is None
+        builds.clear()
+        stmt = rep.global_report.checked[0][0]
+        assert global_markov(x, g, tn, eps=0).holds and independent(x, tn, stmt, eps=0).holds
+        assert builds == [x, x]
+
+    @pytest.mark.parametrize("tn", BASE_TNORMS, ids=lambda t: t.describe())
+    def test_a_failing_chain_builds_once(self, builds, tn):
+        # min(f(X, Y), g(Z)) with X and Y dependent, on a graph with no edges:
+        # each property fails and looks up its witness
+        f = [[1.0, 0.5], [0.5, 1.0]]
+        values = [[[min(fxy, gz) for gz in (1.0, 0.75)] for fxy in row] for row in f]
+        x = self.exact(PossibilityTable(Schema.binary("X", "Y", "Z"), values))
+        rep = chain_report(x, UndirectedGraph(["X", "Y", "Z"], []), tn, eps=0)
+        reports = (rep.global_report, rep.local_report, rep.pairwise_report)
+        assert not any(r.holds for r in reports)
+        assert all(r.witness[1] is not None for r in reports)
+        assert builds == [x]
+        assert posscheck.independence._NUMERATORS.get() is None
+
+    def test_nothing_is_kept_after_a_raise(self, builds, monkeypatch, rng):
+        t, g = model(4)
+        x = self.exact(t)
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("pairwise")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(posscheck.markov, "pairwise_markov", failing)
+            with pytest.raises(RuntimeError, match="pairwise"):
+                chain_report(x, g, TNorm.product(), eps=0)
+        assert builds == [x]
+        assert posscheck.independence._NUMERATORS.get() is None
+        pairwise_markov(x, g, TNorm.product(), eps=0)
+        assert builds == [x, x]
