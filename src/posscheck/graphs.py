@@ -6,9 +6,13 @@ name-sorted vertex order, so a mask's members read out already sorted, and
 flood-filling from the lowest unvisited bit yields components ordered by
 their smallest name.  Names map to bits only at the public methods, which
 validate them; the Markov checks enumerate separators on the masks
-directly.  Maximal cliques come from the classic recursive enumeration
-with pivoting, and separation reduces to connectivity of the residual
-subgraph.
+directly.  A flood step takes the union of the frontier's neighbourhoods,
+one per bit; the separator enumerations, which flood subsets by the
+thousand, read it from a table of every vertex set's neighbourhood
+(``_neighborhoods``, 2^n entries) instead, which public ``components``
+does without, as its graphs may be too large for it.  Maximal cliques
+come from the classic recursive enumeration with pivoting, and separation
+reduces to connectivity of the residual subgraph.
 """
 
 from .errors import DisjointnessError, ModelFormatError, SchemaError
@@ -90,19 +94,33 @@ class UndirectedGraph:
             mask ^= low
         return out
 
-    def _flood(self, seed, allowed):
-        """Vertices reachable from ``seed`` inside ``allowed`` (seed included)."""
+    def _neighborhoods(self):
+        """The neighbourhood of every vertex set, as a list indexed by its
+        mask: 2^n entries, for a caller that floods many subsets of a
+        graph small enough to enumerate them.  Entries 2^i to 2^(i+1) - 1
+        are those below 2^i, each joined with vertex i's adjacency."""
+        table = [0]
+        for adjacency in self._adjacency:
+            table += [m | adjacency for m in table]
+        return table
+
+    def _flood(self, seed, allowed, neighborhoods=None):
+        """Vertices reachable from ``seed`` inside ``allowed`` (seed included),
+        each step's neighbourhood read from ``neighborhoods`` (as
+        ``_neighborhoods`` gives it) when given."""
+        step = self._neighborhood if neighborhoods is None else neighborhoods.__getitem__
         reached = frontier = seed
         while frontier:
-            frontier = self._neighborhood(frontier) & allowed & ~reached
+            frontier = step(frontier) & allowed & ~reached
             reached |= frontier
         return reached
 
-    def _component_masks(self, allowed):
-        """Components of the subgraph induced on ``allowed``, by lowest bit."""
+    def _component_masks(self, allowed, neighborhoods=None):
+        """Components of the subgraph induced on ``allowed``, by lowest bit;
+        ``neighborhoods`` is handed to ``_flood``."""
         comps = []
         while allowed:
-            comp = self._flood(allowed & -allowed, allowed)
+            comp = self._flood(allowed & -allowed, allowed, neighborhoods)
             comps.append(comp)
             allowed &= ~comp
         return comps

@@ -11,27 +11,27 @@ by joint (``_joint_groups``), and ``_decide_groups`` gives their verdicts.
 ``independent`` decides one statement the same way and is the one place a
 witness is looked up; the reports call it only for the witnesses they show.
 
-How a statement is decided: statements are grouped by their joint
-A u B u S, and one core, ``_joint_chunks``, decides each joint's statements
-from the bitmasks of their A and B axes.  The marginals pi(A, S), pi(B, S)
-and pi(S) are maxima of the joint over its own B, A and A u B axes, kept as
-size-1 axes.  Where it fits, they are read from the max-marginal lattice of
-the joint (Gray et al., "Data Cube", 1997): one array of shape
-(k0 + 1, k1 + 1, ...) that holds the maximum over every subset of the axes,
-filled by one reduction per axis i over its contiguous (outer, ki + 1,
+How a statement is decided: statements are grouped by their joint A u B u S,
+and one core, ``_joint_chunks``, decides each joint's statements from the
+bitmasks of their A and B axes.  The marginals pi(A, S), pi(B, S) and pi(S)
+are maxima of the joint over its own B, A and A u B axes, kept as size-1
+axes.  Where it fits, they are read from the max-marginal lattice of the
+joint (Gray et al., "Data Cube", 1997): one array of shape (k0 + 1, k1 + 1,
+...) that holds the maximum over every subset of the axes, filled axis by
+axis with elementwise maxima of the rows of its contiguous (outer, ki + 1,
 inner) view (``_lattice``).  A batch builds it when it spans no more than
 ``_CACHE_CELLS`` cells and no more than the batch's statements times the
 joint's cells, the stacks the batch writes anyway (``_fits``).  Otherwise
-the batch takes each maximum once and keeps it by the bitmask of the axes
-it drops, so statements that drop the same axes share it; a joint's kept
-maxima are dropped when they span more than ``_CACHE_CELLS`` cells.  The
-statements of a joint are decided in chunks of at most ``_CHUNK_CELLS``
-cells: their maxima are broadcast to the joint's shape and stacked along a
-new leading axis, gathered from the lattice in one fancy index
-(``_blocks``) or copied from the kept maxima, so the residual, the
-recombination and the comparison with the joint each run once per chunk.
-A statement whose joint is larger than that is a chunk of its own; without
-the lattice it keeps the keepdims shapes, so it makes no stacked copies.
+the batch takes each maximum once and keeps it by the bitmask of the axes it
+drops, so statements that drop the same axes share it; a joint's kept maxima
+are dropped when they span more than ``_CACHE_CELLS`` cells.  The statements
+of a joint are decided in chunks of at most ``_CHUNK_CELLS`` cells: their
+maxima are broadcast to the joint's shape and stacked along a new leading
+axis, gathered from the lattice in one ``take`` (``_blocks``) or copied
+from the kept maxima, so the residual, the recombination and the comparison
+with the joint each run once per chunk.  A statement whose joint is larger
+than that is a chunk of its own; without the lattice it keeps the keepdims
+shapes, so it makes no stacked copies.
 
 ``decide_many`` and ``independent`` take each joint from
 ``table.marginalize``; ``independent`` is a lone chunk, and never builds a
@@ -47,19 +47,23 @@ chunk on the table's shape, each statement's unused axes added to the
 drops of its three terms and its joint read as a fourth term; larger lists
 keep their joints' own shapes, as stretching small joints to the table's
 cells costs more than it saves.  Where the table's lattice does not fit,
-each joint is marginalized and decided as in ``decide_many``.
+each joint is marginalized and decided as in ``decide_many``.  Within
+``_inputs_kept`` (a ``chain_report`` or ``scan_axioms`` call) the first
+lattice built for a table is kept, and every later list on that table
+reads it, whatever its size: a chain's global check fills it, and local
+and pairwise read their leftover statements from it.
 
-An exact table (an object array of ``Fraction`` or other rational cells)
-is first written once per call (once per ``chain_report``) as integer
-numerators over the least common multiple of its denominators, int64
-where they fit: its joints, lattices and maxima are then maxima of
-integers, and each base t-norm's mismatch test is a closed form in them
-(``_numerators``), so no ``Fraction`` and no t-norm kernel runs per
-statement.  A max of maxima is exact and every kernel works cell by cell,
-so the verdicts equal those from separately marginalized tables decided one
-statement at a time, bit for bit, on any route, and on exact tables those
-of the same tables' ``Fraction`` arithmetic.  A witness is the first
-mismatching cell of the joint, first variable cycling fastest.
+An exact table (an object array of ``Fraction`` or other rational cells) is
+first written once per call (once per ``chain_report`` or scan) as integer
+numerators over the least common multiple of its denominators, int64 where
+they fit: its joints, lattices and maxima are then maxima of integers, and
+each base t-norm's mismatch test is a closed form in them (``_numerators``),
+so no ``Fraction`` and no t-norm kernel runs per statement.  A max of maxima
+is exact and every kernel works cell by cell, so the verdicts equal those
+from separately marginalized tables decided one statement at a time, bit for
+bit, on any route, and on exact tables those of the same tables'
+``Fraction`` arithmetic.  A witness is the first mismatching cell of the
+joint, first variable cycling fastest.
 
 Axiom scans enumerate their instances once per (variable names, axioms)
 into a table-independent plan of arrays: the role vectors of all instances
@@ -82,7 +86,6 @@ only when it is read.
 
 import math
 from collections.abc import Sequence
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,41 +245,49 @@ def _chunks(table, tn, statements, eps):
             yield indices[chunk], joint, mask
 
 
-# An exact table's numerators, by (id of the table, t-norm, eps), with the
-# table itself, which keeps its id from being reused: ``_numerators_kept``
-# sets it for a caller that decides several lists on one table
-# (``chain_report``), so that they are built once.  None elsewhere, where
-# each call builds its own.
-_NUMERATORS = ContextVar("_NUMERATORS", default=None)
+# The decision inputs kept for a caller that decides several lists on one
+# table (``chain_report``, ``scan_axioms``), each with the table it was built
+# for, which keeps that table's id from being reused: an exact table's
+# numerators, by (id of the table, t-norm, eps), and the lattice of a decided
+# table (the numerators, for an exact one), by ("lattice", id of the table).
+# ``_inputs_kept`` sets it; None elsewhere, where each call builds its own.
+_KEPT = ContextVar("_KEPT", default=None)
 
 
-@contextmanager
-def _numerators_kept():
+class _inputs_kept:
     """Within the block, ``_decider`` builds each exact table's numerators
-    once per t-norm and eps; they are dropped when the block exits or
-    raises."""
-    token = _NUMERATORS.set({})
-    try:
-        yield
-    finally:
-        _NUMERATORS.reset(token)
+    once per t-norm and eps, and the first lattice ``_decide_groups`` builds
+    for a table is read by every later list on it; they are dropped when the
+    block exits or raises.  A class, not a ``contextmanager`` generator,
+    which costs a scan of four variables about 1 % more."""
+
+    def __enter__(self):
+        self._token = _KEPT.set({})
+
+    def __exit__(self, *exc):
+        _KEPT.reset(self._token)
+
+
+def _kept(key, table, build):
+    """``build()``, or within ``_inputs_kept`` the value kept under ``key``,
+    built and kept with ``table`` on first use."""
+    kept = _KEPT.get()
+    if kept is None:
+        return build()
+    if key not in kept:
+        kept[key] = table, build()
+    return kept[key][1]
 
 
 def _decider(table, tn, eps):
     """(the table whose maxima a decision reads, the mismatch test
     ``mismatch(y, x, b, pi)`` on them): the table itself and the t-norm's
     recombination compared within eps, or for an exact table its integer
-    numerators (``_numerators``), kept within ``_numerators_kept``.  Raises
+    numerators (``_numerators``), kept within ``_inputs_kept``.  Raises
     DomainError for a negative or NaN eps."""
     require_eps(eps)
     if table.values.dtype == object:
-        kept = _NUMERATORS.get()
-        if kept is None:
-            return _numerators(table, tn, eps)
-        key = (id(table), tn, eps)
-        if key not in kept:
-            kept[key] = table, _numerators(table, tn, eps)
-        return kept[key][1]
+        return _kept((id(table), tn, eps), table, lambda: _numerators(table, tn, eps))
 
     def mismatch(y, x, b, pi):
         return mismatch_mask(tn.apply_array(tn.residual_array(y, x), b), pi, eps)
@@ -346,18 +357,22 @@ def _decide_groups(table, tn, masks, groups, eps):
     A, B and S axes are the bitmasks ``masks`` = (a, b, given), int64
     arrays on the table's axes, grouped by joint in ``groups`` as
     ``_joint_groups`` gives them (decided on the numerators, for an exact
-    table).  Where the table's lattice fits the whole list (``_fits``),
-    every joint is read from it, and a list that fits one chunk on the
-    table's shape is decided as that chunk; otherwise each joint is
-    marginalized.  Raises DomainError for a negative or NaN eps."""
+    table).  Where the table's lattice is kept (``_inputs_kept``) or fits
+    the whole list (``_fits``), every joint is read from it, and a list
+    that fits one chunk on the table's shape is decided as that chunk;
+    otherwise each joint is marginalized.  Raises DomainError for a
+    negative or NaN eps."""
     table, mismatch = _decider(table, tn, eps)
     names = table.schema.variables
     a, b, given = masks
     verdicts = np.ones(len(a), dtype=bool)
+    if not len(a):
+        return verdicts
     z = None
-    if _fits(table.values.shape, len(a)):
+    key = ("lattice", id(table))
+    if key in (_KEPT.get() or ()) or _fits(table.values.shape, len(a)):
         pi = table.marginalize(names).values
-        z = _lattice(pi)
+        z = _kept(key, table, lambda: _lattice(pi))
         if len(a) * pi.size <= _CHUNK_CELLS:
             # a statement's terms also drop the axes it leaves unused, and
             # its joint is the maximum over those
@@ -499,7 +514,11 @@ def _lattice(pi):
     axes is the keepdims maximum over them.
 
     Step j writes the maximum of rows below kj of the (outer, kj + 1, inner)
-    view into row kj.  This is exact: a cell whose index-ki axes form the
+    view into row kj, as elementwise maxima: rows 0 and 1, then rows 2 to
+    kj - 1 folded in one at a time (a domain has at least two labels).
+    On axes of two or three labels that is one or two ``np.maximum`` calls
+    over whole rows, where a reduction along the short middle axis costs
+    several times more.  This is exact: a cell whose index-ki axes form the
     set K is final after step max(K), which reads cells whose index-ki axes
     are K less max(K), final by then; no later step writes it.  Slots kj
     not yet filled are read too, but step j rewrites them; ``z`` starts
@@ -511,19 +530,23 @@ def _lattice(pi):
     z[tuple(slice(k) for k in pi.shape)] = pi
     for axis, k in enumerate(pi.shape):
         v = z.reshape(math.prod(z.shape[:axis]), k + 1, -1)
-        np.max(v[:, :k], axis=1, out=v[:, k])
+        np.maximum(v[:, 0], v[:, 1], out=v[:, k])
+        for row in range(2, k):
+            np.maximum(v[:, k], v[:, row], out=v[:, k])
     return z
 
 
 def _blocks(z, drops):
     """The maxima over the axes of each bitmask in ``drops`` (an int array),
     read from the C-contiguous lattice ``z`` (``_lattice``) and broadcast to
-    its joint's shape, in one fancy index: an array of shape
-    ``drops.shape`` + the joint's shape."""
+    its joint's shape, in one ``take``: an array of shape ``drops.shape`` +
+    the joint's shape.  The flat indices are in range by construction
+    (``_lattice_plan``), so ``mode="wrap"`` never wraps; that take is
+    cheaper than a fancy index or one that checks bounds."""
     shape = tuple(k - 1 for k in z.shape)
     h, lead, trail = _lattice_plan(shape)
     idx = lead[drops & ((1 << h) - 1)][..., :, None] + trail[drops >> h][..., None, :]
-    return z.reshape(-1)[idx].reshape(drops.shape + shape)
+    return z.reshape(-1).take(idx, mode="wrap").reshape(drops.shape + shape)
 
 
 # room for the joint shapes of a few schemas, so that batches alternating
@@ -815,11 +838,13 @@ def scan_axioms(table: PossibilityTable, tn: TNorm, axioms=None, scan_limit=SCAN
             f"schema has {len(names)} variables, scan limit is {scan_limit}"
         )
     plan = _scan_plan(names, canonical_axioms(axioms))
-    verdicts = _decide_groups(table, tn, plan.masks, plan.joints, eps)
-    ante_ok = verdicts[plan.antecedents].all(axis=1)
-    violated = ante_ok & ~verdicts[plan.consequents]
-    witnesses = {c: independent(table, tn, plan.statements[c], eps).witness
-                 for c in np.unique(plan.consequents[violated]).tolist()}
+    # an exact table's numerators serve the decision and every lookup
+    with _inputs_kept():
+        verdicts = _decide_groups(table, tn, plan.masks, plan.joints, eps)
+        ante_ok = verdicts[plan.antecedents].all(axis=1)
+        violated = ante_ok & ~verdicts[plan.consequents]
+        witnesses = {c: independent(table, tn, plan.statements[c], eps).witness
+                     for c in np.unique(plan.consequents[violated]).tolist()}
     return ScanReports(plan, verdicts, ante_ok, violated, witnesses)
 
 

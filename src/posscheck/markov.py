@@ -28,9 +28,15 @@ statement and some local ones (others appear with A and B swapped, which at
 eps is another test, decided anew).  A triple names one statement on the
 same table, t-norm and eps, and a statement's verdict does not depend on
 the batch it is decided in, so the reports are those of the standalone
-calls.  For the same span, an exact table's integer numerators are built
-once (``independence._numerators_kept``), for the decisions and the
-witness lookups alike.
+calls.  For the same span the decider keeps its inputs
+(``independence._inputs_kept``): an exact table's integer numerators,
+built once for the decisions and the witness lookups alike, and the
+table's max-marginal lattice, which global fills and local and pairwise
+read their leftover statements from, though alone they would not fill it.
+
+The component and exhaustive enumerations flood each separator's rest
+through the graph's neighbourhood table (``UndirectedGraph._neighborhoods``),
+built once per call: one list lookup per flood step.
 """
 
 from contextvars import ContextVar
@@ -44,7 +50,7 @@ import numpy as np
 from .errors import InternalInconsistencyError
 from .factorization import FactorizationResult, _validate_vertices, factorizes, verify
 from .graphs import UndirectedGraph
-from .independence import (IndependenceStatement, _decide_groups, _joint_groups, _numerators_kept,
+from .independence import (IndependenceStatement, _decide_groups, _inputs_kept, _joint_groups,
                            independent)
 from .numeric import DEFAULT_EPSILON
 from .possibility import PossibilityTable
@@ -159,12 +165,14 @@ def local_markov(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
 
 def _component_statements(graph, bits):
     """Per separator, in ``combinations`` over the schema-order ``bits``,
-    every bipartition of its components, each side an OR of their masks."""
+    every bipartition of its components, each side an OR of their masks.
+    The floods read the graph's neighbourhood table, built once per call."""
     full = sum(bits)
+    neighborhoods = graph._neighborhoods()
     for size in range(len(bits) + 1):
         for s in combinations(bits, size):
             remaining = full & ~sum(s)
-            comps = graph._component_masks(remaining)
+            comps = graph._component_masks(remaining, neighborhoods)
             if len(comps) < 2:
                 continue
             sides = [0]
@@ -182,9 +190,11 @@ def _exhaustive_statements(graph, bits, order):
     variable in schema ``order`` with a name that sorts before A's: A and B
     are disjoint and nonempty, so their name tuples in schema order differ at
     their first element.  This test comes before any mask is built; the
-    components of V minus S are found once per separator mask.
+    components of V minus S are found once per separator mask, through the
+    graph's neighbourhood table.
     """
     full = sum(bits)
+    neighborhoods = graph._neighborhoods()
     components = {}
     for roles in iter_product(range(4), repeat=len(bits)):
         if 0 not in roles or 1 not in roles or order[roles.index(1)] < order[roles.index(0)]:
@@ -194,7 +204,8 @@ def _exhaustive_statements(graph, bits, order):
             masks[r] |= bit
         comps = components.get(masks[2])
         if comps is None:
-            comps = components[masks[2]] = graph._component_masks(full & ~masks[2])
+            comps = graph._component_masks(full & ~masks[2], neighborhoods)
+            components[masks[2]] = comps
         if not any(c & masks[0] and c & masks[1] for c in comps):
             yield masks[0], masks[1], masks[2]
 
@@ -237,8 +248,9 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
     """Run the Markov checks (optionally factorization) and police implications.
 
     The three properties share one verdict memo for the call, so each
-    distinct statement is decided once, and an exact table's numerators
-    are built once, witness lookups included; the reports are those of the
+    distinct statement is decided once, and one set of decision inputs:
+    an exact table's numerators, built once, witness lookups included, and
+    the table's lattice, filled once; the reports are those of the
     standalone calls.
 
     Any result pattern violating global => local => pairwise, or a verified
@@ -250,7 +262,7 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
     f_result = factorizes(table, graph, tn, eps) if include_factorization else None
     token = _VERDICTS.set({})
     try:
-        with _numerators_kept():
+        with _inputs_kept():
             g = global_markov(table, graph, tn, eps, exhaustive=exhaustive)
             l = local_markov(table, graph, tn, eps)
             p = pairwise_markov(table, graph, tn, eps)

@@ -341,13 +341,29 @@ def rng():
 def lattices(monkeypatch):
     """The shapes of the joints whose max-marginal lattice is built, in
     order: one per joint whose batch fits it in ``decide_many``, and the
-    table's own in a scan or Markov check that fits it."""
-    built = []
-    original = posscheck.independence._lattice
+    table's own in a scan or Markov check that fits it.  A ``chain_report``
+    or ``scan_axioms`` call keeps the table's lattice for its later lists,
+    so it builds it at most once."""
+    return routes_taken(monkeypatch)[0]
 
-    def counted(pi):
-        built.append(pi.shape)
-        return original(pi)
 
-    monkeypatch.setattr(posscheck.independence, "_lattice", counted)
-    return built
+def routes_taken(monkeypatch):
+    """The shapes of the lattices built and, per ``_joint_chunks`` call,
+    whether it was handed a lattice: the table's, which a ``chain_report``
+    keeps once built, so local and pairwise are handed the lattice global
+    built whatever the size of their own lists."""
+    lattices, handed = [], []
+    unhooked_lattice = posscheck.independence._lattice
+    unhooked_chunks = posscheck.independence._joint_chunks
+
+    def lattice(pi):
+        lattices.append(pi.shape)
+        return unhooked_lattice(pi)
+
+    def chunks(pi, a, b, mismatch, z=None):
+        handed.append(z is not None)
+        return unhooked_chunks(pi, a, b, mismatch, z)
+
+    monkeypatch.setattr(posscheck.independence, "_lattice", lattice)
+    monkeypatch.setattr(posscheck.independence, "_joint_chunks", chunks)
+    return lattices, handed

@@ -43,7 +43,8 @@ from posscheck import (
 )
 from posscheck.cli import EX_FAILS, main
 from posscheck.corpus import builtin_example
-from posscheck.independence import _AXIOM_FORMS, _scan_plan, canonical_axioms, decide_many
+from posscheck.independence import (_AXIOM_FORMS, _decide_groups, _inputs_kept, _joint_groups,
+                                    _scan_plan, canonical_axioms, decide_many)
 
 from conftest import (
     ALL_TNORMS,
@@ -61,6 +62,7 @@ from conftest import (
     planted,
     random_graph,
     random_table,
+    routes_taken,
 )
 
 EPS = 1e-9
@@ -468,24 +470,35 @@ class TestDecideManyProperty:
                 assert decide_many(exact(t), tn, stmts, eps=0) == verdicts
 
 
+def lattice_schemas(rng, count):
+    """``count`` schemas on V8..V13 in a random order, of 1 to 6 axes with 2
+    to 5 labels and at most 1,200 cells, the fixed ones first: an axis of
+    4 or 5 labels makes the fill fold in rows 2 to k - 1 one at a time."""
+    shapes = [(5,), (2, 5, 3, 4), (4, 2, 2, 2, 2, 5), (2,) * 6, (3, 3, 2, 2, 2, 2)]
+    while len(shapes) < count:
+        shape = tuple(int(k) for k in rng.integers(2, 6, int(rng.integers(1, 7))))
+        if np.prod(shape) <= 1200:
+            shapes.append(shape)
+    for shape in shapes:
+        names = [f"V{8 + i}" for i in rng.permutation(len(shape))]
+        yield Schema([(n, [str(d) for d in range(k)]) for n, k in zip(names, shape)])
+
+
 class TestLattice:
     @pytest.mark.parametrize("exact_values", [False, True], ids=["float", "Fraction"])
     def test_every_block_is_the_keepdims_maximum(self, exact_values, rng):
-        for _ in range(20):
-            # V8..V11 in a random order: the names do not sort in schema order
-            names = [f"V{8 + i}" for i in rng.permutation(int(rng.integers(1, 5)))]
-            schema = Schema([(n, [str(d) for d in range(int(rng.integers(2, 5)))])
-                             for n in names])
+        for schema in lattice_schemas(rng, 20):
             table = grid_table(schema, rng)
             pi = (exact(table) if exact_values else table).values
+            n = len(schema)
             # every block of the lattice, read once alone and once in a
             # stack of two rows, the second dropping no axis
-            drops = np.arange(1 << len(names))
+            drops = np.arange(1 << n)
             z = posscheck.independence._lattice(pi)
             alone = posscheck.independence._blocks(z, drops)
             stacked, whole = posscheck.independence._blocks(z, np.stack([drops, 0 * drops]))
             for drop in drops.tolist():
-                axes = tuple(i for i in range(len(names)) if drop >> i & 1)
+                axes = tuple(i for i in range(n) if drop >> i & 1)
                 block = np.broadcast_to(pi.max(axis=axes, keepdims=True), pi.shape)
                 for got, want in ((alone[drop], block), (stacked[drop], block), (whole[drop], pi)):
                     assert got.dtype == pi.dtype
@@ -496,10 +509,7 @@ class TestLattice:
     @pytest.mark.parametrize("exact_values", [False, True], ids=["float", "Fraction"])
     def test_no_cell_of_a_positive_table_is_left_zero(self, exact_values, rng):
         # the lattice starts from zeros: a slot the fill never writes stays 0
-        for _ in range(20):
-            names = [f"V{8 + i}" for i in rng.permutation(int(rng.integers(1, 5)))]
-            schema = Schema([(n, [str(d) for d in range(int(rng.integers(2, 5)))])
-                             for n in names])
+        for schema in lattice_schemas(rng, 20):
             values = rng.choice(POSITIVE_GRID_VALUES, size=schema.shape)
             values.flat[int(rng.integers(0, values.size))] = 1.0
             table = PossibilityTable(schema, values)
@@ -576,26 +586,6 @@ def route_inputs(draw):
     return schema, graph, kind, rng
 
 
-def routes_taken(monkeypatch):
-    """The shapes of the lattices built and, per ``_joint_chunks`` call,
-    whether it was handed a lattice."""
-    lattices, handed = [], []
-    unhooked_lattice = posscheck.independence._lattice
-    unhooked_chunks = posscheck.independence._joint_chunks
-
-    def lattice(pi):
-        lattices.append(pi.shape)
-        return unhooked_lattice(pi)
-
-    def chunks(pi, a, b, mismatch, z=None):
-        handed.append(z is not None)
-        return unhooked_chunks(pi, a, b, mismatch, z)
-
-    monkeypatch.setattr(posscheck.independence, "_lattice", lattice)
-    monkeypatch.setattr(posscheck.independence, "_joint_chunks", chunks)
-    return lattices, handed
-
-
 def assert_route(route, shape, count, lattices, handed):
     if route == "fallback" or not posscheck.independence._fits(shape, count):
         assert lattices == [] and not any(handed)
@@ -655,6 +645,46 @@ class TestDecisionRoutes:
             with pytest.raises(DomainError, match="eps"):
                 complete = UndirectedGraph(names, combinations(names, 2))
                 global_markov(t, complete, TNorm.godel(), eps)
+
+
+class TestKeptLattice:
+    """Within ``_inputs_kept`` the first lattice built for a table serves
+    every later list on it, whatever its size, on each route: the verdicts
+    are those of ``decide_many``, an empty list gives an empty array, and a
+    negative or NaN eps still raises."""
+
+    @pytest.mark.parametrize("chunk", [None, 0], ids=["one-chunk", "joint-blocks"])
+    @pytest.mark.parametrize("exact_values", [False, True], ids=["float", "Fraction"])
+    @pytest.mark.parametrize("tn", BASE_TNORMS, ids=lambda t: t.describe())
+    def test_later_lists_read_the_kept_lattice(self, chunk, exact_values, tn, monkeypatch, rng):
+        schema = Schema([(f"V{8 + i}", "012" if i % 2 else "01") for i in range(5)])
+        names = schema.variables
+        t, eps = grid_table(schema, rng), EPS
+        if exact_values:
+            t, eps = exact(t), 0
+        plan = _scan_plan(names, AXIOMS)
+        picks = [rng.choice(len(plan.statements), count, replace=False) for count in (1, 7)]
+        wants = [decide_many(t, tn, [plan.statements[i] for i in picked], eps) for picked in picks]
+        lattices, handed = routes_taken(monkeypatch)
+        with _inputs_kept():
+            _decide_groups(t, tn, plan.masks, plan.joints, eps)
+            set_budgets(monkeypatch, chunk, None)
+            handed.clear()
+            for picked, want in zip(picks, wants):
+                masks = tuple(m[picked] for m in plan.masks)
+                got = _decide_groups(t, tn, masks, _joint_groups(*masks, names), eps)
+                assert got.tolist() == want
+            empty = (np.zeros(0, np.int64),) * 3
+            got = _decide_groups(t, tn, empty, _joint_groups(*empty, names), eps)
+            assert got.dtype == bool and got.shape == (0,)
+            for bad in (-1, float("nan")):
+                with pytest.raises(DomainError, match="eps"):
+                    _decide_groups(t, tn, empty, _joint_groups(*empty, names), bad)
+        assert lattices == [schema.shape]
+        if chunk is None:
+            assert handed == []  # one chunk reads the kept lattice directly
+        else:
+            assert handed and all(handed)  # each joint block is handed it
 
 
 class TestScanCallCounts:
@@ -757,6 +787,24 @@ class TestExactNumerators:
                 assert here.summary() == there.summary()
                 assert here.global_report.checked == there.global_report.checked
 
+    def test_a_scan_builds_the_numerators_once(self, monkeypatch):
+        # 6 violated reports with 3 distinct consequents: the decision and
+        # each witness lookup read one set of numerators
+        builds = []
+        unhooked = posscheck.independence._numerators
+
+        def counted(table, tn, eps):
+            builds.append(table)
+            return unhooked(table, tn, eps)
+
+        monkeypatch.setattr(posscheck.independence, "_numerators", counted)
+        x = builtin_example(1).table(exact=True)
+        reports = scan_axioms(x, TNorm.godel(), eps=0)
+        assert len(reports.violated) == 6
+        assert len({reports[i].consequent for i in reports.violated}) == 3
+        assert builds == [x]
+        assert posscheck.independence._KEPT.get() is None
+
     @pytest.mark.parametrize("tn", TRANSFORMED_TNORMS, ids=lambda t: t.describe())
     def test_a_transformed_tnorm_is_refused(self, tn):
         stmt = IndependenceStatement(("X",), ("Y",), ("Z",))
@@ -797,6 +845,8 @@ class TestExactNumerators:
                 lambda: factorizes(table, complete, TNorm.product(), eps),
                 lambda: chain_report(table, complete, TNorm.product(), eps=eps,
                                      include_factorization=True),
+                # no property of the complete graph has a statement to decide
+                lambda: chain_report(table, complete, TNorm.product(), eps=eps),
             ]
             for call in calls:
                 with pytest.raises(DomainError, match="eps"):

@@ -1,7 +1,9 @@
 """Pairwise/local/global Markov properties and the implication chain."""
 
+import gc
 import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -51,6 +53,7 @@ from conftest import (
     planted,
     random_graph,
     random_table,
+    routes_taken,
 )
 
 
@@ -650,10 +653,50 @@ class TestChainVerdictMemo:
                 chain_report(t, complete, TNorm.godel(), eps=eps)
 
 
+# a dense graph on V0..V7: global's component enumeration lists 40
+# statements, and leaves local 4 to decide and pairwise none
+DENSE_EDGES = ("V0-V1 V0-V2 V0-V4 V0-V5 V0-V6 V0-V7 V1-V2 V1-V4 V1-V5 V1-V6 V1-V7 V2-V3 "
+               "V2-V6 V3-V5 V3-V6 V4-V5 V4-V6 V5-V6 V5-V7")
+
+
+class TestChainLattice:
+    """A ``chain_report`` fills the table's lattice once, for global, and
+    keeps it for the call: local's leftover statements are read from it,
+    though alone they would not fill one, and pairwise, with nothing left,
+    decides nothing; the reports are those of the standalone calls."""
+
+    @pytest.mark.parametrize("tn", ALL_TNORMS, ids=lambda t: t.describe())
+    def test_local_reads_the_lattice_global_built(self, tn, monkeypatch, rng):
+        names = [f"V{i}" for i in range(8)]
+        graph = UndirectedGraph(names, [e.split("-") for e in DENSE_EDGES.split()])
+        # 3^8 cells: local's 4 statements span more than one chunk, so they
+        # are read in a ``_joint_chunks`` call, not as one chunk
+        schema = Schema([(v, "012") for v in names])
+        t, anchor = planted(schema, graph, tn, rng, 0.3)
+        t = jittered(t, anchor, rng, 1e-3)
+        new = TestChainVerdictMemo.distinct(graph, bits(graph, names))
+        assert new == [40, 4, 0]
+        assert not posscheck.independence._fits(schema.shape, new[1])
+        alone = [global_markov(t, graph, tn), local_markov(t, graph, tn),
+                 pairwise_markov(t, graph, tn)]
+        lattices, handed = routes_taken(monkeypatch)
+        rep = chain_report(t, graph, tn)
+        assert lattices == [schema.shape]
+        # global's component statements and local's leftovers, each one
+        # group on the table, are handed the table's lattice; a failing
+        # report's witness lookup follows its decision, on its own joint
+        lookups = [[False] * (not r.holds) for r in alone]
+        assert handed == [True, *lookups[0], True, *lookups[1], *lookups[2]]
+        for chained, standalone in zip(
+                (rep.global_report, rep.local_report, rep.pairwise_report), alone):
+            assert report_fields(chained) == report_fields(standalone)
+
+
 class TestExactNumeratorsPerChain:
     """An exact ``chain_report`` writes its table as integer numerators once,
     for its decisions and its witness lookups alike, and keeps nothing once
-    it returns or raises; a standalone call builds its own."""
+    it returns or raises, its lattice included; a standalone call builds
+    its own."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -667,6 +710,21 @@ class TestExactNumeratorsPerChain:
 
         monkeypatch.setattr(posscheck.independence, "_numerators", counted)
         return tables
+
+    @pytest.fixture
+    def lattice_refs(self, monkeypatch):
+        """A weak reference to each lattice built (call ``gc.collect()``
+        before asking which are alive)."""
+        refs = []
+        unhooked = posscheck.independence._lattice
+
+        def tracked(pi):
+            z = unhooked(pi)
+            refs.append(weakref.ref(z))
+            return z
+
+        monkeypatch.setattr(posscheck.independence, "_lattice", tracked)
+        return refs
 
     @staticmethod
     def exact(table):
@@ -687,14 +745,14 @@ class TestExactNumeratorsPerChain:
         rep = chain_report(x, g, tn, eps=0)
         assert rep.global_report.holds and rep.local_report.holds and rep.pairwise_report.holds
         assert builds == [x]
-        assert posscheck.independence._NUMERATORS.get() is None
+        assert posscheck.independence._KEPT.get() is None
         builds.clear()
         stmt = rep.global_report.checked[0][0]
         assert global_markov(x, g, tn, eps=0).holds and independent(x, tn, stmt, eps=0).holds
         assert builds == [x, x]
 
     @pytest.mark.parametrize("tn", BASE_TNORMS, ids=lambda t: t.describe())
-    def test_a_failing_chain_builds_once(self, builds, tn):
+    def test_a_failing_chain_builds_once(self, builds, lattice_refs, tn):
         # min(f(X, Y), g(Z)) with X and Y dependent, on a graph with no edges:
         # each property fails and looks up its witness
         f = [[1.0, 0.5], [0.5, 1.0]]
@@ -705,9 +763,13 @@ class TestExactNumeratorsPerChain:
         assert not any(r.holds for r in reports)
         assert all(r.witness[1] is not None for r in reports)
         assert builds == [x]
-        assert posscheck.independence._NUMERATORS.get() is None
+        assert posscheck.independence._KEPT.get() is None
+        # global's statements fit the table's lattice, which the chain keeps
+        # for local and pairwise and drops on return
+        gc.collect()
+        assert len(lattice_refs) == 1 and lattice_refs[0]() is None
 
-    def test_nothing_is_kept_after_a_raise(self, builds, monkeypatch, rng):
+    def test_nothing_is_kept_after_a_raise(self, builds, lattice_refs, monkeypatch, rng):
         t, g = model(4)
         x = self.exact(t)
 
@@ -716,9 +778,20 @@ class TestExactNumeratorsPerChain:
 
         with monkeypatch.context() as patched:
             patched.setattr(posscheck.markov, "pairwise_markov", failing)
+            original = posscheck.markov.local_markov
+
+            def local(*args, **kwargs):
+                # global's lattice is kept for the rest of the chain
+                gc.collect()
+                assert len(lattice_refs) == 1 and lattice_refs[0]() is not None
+                return original(*args, **kwargs)
+
+            patched.setattr(posscheck.markov, "local_markov", local)
             with pytest.raises(RuntimeError, match="pairwise"):
                 chain_report(x, g, TNorm.product(), eps=0)
         assert builds == [x]
-        assert posscheck.independence._NUMERATORS.get() is None
+        assert posscheck.independence._KEPT.get() is None
+        gc.collect()
+        assert len(lattice_refs) == 1 and lattice_refs[0]() is None
         pairwise_markov(x, g, TNorm.product(), eps=0)
         assert builds == [x, x]
