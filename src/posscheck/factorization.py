@@ -32,11 +32,18 @@ misses the table.  Outside the regimes it reports "unknown":
   Its equations are only the anchored cells, which fix a sum of clique
   terms, so no row is built for any other cell.  An exact table is
   verified at eps itself: it first tries the clique residuals along a
-  maximum cardinality clique order, phi_j = R(pi(C_j), pi(S_j)) in its
-  own arithmetic (on a chordal graph, the factorization whenever the
-  table is global Markov), then the float factors; if neither verifies,
-  the answer is "unknown", as float factors decide nothing at eps on
-  exact cells.
+  maximum cardinality clique order (``UndirectedGraph._clique_order``),
+  phi_j = R(pi(C_j), pi(S_j)) in its own arithmetic (on a chordal graph,
+  the factorization whenever the table is global Markov), then the float
+  factors; if neither verifies, the answer is "unknown", as float factors
+  decide nothing at eps on exact cells.
+
+The Markov certificate (see ``markov``) folds the clique factors built here
+in a base t-norm's kernel (``_clique_fold``): the clique marginals under
+Goedel, on any graph, and the clique residuals along a perfect clique
+order (``_junction_factors``, the same residuals an exact table tries
+first) under product, product^p and Lukasiewicz.  It takes them as arrays
+on the table's axes, with no factor tables and no ``verify`` step.
 """
 
 import warnings
@@ -54,7 +61,7 @@ from .graphs import UndirectedGraph
 from .independence import _require_closed
 from .numeric import DEFAULT_EPSILON, first_true, require_eps
 from .possibility import PossibilityTable, Schema
-from .tnorm import GODEL, STRICT, TNorm
+from .tnorm import BASES, GODEL, PRODUCT, STRICT, SUPPORTED_EXPONENT_RANGE, TNorm
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,41 +143,72 @@ def _crisp_candidate(table, cliques, tn):
     return _marginal_candidate(PossibilityTable(table.schema, snapped), cliques, tn)
 
 
-def _clique_sequence(cliques):
-    """The cliques in maximum cardinality order: the first one first, then
-    each time the one sharing the most variables with those before it (the
-    first such, on a tie).  On a chordal graph the order is perfect: each
-    clique's overlap with the earlier ones lies in one of them."""
-    rest, order, seen = list(cliques), [], set()
-    while rest:
-        clique = max(rest, key=lambda c: len(seen.intersection(c)))
-        rest.remove(clique)
-        order.append(clique)
-        seen.update(clique)
-    return order
-
-
-def _residual_candidate(table, cliques, tn):
-    """The clique residuals of an exact table along ``_clique_sequence``:
-    phi_1 = pi(C_1) and phi_j = R(pi(C_j), pi(S_j)), where S_j is the part
-    of C_j in the earlier cliques, in the table's own arithmetic.  Along a
-    perfect sequence, S_j separates C_j minus S_j from the earlier cliques,
-    so a global Markov table is the fold of these factors (for product,
-    pi = prod pi(C_j) / pi(S_j)); on other graphs it is only a candidate,
-    verified like any other."""
-    factors, seen = {}, set()
-    for clique in _clique_sequence(cliques):
-        marginal = table.marginalize(clique)
-        separator = [v for v in clique if v in seen]
-        values = marginal.values
+def _junction_factors(table, order, tn):
+    """The clique residuals of the table along ``order``, pairs of a clique
+    C_j and its separator S_j, the part of C_j in the earlier cliques (as
+    ``UndirectedGraph._clique_order`` lists them), as arrays on the table's
+    axes, size 1 on the axes a clique lacks: phi_j = pi(C_j) where S_j is
+    empty and R(pi(C_j), pi(S_j)) otherwise, in ``tn``'s kernel.  Along a
+    perfect order, S_j separates C_j minus S_j from the earlier cliques, so
+    a global Markov table is the fold of these factors (for product,
+    pi = prod pi(C_j) / pi(S_j)); along another order they are only a
+    candidate.  Each marginal is read through ``table.marginalize``."""
+    names, shape = table.schema.variables, table.values.shape
+    factors = []
+    for clique, separator in order:
+        marginal = table.marginalize(clique).values.reshape(
+            [k if v in clique else 1 for v, k in zip(names, shape)])
         if separator:
-            given = marginal.marginalize(separator).extend_values(marginal.schema)
-            values = tn.residual_array(values, given)
+            dropped = tuple(i for i, v in enumerate(names) if v in clique and v not in separator)
+            marginal = tn.residual_array(marginal, marginal.max(axis=dropped, keepdims=True))
+        factors.append(marginal)
+    return factors
+
+
+def _residual_candidate(table, graph, tn):
+    """The clique residuals of an exact table (``_junction_factors``) along
+    the graph's clique order, in the table's own arithmetic, as a
+    factorization verified like any other."""
+    order, _ = graph._clique_order
+    factors = {}
+    for (clique, _), values in zip(order, _junction_factors(table, order, tn)):
+        sub = table.schema.project(clique)
         # the residual's 1s are ints: every cell a Fraction, written as "p/q"
-        factors[clique] = PossibilityTable(marginal.schema,
-                                           np.vectorize(Fraction, otypes=[object])(values))
-        seen.update(clique)
+        factors[clique] = PossibilityTable(
+            sub, np.vectorize(Fraction, otypes=[object])(values.reshape(sub.shape)))
     return Factorization(tn, factors)
+
+
+# The base t-norms, whose kernels the Markov certificate folds and
+# residuates in.
+_BASES = {base: TNorm(base) for base in BASES}
+
+
+def _closed_form_base(tn):
+    """The base t-norm whose recombination ``tn`` computes: the base of an
+    untransformed t-norm, and product for product^p with p in the supported
+    exponent range (x^p y^p raised to 1/p is xy, so product^p is product
+    computed through powers); None for a transformed Lukasiewicz t-norm,
+    whose recombination is not Lukasiewicz's, and for exponents outside that
+    range, whose powers underflow."""
+    if tn.transform is None:
+        return _BASES[tn.base]
+    lo, hi = SUPPORTED_EXPONENT_RANGE
+    return _BASES[PRODUCT] if tn.base == PRODUCT and lo <= tn.transform.p <= hi else None
+
+
+def _clique_fold(table, graph, base):
+    """The fold, in the ``base`` kernel, of the clique factors the Markov
+    certificate tries: under Goedel the clique marginals, on any graph;
+    under product and Lukasiewicz the clique residuals along the graph's
+    clique order (``_junction_factors``), on a graph whose order is
+    perfect.  None on another graph, before any marginal is read."""
+    order, perfect = graph._clique_order
+    if base.base == GODEL:
+        order = [(clique, ()) for clique, _ in order]
+    elif not perfect:
+        return None
+    return base.fold_arrays(_junction_factors(table, order, base))
 
 
 def _validate_vertices(table, graph):
@@ -309,7 +347,7 @@ def factorizes(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
     elif table.is_strictly_positive():
         exact = table.values.dtype == object
         if exact:
-            found = _verified(table, _residual_candidate(table, cliques, tn), eps, "")
+            found = _verified(table, _residual_candidate(table, graph, tn), eps, "")
             if found.is_yes:
                 return found
         candidate = _rescaled_candidate(table, cliques, tn, eps)

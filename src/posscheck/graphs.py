@@ -12,8 +12,12 @@ thousand, read it from a table of every vertex set's neighbourhood
 (``_neighborhoods``, 2^n entries) instead, which public ``components``
 does without, as its graphs may be too large for it.  Maximal cliques
 come from the classic recursive enumeration with pivoting, and separation
-reduces to connectivity of the residual subgraph.
+reduces to connectivity of the residual subgraph.  The cliques in maximum
+cardinality order, each with its overlap with the earlier ones, are kept
+once per graph (``_clique_order``), as the graph is immutable.
 """
+
+from functools import cached_property
 
 from .errors import DisjointnessError, ModelFormatError, SchemaError
 
@@ -163,6 +167,25 @@ class UndirectedGraph:
 
         expand(0, self._full, 0)
         return sorted(found)
+
+    @cached_property
+    def _clique_order(self):
+        """(the maximal cliques in maximum cardinality order, each as a pair
+        of its names and its separator, the names it shares with the
+        cliques before it; whether the order is perfect), computed on the
+        first call.  The order takes the first clique first, then each time
+        the one sharing the most variables with those before it (the first
+        such, on a tie).  It is perfect when each separator lies in one
+        earlier clique, as it does on a chordal graph."""
+        rest, order, seen = self.cliques(), [], set()
+        while rest:
+            clique = max(rest, key=lambda c: len(seen.intersection(c)))
+            rest.remove(clique)
+            order.append((clique, tuple(v for v in clique if v in seen)))
+            seen.update(clique)
+        perfect = all(any(set(separator) <= set(c) for c, _ in order[:j])
+                      for j, (_, separator) in enumerate(order) if j)
+        return tuple(order), perfect
 
     # -- connectivity ------------------------------------------------------------------
 

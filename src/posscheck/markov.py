@@ -37,10 +37,83 @@ read their leftover statements from, though alone they would not fill it.
 The component and exhaustive enumerations flood each separator's rest
 through the graph's neighbourhood table (``UndirectedGraph._neighborhoods``),
 built once per call: one list lookup per flood step.
+
+Before deciding the triples it lacks, a call of the component mode tries a
+certificate (``_certified``): a float table at an eps above rho = 2^-40
+that lies within (eps - rho) / 4 of the fold psi of its clique factors
+(``factorization._clique_fold``) makes every separated triple hold at eps,
+so each of those triples gets True undecided.  The candidate is, under
+Goedel, the clique marginals, on any graph; under product, product^p with
+p in the supported exponent range [0.1, 10], and Lukasiewicz, the
+junction-tree residuals phi_j = R(pi(C_j), pi(S_j)) along the graph's
+clique order, computed in the base kernel, and only where that order is
+perfect (a chordal graph), which is checked before any marginal is read.
+Otherwise, and always for an exact table, an eps of rho or less,
+``lukasiewicz^p`` and the exhaustive mode (the oracle), the call decides
+its list.  ``checked``, ``skipped``, ``witness`` and ``mode`` are those of
+deciding it.  In a chain, every property call with triples left tries the
+certificate anew, reading the clique marginals through
+``table.marginalize``.
+
+Why the certificate holds.  Write y = pi(A, S), x = pi(S), b = pi(B, S):
+maxima put them in D = {y <= x, b <= x}, where rec = T(R(y, x), b) is
+
+- min(y, b) for Goedel, as R(y, x) is y where x > y and 1 where x = y >= b;
+- yb / x for product and every product^p (x^p y^p to the power 1/p is xy,
+  so product^p is product), and 0 where x = 0 (then b = 0);
+- max(0, y - x + b) for Lukasiewicz, as R(y, x) = y - x + 1 on D.
+
+1. Folds are reproduced exactly.  Let psi be the T-fold of [0, 1]
+   functions of the maximal cliques, and (A, B | S) a separated triple
+   covering V.  No clique meets both A and B, so psi = T(f, g) with f the
+   fold of the cliques inside A u S and g that of the rest, inside B u S.
+   Maxima commute with a continuous isotone T, so psi(AS) = T(f, g_S),
+   psi(S) = T(f_S, g_S) and psi(BS) = T(f_S, g), where f_S = max_A f >= f
+   and g_S = max_B g >= g.  Then rec gives psi(ABS) = T(f, g): min(f, g_S,
+   f_S, g) = min(f, g); f g_S f_S g / (f_S g_S) = fg, and fg = 0 where
+   f_S g_S = 0; for Lukasiewicz, y - x + b = f + g - 1 where x, y and b are
+   all positive, and otherwise f + g <= 1 and rec = 0 (where y = 0, rec =
+   max(0, b - x) = 0, and where b = 0 likewise).  A separated triple that
+   does not cover V extends to one that does: A' the vertices that S does
+   not separate from A, and B' the rest.  Splitting psi = T(f, g) over
+   that cover, psi(ABS) is the maximum of T(f, g) over A' - A and B' - B,
+   that is T of f's maximum over A' - A, a function of (A, S), and g's over
+   B' - B, a function of (B, S), and the same algebra applies
+   (decomposition, with factor 1).
+2. Errors grow at most fourfold.  On D, rec is 1-Lipschitz in each
+   argument (the partial derivatives of yb / x are b / x, y / x and
+   -yb / x^2, at most 1 in size on the convex D; min(y, b) and
+   max(0, y - x + b) plainly are), and maxima are 1-Lipschitz in the sup
+   norm.  So with delta = max |pi - psi| the error of every separated
+   triple, max |rec(pi) - pi(ABS)|, is at most 3 delta + delta = 4 delta.
+3. Rounding.  Let u = 2^-53 and eps <= 1 (above 1, every float
+   recombination and cell lies in [0, 1], so every statement holds
+   anyway).  The fold of k factors in the base kernel is off by at most
+   (k - 1) u: min is exact, and each product or Lukasiewicz step rounds by
+   at most u and is 1-Lipschitz in its arguments.  An Archimedean fold has
+   k <= 24, since a chordal graph has at most n maximal cliques and a
+   schema of at most 2^24 cells at most 24 variables.  The test passes
+   when fl(|pi - fold|) <= fl(fl(eps - rho) / 4), so 4 delta <= eps - rho +
+   eps u + 4 (1 + 23) u.  The decider's float rec is within 3u of rec for
+   Goedel, product and Lukasiewicz (none, a division and a product, or
+   three rounded additions).  For product^p it is within a relative (4e + 2u) / p + 2e
+   <= 42e + 20u, where e is the relative error of numpy's power, plus
+   2^-100 absolute where x^p y^p underflows, which it does only on cells
+   below 1e-30; with e up to 64u (32 ulps) that is 2708u.  Its comparison
+   rounds |rec - pi| by at most u.  The float error is thus at most
+   eps - rho + 2806u, and rho = 2^-40 = 8192u is more: the decider's test
+   |rec - pi| > eps fails on every cell.
+
+``chain_report`` polices a verified "yes" with an Archimedean t-norm
+against global at the same tolerance: its factors must fold, in the base
+kernel, within (eps - rho) / 4 of a float table, or within eps / 4 of an
+exact one, whose factors fold as the rationals they equal (rho is 0 in
+exact arithmetic).  A "yes" outside the certificate's scope is not policed.
 """
 
 from contextvars import ContextVar
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, product as iter_product
 from typing import Optional
@@ -48,17 +121,21 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .factorization import FactorizationResult, _validate_vertices, factorizes, verify
+from .factorization import (FactorizationResult, _clique_fold, _closed_form_base,
+                            _validate_vertices, factorizes)
 from .graphs import UndirectedGraph
 from .independence import (IndependenceStatement, _decide_groups, _inputs_kept, _joint_groups,
                            independent)
-from .numeric import DEFAULT_EPSILON
+from .numeric import DEFAULT_EPSILON, mismatch_mask
 from .possibility import PossibilityTable
 from .tnorm import TNorm
 
 PAIRWISE = "pairwise"
 LOCAL = "local"
 GLOBAL = "global"
+
+# The rounding allowance rho of the certificate (see the module docstring).
+_RHO = 2.0 ** -40
 
 # The verdicts of one ``chain_report`` call, by graph-mask triple (a, b, s):
 # its three properties decide each distinct statement once.  None outside
@@ -110,6 +187,19 @@ def _axis_masks(table, graph, triples):
     return masks.T
 
 
+def _certified(table, graph, tn, eps):
+    """Whether the float table lies within (eps - rho) / 4 of the fold of
+    its clique factors (``factorization._clique_fold``), which makes every
+    separated triple hold at eps (see the module docstring).  Never for an
+    exact table, an eps of rho or less, or a t-norm with no closed-form
+    base."""
+    base = _closed_form_base(tn)
+    if table.values.dtype == object or not eps > _RHO or base is None:
+        return False
+    fold = _clique_fold(table, graph, base)
+    return fold is not None and not mismatch_mask(table.values, fold, (eps - _RHO) / 4).any()
+
+
 def _run_checks(table, graph, tn, triples, eps, property_name, mode="components"):
     triples = list(triples)
     statements, skipped = _named(graph, triples)
@@ -118,9 +208,12 @@ def _run_checks(table, graph, tn, triples, eps, property_name, mode="components"
         memo = {}
     decided = [t for t in triples if t[0] and t[1]]
     missing = [t for t in decided if t not in memo]  # each enumeration lists a triple once
-    masks = _axis_masks(table, graph, missing)
-    groups = _joint_groups(*masks, table.schema.variables)
-    memo.update(zip(missing, _decide_groups(table, tn, masks, groups, eps).tolist()))
+    if missing and mode == "components" and _certified(table, graph, tn, eps):
+        memo.update(dict.fromkeys(missing, True))
+    else:
+        masks = _axis_masks(table, graph, missing)
+        groups = _joint_groups(*masks, table.schema.variables)
+        memo.update(zip(missing, _decide_groups(table, tn, masks, groups, eps).tolist()))
     checked = tuple(zip(statements, map(memo.__getitem__, decided)))
     failing = next((stmt for stmt, holds in checked if not holds), None)
     witness = None if failing is None else (failing, independent(table, tn, failing, eps).witness)
@@ -256,8 +349,9 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
     Any result pattern violating global => local => pairwise, or a verified
     factorization with an Archimedean t-norm that fails the global property,
     signals an engine bug and raises InternalInconsistencyError.  A "yes" is
-    policed only if ``verify`` accepts it at ``eps`` itself: a regime may
-    verify at 1e-7.
+    policed only where the certificate's bound makes global follow from it
+    (``_implies_global``): a regime may verify at 1e-7, and a fold within
+    eps alone does not make every statement hold at eps.
     """
     f_result = factorizes(table, graph, tn, eps) if include_factorization else None
     token = _VERDICTS.set({})
@@ -277,9 +371,25 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
         and f_result.status == "yes"
         and tn.is_archimedean
         and not g.holds
-        and verify(table, graph, f_result.factorization, eps)[0]
+        and _implies_global(table, tn, f_result.factorization, eps)
     ):
         raise InternalInconsistencyError(
             "verified factorization with an Archimedean t-norm but global fails"
         )
     return ChainReport(f_result, g, l, p)
+
+
+def _implies_global(table, tn, factorization, eps):
+    """Whether the factors fold, in the closed-form base kernel, within the
+    certificate's tolerance of the table, so that global must hold: (eps -
+    rho) / 4 for a float table, nothing when eps <= rho, and eps / 4 for an
+    exact table, whose factors fold as the rationals they equal."""
+    base = _closed_form_base(tn)
+    exact = table.values.dtype == object
+    if base is None or not (exact or eps > _RHO):
+        return False
+    factors = (f.extend_values(table.schema) for f in factorization.factors.values())
+    if exact:
+        factors = (np.vectorize(Fraction, otypes=[object])(f) for f in factors)
+    tol = eps / 4 if exact else (eps - _RHO) / 4
+    return not mismatch_mask(table.values, base.fold_arrays(factors), tol).any()

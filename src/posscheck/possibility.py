@@ -120,7 +120,10 @@ class Schema:
         Built from this schema's checked names and domains, so the label
         checks of ``__init__`` are not run again.
         """
-        kept = self.in_order(keep)
+        return self._sub(self.in_order(keep))
+
+    def _sub(self, kept):
+        """``project`` onto ``kept``, names of this schema in its order."""
         sub = Schema.__new__(Schema)
         sub._names = kept
         sub._domains = {n: self._domains[n] for n in kept}
@@ -281,7 +284,7 @@ class PossibilityTable:
         )
         # a maximum of checked cells is in range, and max returns a new array
         table = PossibilityTable.__new__(PossibilityTable)
-        table.schema = self.schema.project(kept)
+        table.schema = self.schema._sub(kept)
         table.values = np.asarray(self.values.max(axis=drop_axes))
         table.values.flags.writeable = False
         return table
@@ -289,12 +292,12 @@ class PossibilityTable:
     def extend_values(self, superschema):
         """View of the values broadcastable over a superset schema.
 
-        Size-1 axes are inserted for the superschema variables this table
-        does not carry, so numpy broadcasting aligns assignments.  Each
-        shared variable must have the same domain in both schemas.
+        Size-1 axes stand for the superschema variables this table does not
+        carry, so numpy broadcasting aligns assignments; the values keep
+        their order, so one ``reshape`` inserts them all.  Each shared
+        variable must have the same domain in both schemas.
         """
         own = set(self.schema.variables)
-        missing = set(superschema.variables) - own
         unknown = own - set(superschema.variables)
         if unknown:
             raise SchemaError(f"variables {sorted(unknown)} not in target schema")
@@ -305,11 +308,8 @@ class PossibilityTable:
             if self.schema.domain(name) != superschema.domain(name):
                 raise SchemaError(f"the domain of {name!r} differs between table and "
                                   "target schema")
-        arr = self.values
-        for i, name in enumerate(superschema.variables):
-            if name in missing:
-                arr = np.expand_dims(arr, axis=i)
-        return arr
+        return self.values.reshape([k if n in own else 1
+                                    for n, k in zip(superschema.variables, superschema.shape)])
 
     def condition(self, tn: TNorm, target, given):
         """Residual conditional of ``target`` given ``given``.

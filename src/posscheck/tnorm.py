@@ -168,8 +168,7 @@ class TNorm:
         if self.base == GODEL:  # never transformed
             return np.where(fx > fy, fy, 1)
         if self.base == PRODUCT:
-            ones = np.ones(np.broadcast_shapes(np.shape(fy), np.shape(fx)),
-                           dtype=np.result_type(fy, fx, 1.0))
+            ones = np.ones(np.broadcast(fy, fx).shape, dtype=np.result_type(fy, fx, 1.0))
             out = np.divide(fy, fx, out=ones, where=fx > fy)
         else:
             out = np.minimum(fy - fx + 1, 1)

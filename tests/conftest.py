@@ -23,6 +23,7 @@ import pytest
 from hypothesis import settings
 
 import posscheck.independence
+import posscheck.markov
 from posscheck import (
     DEFAULT_EPSILON,
     Factorization,
@@ -335,6 +336,13 @@ def permuted(table, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def uncertified(monkeypatch):
+    """Markov calls without the clique-factor certificate: every call
+    decides its whole list, as on a table no candidate fold comes near."""
+    monkeypatch.setattr(posscheck.markov, "_certified", lambda *args: False)
 
 
 @pytest.fixture

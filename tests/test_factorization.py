@@ -27,9 +27,7 @@ from posscheck import (
 from posscheck.corpus import builtin_example
 import posscheck.factorization
 from posscheck.independence import decide_many
-from posscheck.factorization import (
-    _anchored_system, _clique_sequence, _clique_sum_projection, _crisp_candidate
-)
+from posscheck.factorization import _anchored_system, _clique_sum_projection, _crisp_candidate
 
 from conftest import (
     ARCHIMEDEAN_TNORMS, BASE_TNORMS, jittered, oracle_crisp_candidate, planted, random_graph,
@@ -864,12 +862,17 @@ class TestExactRescaledRegime:
     def test_clique_sequences_are_perfect_on_chordal_graphs(self):
         graph = UndirectedGraph.from_edges([("A", "B"), ("B", "C"), ("C", "D"), ("B", "D"),
                                             ("D", "E"), ("A", "F")])
-        order = _clique_sequence(graph.cliques())
+        pairs, perfect = graph._clique_order
+        order = [clique for clique, _ in pairs]
         assert sorted(order) == graph.cliques()
         for j, clique in enumerate(order[1:], 1):
             earlier = {v for c in order[:j] for v in c}
             overlap = set(clique) & earlier
             assert any(overlap <= set(c) for c in order[:j])
+            assert set(pairs[j][1]) == overlap
+        assert perfect
+        cycle = UndirectedGraph.from_edges([("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")])
+        assert not cycle._clique_order[1]
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), base=st.sampled_from(["product", "lukasiewicz"]),

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import posscheck.markov
 import posscheck.independence
 from posscheck import (
+    DEFAULT_EPSILON,
     DomainError,
     Factorization,
     InternalInconsistencyError,
@@ -32,6 +33,7 @@ from posscheck import (
     violations,
 )
 from posscheck.corpus import builtin_example
+from posscheck.factorization import _clique_fold, _closed_form_base
 from posscheck.independence import decide_many, independent
 from posscheck.markov import (
     _component_statements,
@@ -347,7 +349,7 @@ class TestAxisMasks:
 
 
 class TestMemory:
-    def test_global_markov_on_a_chain_of_twelve(self, rng, lattices):
+    def test_global_markov_on_a_chain_of_twelve(self, rng, lattices, uncertified):
         # 19,565 statements on one joint of 4,096 cells, whose lattice spans
         # 3^12 = 531,441 cells (4 MiB); the peak measured 12.6 MiB, and 13.5
         # MiB when this list took the kept-maxima path
@@ -468,6 +470,40 @@ class TestImplicationChain:
         assert rep.factorization.is_yes
         assert not rep.global_report.holds
 
+    # cells of chain_table(np.multiply) moved by these multiples of the
+    # default eps: within 0.9 eps of a product fold, the strict regime
+    # says "yes", and global fails at eps
+    NINE_TENTHS = np.array([[[0, -.9], [-.9, -.9]], [[-.9, -.9], [.9, 0]]])
+
+    def test_a_yes_within_nine_tenths_of_eps_does_not_raise(self):
+        t = chain_table(np.multiply)
+        moved = PossibilityTable(t.schema, t.values + self.NINE_TENTHS * DEFAULT_EPSILON)
+        rep = chain_report(moved, CHAIN, TNorm.product(), include_factorization=True)
+        assert rep.factorization.is_yes
+        assert not rep.global_report.holds
+
+    @pytest.mark.parametrize("tn", [TNorm.product(), TNorm.lukasiewicz()],
+                             ids=lambda t: t.describe())
+    def test_no_engine_bug_on_chains_near_a_factorization(self, tn, rng):
+        # X - Y - Z chains within a few eps of a fold of random factors
+        for _ in range(20):
+            t, anchor = planted(Schema.binary("A", "B", "C"), CHAIN, tn, rng, 0.3)
+            t = jittered(t, anchor, rng, rng.choice([0.3, 0.9, 3]) * DEFAULT_EPSILON)
+            chain_report(t, CHAIN, tn, include_factorization=True)
+
+    def test_an_exact_yes_is_policed_at_a_quarter_of_eps(self, monkeypatch):
+        # dyadic factors, whose product is exact
+        values = np.multiply(np.array([[1, .5], [.75, .5]])[:, :, None],
+                             np.array([[1, .75], [.25, .5]])[None])
+        exact = PossibilityTable(Schema.binary("A", "B", "C"),
+                                 np.array([Fraction(v) for v in values.flat],
+                                          dtype=object).reshape(values.shape))
+        monkeypatch.setattr(posscheck.markov, "global_markov",
+                            lambda *args, **kwargs: MarkovReport("global", False, ()))
+        for eps in (0, 1e-9):
+            with pytest.raises(InternalInconsistencyError, match="verified factorization"):
+                chain_report(exact, CHAIN, TNorm.product(), eps, include_factorization=True)
+
 
 class TestWitnessLookups:
     """Verdicts come from ``decide_many``, which looks up no witness; a
@@ -521,6 +557,20 @@ class TestWitnessLookups:
         assert len(bad) == 6
 
 
+@pytest.fixture
+def handed(monkeypatch):
+    """The statement count of each call to the runner's decider."""
+    counts = []
+    unhooked = posscheck.markov._decide_groups
+
+    def counted(table, tn, masks, groups, eps):
+        counts.append(len(masks[0]))
+        return unhooked(table, tn, masks, groups, eps)
+
+    monkeypatch.setattr(posscheck.markov, "_decide_groups", counted)
+    return counts
+
+
 def report_fields(report):
     return (report.property_name, report.holds, report.checked, report.witness,
             report.skipped, report.mode)
@@ -530,19 +580,6 @@ class TestChainVerdictMemo:
     """Within one ``chain_report`` the three properties decide each distinct
     (A, B, S) mask triple once; their reports are those of the standalone
     calls, and the memo lives only as long as the call."""
-
-    @pytest.fixture
-    def handed(self, monkeypatch):
-        """The statement count of each call to the runner's decider."""
-        counts = []
-        unhooked = posscheck.markov._decide_groups
-
-        def counted(table, tn, masks, groups, eps):
-            counts.append(len(masks[0]))
-            return unhooked(table, tn, masks, groups, eps)
-
-        monkeypatch.setattr(posscheck.markov, "_decide_groups", counted)
-        return counts
 
     @staticmethod
     def distinct(graph, masks, exhaustive=False, order=None):
@@ -602,7 +639,7 @@ class TestChainVerdictMemo:
             chain_report(jittered(t, anchor, rng, 1e-3), graph, tn, exhaustive=exhaustive)
             assert handed == self.distinct(graph, bits(graph, order), exhaustive, order)
 
-    def test_pairwise_on_a_chain_hands_over_nothing(self, handed, rng):
+    def test_pairwise_on_a_chain_hands_over_nothing(self, handed, rng, uncertified):
         schema = Schema.binary(*(f"V{i}" for i in range(8)))
         g = UndirectedGraph(schema.variables, zip(schema.variables, schema.variables[1:]))
         t, _ = planted(schema, g, TNorm.product(), rng, 0.3)
@@ -629,7 +666,7 @@ class TestChainVerdictMemo:
         chain_report(t, g, TNorm.product())
         assert calls == ["global_markov", "local_markov", "pairwise_markov"]
 
-    def test_the_memo_ends_with_the_call(self, handed, rng):
+    def test_the_memo_ends_with_the_call(self, handed, rng, uncertified):
         schema = Schema.binary(*(f"V{i}" for i in range(6)))
         g = UndirectedGraph(schema.variables, zip(schema.variables, schema.variables[1:]))
         t, _ = planted(schema, g, TNorm.product(), rng, 0.3)
@@ -795,3 +832,212 @@ class TestExactNumeratorsPerChain:
         assert len(lattice_refs) == 1 and lattice_refs[0]() is None
         pairwise_markov(x, g, TNorm.product(), eps=0)
         assert builds == [x, x]
+
+
+def separated_errors(table, graph, tn):
+    """The float error max |T(R(pi(AS), pi(S)), pi(BS)) - pi(ABS)| of every
+    separated triple (A, B | S), through ``tn``'s kernels."""
+    names = table.schema.variables
+    masks = bits(graph, names)
+    axes = {bit: i for i, bit in enumerate(masks)}
+    errors = []
+    for a, b, s in _exhaustive_statements(graph, masks, names):
+        unused = sum(masks) ^ (a | b | s)
+
+        def maximum(drop):
+            return table.values.max(axis=tuple(axes[m] for m in masks if m & drop),
+                                    keepdims=True)
+
+        rec = tn.apply_array(tn.residual_array(maximum(b | unused), maximum(a | b | unused)),
+                             maximum(a | unused))
+        errors.append(float(np.abs(rec - maximum(unused)).max()))
+    return errors
+
+
+@st.composite
+def certificate_graphs(draw):
+    """Chains, trees, chordal graphs built from a perfect sequence, grids and
+    random graphs, on V0..V(n-1)."""
+    kind = draw(st.sampled_from(["chain", "tree", "chordal", "grid", "random"]))
+    if kind == "grid":
+        cols = draw(st.integers(2, 3))
+        names = [f"V{i}" for i in range(2 * cols)]
+        edges = [(names[i], names[i + 1]) for i in range(2 * cols) if (i + 1) % cols]
+        edges += [(names[i], names[i + cols]) for i in range(cols)]
+        return UndirectedGraph(names, edges)
+    n = draw(st.integers(2, 6))
+    names = [f"V{i}" for i in range(n)]
+    edges = []
+    if kind == "chain":
+        edges = list(zip(names, names[1:]))
+    elif kind == "tree":
+        edges = [(names[draw(st.integers(0, i - 1))], names[i]) for i in range(1, n)]
+    elif kind == "chordal":
+        # each new vertex joins part of an earlier clique, so it is
+        # simplicial when added: the cliques form a perfect sequence
+        cliques = [[names[0]]]
+        for v in names[1:]:
+            base = draw(st.sampled_from(cliques))
+            joined = [u for u in base if draw(st.booleans())]
+            edges += [(u, v) for u in joined]
+            cliques.append(joined + [v])
+    else:
+        pairs = list(combinations(names, 2))
+        edges = [p for p in pairs if draw(st.booleans())]
+    return UndirectedGraph(names, edges)
+
+
+class TestCertificate:
+    """A property call certified by a clique-factor fold within (eps - rho)
+    / 4 of the table reports what deciding its list reports, and decides
+    nothing."""
+
+    @pytest.fixture
+    def attempts(self, monkeypatch):
+        """The result of each certificate attempt."""
+        results = []
+        unhooked = posscheck.markov._certified
+
+        def spied(*args):
+            results.append(unhooked(*args))
+            return results[-1]
+
+        monkeypatch.setattr(posscheck.markov, "_certified", spied)
+        return results
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), graph=certificate_graphs(),
+           tn=st.sampled_from([TNorm.godel(), TNorm.product(), TNorm.product(0.5),
+                               TNorm.product(2.0), TNorm.lukasiewicz()]),
+           eps=st.sampled_from([1e-9, 1e-4]),
+           jitter=st.sampled_from([0, 1 / 8, (1 - 1e-3) / 4, (1 + 1e-3) / 4, 1 / 2, 3 / 4,
+                                   1, 10]))
+    def test_reports_equal_the_uncertified_ones(self, data, graph, tn, eps, jitter):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        names = graph.vertices
+        schema = Schema([(v, "012" if rng.random() < 0.2 else "01") for v in names])
+        factors = {}
+        for clique in graph.cliques():
+            sub = schema.project(clique)
+            values = rng.uniform(0.0, 1.0, sub.shape)
+            values[rng.random(sub.shape) < 0.2] = 0.0
+            factors[clique] = PossibilityTable(sub, values)
+        fold = Factorization(tn, factors).fold(schema)
+        t = PossibilityTable(schema, np.clip(
+            fold + rng.choice([-1, 1], schema.shape) * jitter * eps, 0.0, 1.0))
+        delta = np.abs(t.values - fold).max()
+
+        certified = chain_report(t, graph, tn, eps)
+        alone = [global_markov(t, graph, tn, eps), local_markov(t, graph, tn, eps),
+                 pairwise_markov(t, graph, tn, eps)]
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(posscheck.markov, "_certified", lambda *args: False)
+            decided = chain_report(t, graph, tn, eps)
+        for report, standalone, uncertified in zip(
+                (certified.global_report, certified.local_report, certified.pairwise_report),
+                alone, (decided.global_report, decided.local_report, decided.pairwise_report)):
+            assert report_fields(report) == report_fields(uncertified)
+            assert report_fields(standalone) == report_fields(uncertified)
+        # the bound holds for the planted fold and for the certificate's own
+        # candidate, where there is one
+        worst = max(separated_errors(t, graph, tn), default=0)
+        assert worst <= 4 * delta + posscheck.markov._RHO
+        candidate = _clique_fold(t, graph, _closed_form_base(tn))
+        if candidate is not None:
+            assert worst <= 4 * np.abs(t.values - candidate).max() + posscheck.markov._RHO
+
+    @pytest.mark.parametrize("tn", [TNorm.godel(), TNorm.product(), TNorm.product(0.5),
+                                    TNorm.product(2.0), TNorm.lukasiewicz()],
+                             ids=lambda t: t.describe())
+    def test_planted_chordal_tables_certify(self, tn, attempts, rng):
+        schema = Schema.binary(*(f"V{i}" for i in range(6)))
+        names = schema.variables
+        graph = UndirectedGraph(names, [("V0", "V1"), ("V1", "V2"), ("V0", "V2"),
+                                        ("V2", "V3"), ("V3", "V4"), ("V3", "V5")])
+        t, anchor = planted(schema, graph, tn, rng, 0.3)
+        # the candidate is built from the moved table, so it lies some
+        # multiple of the move away from it
+        for moved, certifies in ((0, True), (DEFAULT_EPSILON / 32, True),
+                                 (DEFAULT_EPSILON, False)):
+            attempts.clear()
+            rep = chain_report(jittered(t, anchor, rng, moved), graph, tn)
+            assert attempts[0] is certifies
+            assert rep.global_report.holds or not certifies
+
+    def test_a_certified_chain_of_twelve_builds_no_lattice(self, rng, lattices):
+        # the twin of TestMemory's chain of twelve, certified
+        schema = Schema.binary(*(f"V{i}" for i in range(12)))
+        g = UndirectedGraph(schema.variables, zip(schema.variables, schema.variables[1:]))
+        t, _ = planted(schema, g, TNorm.product(), rng, 0.3)
+        tracemalloc.start()
+        try:
+            report = global_markov(t, g, TNorm.product())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.holds and len(report.checked) == 19_565
+        assert lattices == []
+        assert peak < 14 * 2 ** 20
+
+    def test_a_certified_chain_hands_nothing_over(self, handed, rng):
+        # the twins of TestChainVerdictMemo's chain tests, certified
+        schema = Schema.binary(*(f"V{i}" for i in range(8)))
+        g = UndirectedGraph(schema.variables, zip(schema.variables, schema.variables[1:]))
+        t, _ = planted(schema, g, TNorm.product(), rng, 0.3)
+        rep = chain_report(t, g, TNorm.product())
+        assert len(rep.pairwise_report.checked) == 21
+        assert rep.global_report.holds and rep.local_report.holds and rep.pairwise_report.holds
+        # pairwise has nothing left, and its empty list only checks eps
+        assert handed == [0]
+        assert posscheck.markov._VERDICTS.get() is None
+        handed.clear()
+        report = pairwise_markov(t, g, TNorm.product())
+        assert report.holds and len(report.checked) == 21 and handed == []
+
+    @pytest.mark.parametrize("case", ["exact", "eps 0", "lukasiewicz^2", "exhaustive"])
+    def test_out_of_scope_calls_decide_their_lists(self, case, attempts, handed, rng):
+        schema = Schema.binary(*(f"V{i}" for i in range(5)))
+        g = UndirectedGraph(schema.variables, zip(schema.variables, schema.variables[1:]))
+        tn = TNorm.lukasiewicz(2.0) if case == "lukasiewicz^2" else TNorm.product()
+        if case == "exact":
+            # dyadic factors, whose fold is exact in floating point
+            factors = {}
+            for clique in g.cliques():
+                values = rng.choice([0.25, 0.5, 0.75, 1.0], (2, 2))
+                values[0, 0] = 1.0
+                factors[clique] = PossibilityTable(schema.project(clique), values)
+            t = Factorization(tn, factors).combine(schema)
+            t = PossibilityTable(schema, np.array([Fraction(v) for v in t.values.flat],
+                                                  dtype=object).reshape(schema.shape))
+        else:
+            t, _ = planted(schema, g, tn, rng, 0.3)
+        eps = 0 if case in ("exact", "eps 0") else DEFAULT_EPSILON
+        report = global_markov(t, g, tn, eps, exhaustive=case == "exhaustive")
+        # a float table at eps 0 meets the rounding of the recombination
+        assert report.holds or case == "eps 0"
+        assert not any(attempts)
+        assert handed == [len(report.checked)]
+        if case == "exhaustive":
+            assert attempts == []
+            assert posscheck.markov._certified(t, g, tn, eps)
+
+    def test_a_non_chordal_archimedean_call_reads_no_marginal(self, monkeypatch, rng):
+        schema = Schema.binary("V0", "V1", "V2", "V3")
+        cycle = UndirectedGraph(schema.variables,
+                                [("V0", "V1"), ("V1", "V2"), ("V2", "V3"), ("V3", "V0")])
+        read = []
+        unhooked = PossibilityTable.marginalize
+
+        def counted(table, keep):
+            read.append(keep)
+            return unhooked(table, keep)
+
+        for tn in (TNorm.product(), TNorm.product(2.0), TNorm.lukasiewicz()):
+            t, _ = planted(schema, cycle, tn, rng, 0.3)
+            with monkeypatch.context() as patched:
+                patched.setattr(PossibilityTable, "marginalize", counted)
+                assert not posscheck.markov._certified(t, cycle, tn, DEFAULT_EPSILON)
+            assert read == []
+        # under Goedel the clique marginals are tried on any graph
+        t, _ = planted(schema, cycle, TNorm.godel(), rng, 0.3)
+        assert posscheck.markov._certified(t, cycle, TNorm.godel(), DEFAULT_EPSILON)

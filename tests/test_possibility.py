@@ -251,6 +251,51 @@ class TestMarginalize:
             assert t.marginalize(t.schema.variables[:1]).is_normal()
 
 
+class TestExtendValues:
+    @staticmethod
+    def expanded(table, superschema):
+        """The values with one ``np.expand_dims`` per superschema variable
+        the table lacks, as ``extend_values`` once built them."""
+        arr = table.values
+        for i, name in enumerate(superschema.variables):
+            if name not in table.schema.variables:
+                arr = np.expand_dims(arr, axis=i)
+        return arr
+
+    def test_one_reshape_equals_the_inserted_axes(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            names = [f"V{i}" for i in rng.permutation(n)]
+            schema = Schema([(v, [str(k) for k in range(rng.integers(2, 4))]) for v in names])
+            keep = [v for v in names if rng.random() < 0.5]
+            for values in (rng.random(schema.project(keep).shape), None):
+                sub = schema.project(keep)
+                if values is None:  # exact cells
+                    values = np.array([Fraction(int(k), 7) for k in
+                                       rng.integers(0, 8, sub.shape).flat],
+                                      dtype=object).reshape(sub.shape)
+                t = PossibilityTable(sub, values)
+                extended = t.extend_values(schema)
+                old = self.expanded(t, schema)
+                assert extended.shape == old.shape and extended.dtype == old.dtype
+                assert np.array_equal(extended, old)
+                assert np.shares_memory(extended, t.values) or not t.values.size
+                assert not extended.flags.writeable
+
+    def test_the_schema_checks_keep_their_messages(self):
+        schema = Schema.binary("X", "Y", "Z")
+        t = PossibilityTable(Schema.binary("X", "Y"), np.ones((2, 2)))
+        with pytest.raises(SchemaError, match=r"^variables \['X'\] not in target schema$"):
+            t.extend_values(Schema.binary("Y", "Z"))
+        with pytest.raises(SchemaError, match="^variable order differs between table and "
+                                              "target schema$"):
+            t.extend_values(Schema.binary("Y", "X", "Z"))
+        with pytest.raises(SchemaError, match="^the domain of 'Y' differs between table and "
+                                              "target schema$"):
+            t.extend_values(Schema([("X", "01"), ("Y", "10"), ("Z", "01")]))
+        assert t.extend_values(schema).shape == (2, 2, 1)
+
+
 class TestCondition:
     def test_residual_by_vacuous_marginal_is_joint(self):
         t = diagonal_table()
