@@ -4,12 +4,14 @@ A group statement (A independent of B given S) holds when recombining the
 residual conditional of A given S with the marginal of B union S through the
 t-norm reproduces the joint marginal of A, B, S at every assignment.  For
 continuous t-norms this pointwise test is equivalent to the almost-everywhere
-form stated on conditional distributions.  ``decide_many`` decides a
-statement list and gives one verdict per statement; the axiom scans and
-the Markov checks hand over their statements as bitmasks instead, grouped
-by joint (``_joint_groups``), and ``_decide_groups`` gives their verdicts.
-``independent`` decides one statement the same way and is the one place a
-witness is looked up; the reports call it only for the witnesses they show.
+form stated on conditional distributions.  Every list of statements is
+decided through one entry on bitmasks: ``decide_many`` maps its
+statements' names to schema-axis bitmasks once, the axiom scans and the
+Markov checks hand theirs over as bitmasks, and each list is grouped by
+joint (``_joint_groups``) and decided by ``_decide_groups``, one verdict
+per statement.  ``independent`` decides one statement on its own joint, a
+lone chunk of the same core, and is the one place a witness is looked up;
+the reports call it only for the witnesses they show.
 
 How a statement is decided: statements are grouped by their joint A u B u S,
 and one core, ``_joint_chunks``, decides each joint's statements from the
@@ -33,25 +35,25 @@ with the joint each run once per chunk.  A statement whose joint is larger
 than that is a chunk of its own; without the lattice it keeps the keepdims
 shapes, so it makes no stacked copies.
 
-``decide_many`` and ``independent`` take each joint from
-``table.marginalize``; ``independent`` is a lone chunk, and never builds a
-lattice, which spans more cells than its joint.  The scans and the Markov
-checks, through ``_decide_groups``, apply the lattice rule once to the
-table itself and their whole list.  Where it holds they fill the table's
-lattice once and read every joint from it: every maximum of a joint is a
-maximum of the table, so a joint's values and its lattice are the block of
-the table's lattice with index ki on the axes the joint leaves out (Gray et
+``independent`` takes its joint from ``table.marginalize`` and is a lone
+chunk, which never builds a lattice, as that spans more cells than the
+joint.  ``_decide_groups`` applies the lattice rule once to the table
+itself and the whole list.  Where it holds it fills the table's lattice
+once and reads every joint from it: every maximum of a joint is a maximum
+of the table, so a joint's values and its lattice are the block of the
+table's lattice with index ki on the axes the joint leaves out (Gray et
 al. again: fill the cube once, answer every group-by from it).  A list
 whose statements times the table's cells fit one chunk is decided as that
 chunk on the table's shape, each statement's unused axes added to the
 drops of its three terms and its joint read as a fourth term; larger lists
 keep their joints' own shapes, as stretching small joints to the table's
 cells costs more than it saves.  Where the table's lattice does not fit,
-each joint is marginalized and decided as in ``decide_many``.  Within
-``_inputs_kept`` (a ``chain_report`` or ``scan_axioms`` call) the first
-lattice built for a table is kept, and every later list on that table
-reads it, whatever its size: a chain's global check fills it, and local
-and pairwise read their leftover statements from it.
+each joint is marginalized and decided on its own, on its own lattice
+where its statements fit it.  Within ``_inputs_kept`` (a ``chain_report``
+or ``scan_axioms`` call) the first lattice built for a table is kept, and
+every later list on that table reads it, whatever its size: a chain's
+global check fills it, and local and pairwise read their leftover
+statements from it.
 
 An exact table (an object array of ``Fraction`` or other rational cells) is
 first written once per call (once per ``chain_report`` or scan) as integer
@@ -74,10 +76,11 @@ and, per instance, its group masks and the indices of its antecedents and
 consequent.  The plan also groups the distinct statements by joint, once,
 in numpy: ``np.unique`` over their joint masks, and each statement's A and
 B masks compressed onto its joint's axes, an axis's rank there being the
-``np.bitwise_count`` of the joint's bits below it.  A scan decides those
-groups through ``_decide_groups``, so each statement is decided once and
-nothing is regrouped or renamed per table: on the table's lattice, a scan
-of four variables is one chunk and a larger one one block per joint.
+count of the joint's bits below it, kept as a running sum over the axes.
+A scan decides those groups through ``_decide_groups``, so each statement
+is decided once and nothing is regrouped or renamed per table: on the
+table's lattice, a scan of four variables is one chunk and a larger one
+one block per joint.
 Which instances are vacuous and which are violated are two array
 reductions over the verdicts.  The witness of a violated instance is
 looked up at once, once per distinct consequent, and a report is built
@@ -195,7 +198,13 @@ def independent(table: PossibilityTable, tn: TNorm, statement: IndependenceState
     involved variables (first variable cycling fastest) where the t-norm
     recombination misses the joint marginal.
     """
-    [(_, joint, mask)] = _chunks(table, tn, [statement], eps)
+    table, mismatch = _decider(table, tn, eps)
+    joint = table.marginalize(statement.a + statement.b + statement.given)
+    axis = joint.schema.axis
+    a = np.array([sum(1 << axis(v) for v in statement.a)], np.int64)
+    b = np.array([sum(1 << axis(v) for v in statement.b)], np.int64)
+    # a lone chunk, which builds no lattice: it spans more cells than the joint
+    [(_, mask)] = _joint_chunks(joint.values, a, b, mismatch)
     witness = joint.schema.first_flagged(mask[0])
     return IndependenceResult(statement, witness is None, witness)
 
@@ -213,52 +222,36 @@ def decide_many(table: PossibilityTable, tn: TNorm, statements, eps=DEFAULT_EPSI
     """Whether each statement holds: one ``bool`` per statement, in input
     order, equal to its ``independent(...).holds``.
 
-    Statements on the same joint A u B u S share its one marginal and its
-    keepdims maxima, and are recombined and compared in chunks.
+    The statements' sides are mapped to schema-axis bitmasks once and
+    decided as a scan's are (``_joint_groups``, ``_decide_groups``).  Raises
+    SchemaError for a variable outside the table's schema.
     """
     statements = list(statements)
-    verdicts = np.ones(len(statements), dtype=bool)
-    for chunk, _, mask in _chunks(table, tn, statements, eps):
-        verdicts[chunk] = ~mask.reshape(len(chunk), -1).any(axis=1)
-    return verdicts.tolist()
-
-
-def _chunks(table, tn, statements, eps):
-    """Decide the list ``statements`` chunk by chunk: yields (indices of the
-    chunk's statements, their joint, the stacked mismatch mask), the mask's
-    leading axis following the indices.  Statements are grouped by the names
-    of their joint, which ``table.marginalize`` supplies; an exact table is
-    decided on its integer numerators (``_numerators``), and the joint then
-    holds those.  Raises DomainError for a negative or NaN eps, even with no
-    statements."""
-    table, mismatch = _decider(table, tn, eps)
-    by_joint = {}
-    for i, stmt in enumerate(statements):
-        by_joint.setdefault(frozenset(stmt.a + stmt.b + stmt.given), []).append(i)
-    for key, indices in by_joint.items():
-        joint = table.marginalize(key)
-        bit = {name: 1 << i for i, name in enumerate(joint.schema.variables)}
-        # the bitmasks of each statement's A and B axes
-        a = np.array([sum(map(bit.__getitem__, statements[i].a)) for i in indices], np.int64)
-        b = np.array([sum(map(bit.__getitem__, statements[i].b)) for i in indices], np.int64)
-        for chunk, mask in _joint_chunks(joint.values, a, b, mismatch):
-            yield indices[chunk], joint, mask
+    schema = table.schema
+    used = set().union(*(s.a + s.b + s.given for s in statements))
+    bit = {v: 1 << schema.axis(v) for v in used}
+    masks = np.array([[sum(map(bit.__getitem__, side)) for side in (s.a, s.b, s.given)]
+                      for s in statements], np.int64).reshape(-1, 3).T
+    return _decide_groups(table, tn, masks, _joint_groups(*masks, schema.variables), eps).tolist()
 
 
 # The decision inputs kept for a caller that decides several lists on one
 # table (``chain_report``, ``scan_axioms``), each with the table it was built
 # for, which keeps that table's id from being reused: an exact table's
-# numerators, by (id of the table, t-norm, eps), and the lattice of a decided
-# table (the numerators, for an exact one), by ("lattice", id of the table).
-# ``_inputs_kept`` sets it; None elsewhere, where each call builds its own.
+# numerators, by (id of the table, t-norm, eps), the lattice of a decided
+# table (the numerators, for an exact one), by ("lattice", id of the table),
+# and a chain's verdicts by graph-mask triple, by ("verdicts", id of the
+# table) (``markov._run_checks``).  ``_inputs_kept`` sets it; None
+# elsewhere, where each call builds its own.
 _KEPT = ContextVar("_KEPT", default=None)
 
 
 class _inputs_kept:
     """Within the block, ``_decider`` builds each exact table's numerators
-    once per t-norm and eps, and the first lattice ``_decide_groups`` builds
-    for a table is read by every later list on it; they are dropped when the
-    block exits or raises.  A class, not a ``contextmanager`` generator,
+    once per t-norm and eps, the first lattice ``_decide_groups`` builds
+    for a table is read by every later list on it, and a chain's Markov
+    calls share one verdict memo; they are dropped when the block exits or
+    raises.  A class, not a ``contextmanager`` generator,
     which costs a scan of four variables about 1 % more."""
 
     def __enter__(self):
@@ -340,12 +333,11 @@ def _joint_groups(a, b, given, names):
         # pairwise statements do: one group, its masks already on its axes
         return ((tuple(names), np.arange(len(a)), a, b),)
     joints, inverse, counts = np.unique(joint, return_inverse=True, return_counts=True)
-    joint = joints[inverse]
-    on_a, on_b = np.zeros_like(a), np.zeros_like(b)
+    on_a, on_b, rank = np.zeros_like(a), np.zeros_like(b), np.zeros_like(joint)
     for i in range(n):
-        rank = np.bitwise_count(joint & ((1 << i) - 1)).astype(np.int64)
         on_a |= (a >> i & 1) << rank
         on_b |= (b >> i & 1) << rank
+        rank += joint >> i & 1
     by_joint = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
     return tuple((tuple(v for i, v in enumerate(names) if j >> i & 1), indices,
                   on_a[indices], on_b[indices])

@@ -20,8 +20,9 @@ alone.
 
 The runner keeps its verdicts by mask triple, and hands the decider only
 the distinct triples it lacks.  Outside a chain that memo lasts one call.
-``chain_report`` shares one memo across its three property calls and drops
-it when they return or raise: a pairwise statement I(i; j | V minus i, j)
+``chain_report`` shares one memo across its three property calls, kept
+beside the decider's inputs (below), and drops it when they return or
+raise: a pairwise statement I(i; j | V minus i, j)
 is a separated triple, as is a local one whose sides are both nonempty, so
 global's component enumeration has already decided nearly every pairwise
 statement and some local ones (others appear with A and B swapped, which at
@@ -111,7 +112,6 @@ exact one, whose factors fold as the rationals they equal (rho is 0 in
 exact arithmetic).  A "yes" outside the certificate's scope is not policed.
 """
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -125,7 +125,7 @@ from .factorization import (FactorizationResult, _clique_fold, _closed_form_base
                             _validate_vertices, factorizes)
 from .graphs import UndirectedGraph
 from .independence import (IndependenceStatement, _decide_groups, _inputs_kept, _joint_groups,
-                           independent)
+                           _kept, independent)
 from .numeric import DEFAULT_EPSILON, mismatch_mask
 from .possibility import PossibilityTable
 from .tnorm import TNorm
@@ -136,12 +136,6 @@ GLOBAL = "global"
 
 # The rounding allowance rho of the certificate (see the module docstring).
 _RHO = 2.0 ** -40
-
-# The verdicts of one ``chain_report`` call, by graph-mask triple (a, b, s):
-# its three properties decide each distinct statement once.  None outside
-# a chain, where each call decides its own list.
-_VERDICTS = ContextVar("_VERDICTS", default=None)
-
 
 @dataclass(frozen=True, eq=False)
 class MarkovReport:
@@ -203,9 +197,8 @@ def _certified(table, graph, tn, eps):
 def _run_checks(table, graph, tn, triples, eps, property_name, mode="components"):
     triples = list(triples)
     statements, skipped = _named(graph, triples)
-    memo = _VERDICTS.get()
-    if memo is None:
-        memo = {}
+    # by graph-mask triple (a, b, s); kept for a chain's three calls
+    memo = _kept(("verdicts", id(table)), table, dict)
     decided = [t for t in triples if t[0] and t[1]]
     missing = [t for t in decided if t not in memo]  # each enumeration lists a triple once
     if missing and mode == "components" and _certified(table, graph, tn, eps):
@@ -354,14 +347,10 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
     eps alone does not make every statement hold at eps.
     """
     f_result = factorizes(table, graph, tn, eps) if include_factorization else None
-    token = _VERDICTS.set({})
-    try:
-        with _inputs_kept():
-            g = global_markov(table, graph, tn, eps, exhaustive=exhaustive)
-            l = local_markov(table, graph, tn, eps)
-            p = pairwise_markov(table, graph, tn, eps)
-    finally:
-        _VERDICTS.reset(token)
+    with _inputs_kept():
+        g = global_markov(table, graph, tn, eps, exhaustive=exhaustive)
+        l = local_markov(table, graph, tn, eps)
+        p = pairwise_markov(table, graph, tn, eps)
     if g.holds and not l.holds:
         raise InternalInconsistencyError("global holds but local fails")
     if l.holds and not p.holds:

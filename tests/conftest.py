@@ -348,10 +348,11 @@ def uncertified(monkeypatch):
 @pytest.fixture
 def lattices(monkeypatch):
     """The shapes of the joints whose max-marginal lattice is built, in
-    order: one per joint whose batch fits it in ``decide_many``, and the
-    table's own in a scan or Markov check that fits it.  A ``chain_report``
-    or ``scan_axioms`` call keeps the table's lattice for its later lists,
-    so it builds it at most once."""
+    order: the table's own where a decided list (``decide_many``, a scan or
+    a Markov check) fits it, and otherwise one per marginalized joint whose
+    statements fit its own.  A ``chain_report`` or ``scan_axioms`` call
+    keeps the table's lattice for its later lists, so it builds it at most
+    once."""
     return routes_taken(monkeypatch)[0]
 
 

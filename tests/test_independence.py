@@ -134,10 +134,20 @@ class TestDiagonalExamples:
         assert not res.holds and res.witness == {"X": "1", "Y": "0", "Z": "0"}
 
     def test_unknown_variable_rejected(self):
+        t, tn = example1_table(), TNorm.godel()
         with pytest.raises(SchemaError):
-            independent(
-                example1_table(), TNorm.godel(), IndependenceStatement(("Q",), ("Y",))
-            )
+            independent(t, tn, IndependenceStatement(("Q",), ("Y",)))
+        # an unknown name in any side of any statement, or in any group
+        known = IndependenceStatement(("X",), ("Y",), ("Z",))
+        for stmt in (IndependenceStatement(("Q",), ("Y",)),
+                     IndependenceStatement(("X",), ("Y", "Q")),
+                     IndependenceStatement(("X",), ("Y",), ("Q",))):
+            with pytest.raises(SchemaError, match="'Q'"):
+                decide_many(t, tn, [known, stmt])
+        for axiom, groups in (("symmetry", [("X",), ("Q",), ("Z",)]),
+                              ("weak_union", [("X",), ("Y",), ("Z",), ("Q",)])):
+            with pytest.raises(SchemaError, match="'Q'"):
+                check_axiom(t, tn, axiom, groups)
 
 
 class TestConstructedIndependence:
@@ -302,6 +312,7 @@ def set_budgets(monkeypatch, chunk, cache):
 NO_LATTICE = 0
 ANY_LATTICE = 1 << 40
 BUDGETS = [(8, NO_LATTICE), (64, 16), (None, NO_LATTICE), (None, ANY_LATTICE), (None, None)]
+BUDGET_IDS = ["tiny-no-lattice", "small", "no-lattice", "any-lattice", "default"]
 
 
 class TestDecideMany:
@@ -329,8 +340,7 @@ class TestDecideMany:
         if budgets[1] == ANY_LATTICE:
             assert lattices
 
-    @pytest.mark.parametrize("budgets", BUDGETS,
-                             ids=["tiny-no-lattice", "small", "no-lattice", "any-lattice", "default"])
+    @pytest.mark.parametrize("budgets", BUDGETS, ids=BUDGET_IDS)
     @pytest.mark.parametrize("tn", ALL_TNORMS, ids=lambda t: t.describe())
     def test_random_tables(self, tn, budgets, rng, monkeypatch, lattices):
         set_budgets(monkeypatch, *budgets)
@@ -410,6 +420,27 @@ class TestDecideMany:
 
     def test_no_statements(self, rng):
         assert decide_many(random_table(rng), TNorm.godel(), []) == []
+
+    @pytest.mark.parametrize("budgets", BUDGETS, ids=BUDGET_IDS)
+    @pytest.mark.parametrize("tn", BASE_TNORMS, ids=lambda t: t.describe())
+    def test_independent_builds_and_is_handed_no_lattice(self, tn, budgets, rng, monkeypatch):
+        # the witness path is a lone chunk on its own joint, even where a
+        # scan has kept the table's lattice
+        set_budgets(monkeypatch, *budgets)
+        lattices, handed = routes_taken(monkeypatch)
+        for _ in range(4):
+            t = random_table(rng, max_vars=4, max_domain=3)
+            stmts = statement_list(rng, t.schema.variables, 12)
+            stmts += pair_statements(t.schema.variables)
+            plan = _scan_plan(t.schema.variables, AXIOMS)
+            for table, eps in ((t, EPS), (exact(t), 0)):
+                with _inputs_kept():
+                    _decide_groups(table, tn, plan.masks, plan.joints, eps)
+                    lattices.clear(), handed.clear()
+                    for stmt in stmts:
+                        independent(table, tn, stmt, eps)
+                    assert lattices == []
+                    assert handed == [False] * len(stmts)
 
 
 @st.composite
@@ -549,8 +580,9 @@ def exact_tables(draw):
 
 class TestScanJointGroups:
     """A scan decides its plan's statements on the plan's joint groups, the
-    masks compressed onto each joint's axes; its verdicts equal those of
-    ``decide_many`` on the plan's statements."""
+    masks compressed onto each joint's axes; its verdicts, and those of
+    ``decide_many`` on the plan's statements, equal each statement's
+    ``independent``, a lone chunk that never enters ``_decide_groups``."""
 
     @settings(max_examples=100, deadline=None)
     @given(t=grid_tables(), tn=st.sampled_from(ALL_TNORMS), exact_values=st.booleans())
@@ -559,7 +591,9 @@ class TestScanJointGroups:
         if exact_values and tn.transform is None:  # transforms force floating point
             t, eps = exact(t), 0
         plan = _scan_plan(t.schema.variables, AXIOMS)
-        assert scan_axioms(t, tn, eps=eps)._verdicts == decide_many(t, tn, plan.statements, eps)
+        want = [independent(t, tn, stmt, eps).holds for stmt in plan.statements]
+        assert scan_axioms(t, tn, eps=eps)._verdicts == want
+        assert decide_many(t, tn, plan.statements, eps) == want
 
 
 # (chunk budget, cache budget) forcing each route of ``_decide_groups``
@@ -595,7 +629,7 @@ def assert_route(route, shape, count, lattices, handed):
 
 
 class TestDecisionRoutes:
-    """Each route of ``_decide_groups`` gives the verdicts of ``decide_many``
+    """Each route of ``_decide_groups`` gives the verdicts of ``independent``
     in a scan, and the reports of deciding each statement through
     ``independent`` in an exhaustive global check."""
 
@@ -613,7 +647,7 @@ class TestDecisionRoutes:
             if kind == "exact" and tn.transform is None:  # transforms force floating point
                 t, eps = exact(t), 0
         plan = _scan_plan(schema.variables, AXIOMS)
-        want = decide_many(t, tn, plan.statements, eps)
+        want = [independent(t, tn, stmt, eps).holds for stmt in plan.statements]
         with pytest.MonkeyPatch.context() as monkeypatch:
             set_budgets(monkeypatch, *ROUTES[route])
             lattices, handed = routes_taken(monkeypatch)
@@ -650,7 +684,7 @@ class TestDecisionRoutes:
 class TestKeptLattice:
     """Within ``_inputs_kept`` the first lattice built for a table serves
     every later list on it, whatever its size, on each route: the verdicts
-    are those of ``decide_many``, an empty list gives an empty array, and a
+    are those of ``independent``, an empty list gives an empty array, and a
     negative or NaN eps still raises."""
 
     @pytest.mark.parametrize("chunk", [None, 0], ids=["one-chunk", "joint-blocks"])
@@ -664,7 +698,8 @@ class TestKeptLattice:
             t, eps = exact(t), 0
         plan = _scan_plan(names, AXIOMS)
         picks = [rng.choice(len(plan.statements), count, replace=False) for count in (1, 7)]
-        wants = [decide_many(t, tn, [plan.statements[i] for i in picked], eps) for picked in picks]
+        wants = [[independent(t, tn, plan.statements[i], eps).holds for i in picked.tolist()]
+                 for picked in picks]
         lattices, handed = routes_taken(monkeypatch)
         with _inputs_kept():
             _decide_groups(t, tn, plan.masks, plan.joints, eps)

@@ -671,10 +671,10 @@ class TestChainVerdictMemo:
         g = UndirectedGraph(schema.variables, zip(schema.variables, schema.variables[1:]))
         t, _ = planted(schema, g, TNorm.product(), rng, 0.3)
         chain_report(t, g, TNorm.product())
-        assert posscheck.markov._VERDICTS.get() is None
+        assert posscheck.independence._KEPT.get() is None
         with pytest.raises(DomainError):
             chain_report(t, g, TNorm.product(), eps=float("nan"))
-        assert posscheck.markov._VERDICTS.get() is None
+        assert posscheck.independence._KEPT.get() is None
         handed.clear()
         report = pairwise_markov(t, g, TNorm.product())
         assert handed == [len(report.checked)] == [10]
@@ -989,7 +989,7 @@ class TestCertificate:
         assert rep.global_report.holds and rep.local_report.holds and rep.pairwise_report.holds
         # pairwise has nothing left, and its empty list only checks eps
         assert handed == [0]
-        assert posscheck.markov._VERDICTS.get() is None
+        assert posscheck.independence._KEPT.get() is None
         handed.clear()
         report = pairwise_markov(t, g, TNorm.product())
         assert report.holds and len(report.checked) == 21 and handed == []
