@@ -23,12 +23,15 @@ misses the table.  Outside the regimes it reports "unknown":
   automorphism that presents the t-norm as a transform of product (or of
   Lukasiewicz) turns the combination into a sum of clique-local terms.  The
   rescaled table f is such a sum exactly when it equals its least-squares
-  projection P(f).  Each cell's residual is compared with the move of f
-  that eps allows there, carried through the rescaling, plus the spread of
-  those moves under P: a residual beyond that bound is a sure "no" with the
-  worst cell as witness.  Otherwise the factors still have to lie in the
-  unit interval: one linear program looks for box terms whose sum is P(f),
-  and their combination is the candidate, verified at ``max(eps, 1e-7)``.
+  projection P(f), which ``_clique_sum_projection`` returns as one term per
+  maximal clique, from one reduction of the table per clique and weights
+  kept per graph (``UndirectedGraph._clique_sums``).  Each cell's residual
+  is compared with the move of f that eps allows there, carried through
+  the rescaling, plus the spread of those moves under P: a residual beyond
+  that bound is a sure "no" with the worst cell as witness.  Otherwise the
+  factors still have to lie in the unit interval: one linear program looks
+  for box terms whose sum is P(f), and their combination is the candidate,
+  verified at ``max(eps, 1e-7)``.
   Its equations are only the anchored cells, which fix a sum of clique
   terms, so no row is built for any other cell.  An exact table is
   verified at eps itself: it first tries the clique residuals along a
@@ -40,17 +43,20 @@ misses the table.  Outside the regimes it reports "unknown":
 
 The Markov certificate (see ``markov``) folds the clique factors built here
 in a base t-norm's kernel (``_clique_fold``): the clique marginals under
-Goedel, on any graph, and the clique residuals along a perfect clique
-order (``_junction_factors``, the same residuals an exact table tries
-first) under product, product^p and Lukasiewicz.  It takes them as arrays
+Goedel, on any graph, and under product, product^p and Lukasiewicz the
+clique residuals along a perfect clique order (``_junction_factors``, the
+same residuals an exact table tries first) on a chordal graph, and on
+another graph of at most ``_MAX_TERMS`` cliques the terms of the clique-sum
+projection of log pi (a strictly positive table) or of pi (Lukasiewicz),
+with psi = exp(sum theta_C) or max(0, sum theta_C).  The residuals handle
+zero cells, which a log projection cannot.  It takes the factors as arrays
 on the table's axes, with no factor tables and no ``verify`` step.
 """
 
+import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -197,18 +203,42 @@ def _closed_form_base(tn):
     return _BASES[PRODUCT] if tn.base == PRODUCT and lo <= tn.transform.p <= hi else None
 
 
+# The most clique terms the sum candidate of the Markov certificate adds:
+# its rounding allowance is derived for at most this many (see ``markov``).
+_MAX_TERMS = 24
+
+
 def _clique_fold(table, graph, base):
-    """The fold, in the ``base`` kernel, of the clique factors the Markov
-    certificate tries: under Goedel the clique marginals, on any graph;
-    under product and Lukasiewicz the clique residuals along the graph's
-    clique order (``_junction_factors``), on a graph whose order is
-    perfect.  None on another graph, before any marginal is read."""
+    """(the fold psi, in the ``base`` kernel, of the clique factors the Markov
+    certificate tries; a bound on its rounding that the certificate's
+    tolerance must give up), or None where there is no candidate.
+
+    Under Goedel the clique marginals, on any graph; under product and
+    Lukasiewicz, on a graph whose clique order is perfect (a chordal one),
+    the clique residuals along it (``_junction_factors``).  Their rounding
+    is within the certificate's allowance rho, so the bound is 0.  On
+    another graph of at most ``_MAX_TERMS`` maximal cliques, the clique-sum
+    projection (``_clique_sum_projection``) of f = log pi, on a strictly
+    positive table, or of f = pi (Lukasiewicz), with psi = exp(sum theta_C)
+    or max(0, sum theta_C): one sum, whose rounding is at most
+    gamma_(k-1) sum |theta_C| and is bounded from the terms as
+    2^-50 (k sum max |theta_C| + 64).  None on more cliques, before any
+    value is read, and under product on a table with a zero cell."""
     order, perfect = graph._clique_order
     if base.base == GODEL:
-        order = [(clique, ()) for clique, _ in order]
-    elif not perfect:
+        return base.fold_arrays(_junction_factors(table, [(c, ()) for c, _ in order], base)), 0.0
+    if perfect:
+        return base.fold_arrays(_junction_factors(table, order, base)), 0.0
+    product = base.base == PRODUCT
+    if len(order) > _MAX_TERMS or (product and not table.values.min() > 0):
         return None
-    return base.fold_arrays(_junction_factors(table, order, base))
+    terms = _clique_sum_projection(np.log(table.values) if product else table.values,
+                                   table.schema, graph)
+    total = sum(terms)
+    with np.errstate(over="ignore"):
+        fold = np.exp(total) if product else np.maximum(total, 0.0)
+    bound = sum(float(np.abs(term).max()) for term in terms)
+    return fold, 2.0 ** -50 * (len(terms) * bound + 64)
 
 
 def _validate_vertices(table, graph):
@@ -216,30 +246,40 @@ def _validate_vertices(table, graph):
         raise SchemaError("graph vertices and schema variables differ")
 
 
-def _clique_sum_projection(f, schema, cliques):
-    """Least-squares projection of f onto the sums of clique terms, and the
-    spread sum |w_T|, which bounds the projection's infinity norm.
+def _clique_sum_projection(f, schema, graph):
+    """The least-squares projection P(f) of f onto the sums of clique terms,
+    as one term theta_C per maximal clique (in ``graph.cliques()`` order), on
+    f's axes with size 1 on the axes C lacks, so that P(f) = sum theta_C.
 
     Over uniformly weighted cells the ANOVA components of f on different
     axis sets are orthogonal, and the sums of clique terms are spanned by
     those on complete sets (subsets of a clique).  Summing those components
-    gives, for each complete set T, the mean of f over the other axes times
-    the signed count w_T of complete sets containing T (the w_T sum to 1,
-    and each mean has infinity norm 1).  Centring f first keeps its constant
-    part out of the signed sum.
+    gives, for each complete set T, the mean M_T of f over the other axes
+    times the signed count w_T of complete sets containing T (the w_T sum to
+    1, each mean has infinity norm at most f's, and the spread sum |w_T|
+    bounds P's norm; both are kept per graph,
+    ``UndirectedGraph._clique_sums``).  Centring f by its mean m first keeps
+    its constant part out of the signed sum.  theta_C sums w_T M_T(f - m)
+    over the nonempty sets T assigned to C (the empty set's mean of f - m is
+    0), each mean taken from C's own mean M_C(f) - m, so the table is
+    reduced once per maximal clique; the first term carries m.
     """
-    complete = {s for clique in cliques for r in range(len(clique) + 1)
-                for s in combinations(sorted(schema.axis(v) for v in clique), r)}
-    weights = Counter()
-    for s in complete:
-        for r in range(len(s) + 1):
-            for t in combinations(s, r):
-                weights[t] += (-1) ** (len(s) - r)
-    centred = f - f.mean()
-    return f.mean() + sum(
-        w * centred.mean(axis=tuple(a for a in range(f.ndim) if a not in t), keepdims=True)
-        for t, w in weights.items() if w
-    ), sum(abs(w) for w in weights.values())
+    def mean(x, axes):
+        # ``x.mean(axes, keepdims=True)``: the same sum and division, without
+        # its Python wrapper, which costs as much as a small clique's mean
+        return np.add.reduce(x, axis=axes, keepdims=True) / math.prod(x.shape[a] for a in axes)
+
+    terms, m = [], None
+    for clique, sets in graph._clique_sums[0]:
+        axes = [schema.axis(v) for v in clique]
+        own = mean(f, tuple(a for a in range(f.ndim) if a not in axes))
+        if m is None:
+            m = own.mean()
+        own = own - m
+        terms.append(sum(w * mean(own, tuple(schema.axis(v) for v in clique if v not in t))
+                         for t, w in sets))
+    terms[0] = terms[0] + m
+    return terms
 
 
 def _anchored_system(schema, cliques):
@@ -266,7 +306,7 @@ def _anchored_system(schema, cliques):
     return cells, matrix, sub_schemas, offsets
 
 
-def _rescaled_candidate(table, cliques, tn, eps):
+def _rescaled_candidate(table, graph, cliques, tn, eps):
     """The candidate of a strictly positive table under an Archimedean
     t-norm, or the "no" of the residual bound or of an infeasible LP.
 
@@ -287,7 +327,8 @@ def _rescaled_candidate(table, cliques, tn, eps):
 
     values = table.values.astype(float)
     f = rescale(values)
-    projection, spread = _clique_sum_projection(f, table.schema, cliques)
+    projection = sum(_clique_sum_projection(f, table.schema, graph))
+    spread = graph._clique_sums[1]
     step = max(eps, 1e-12)
     with np.errstate(divide="ignore"):
         tau = np.maximum(*(np.abs(rescale(np.clip(values + d, 0.0, 1.0)) - f)
@@ -350,7 +391,7 @@ def factorizes(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
             found = _verified(table, _residual_candidate(table, graph, tn), eps, "")
             if found.is_yes:
                 return found
-        candidate = _rescaled_candidate(table, cliques, tn, eps)
+        candidate = _rescaled_candidate(table, graph, cliques, tn, eps)
         if isinstance(candidate, FactorizationResult):
             return candidate
         if exact:

@@ -12,9 +12,11 @@ thousand, read it from a table of every vertex set's neighbourhood
 (``_neighborhoods``, 2^n entries) instead, which public ``components``
 does without, as its graphs may be too large for it.  Maximal cliques
 come from the classic recursive enumeration with pivoting, and separation
-reduces to connectivity of the residual subgraph.  The cliques in maximum
-cardinality order, each with its overlap with the earlier ones, are kept
-once per graph (``_clique_order``), as the graph is immutable.
+reduces to connectivity of the residual subgraph.  The graph is
+immutable, so it keeps, once computed, its maximal cliques (``_cliques``),
+the cliques in maximum cardinality order, each with its overlap with the
+earlier ones (``_clique_order``), and the weights of the clique-sum
+projection (``_clique_sums``).
 """
 
 from functools import cached_property
@@ -145,6 +147,12 @@ class UndirectedGraph:
 
     def cliques(self):
         """All maximal complete vertex sets, each sorted, in lexicographic order."""
+        return list(self._cliques)
+
+    @cached_property
+    def _cliques(self):
+        """The maximal cliques, as ``cliques`` lists them, enumerated on the
+        first call by the recursion with pivoting."""
         found = []
         adjacency = self._adjacency
 
@@ -166,7 +174,7 @@ class UndirectedGraph:
                 x |= v
 
         expand(0, self._full, 0)
-        return sorted(found)
+        return tuple(sorted(found))
 
     @cached_property
     def _clique_order(self):
@@ -177,7 +185,7 @@ class UndirectedGraph:
         the one sharing the most variables with those before it (the first
         such, on a tie).  It is perfect when each separator lies in one
         earlier clique, as it does on a chordal graph."""
-        rest, order, seen = self.cliques(), [], set()
+        rest, order, seen = list(self._cliques), [], set()
         while rest:
             clique = max(rest, key=lambda c: len(seen.intersection(c)))
             rest.remove(clique)
@@ -186,6 +194,37 @@ class UndirectedGraph:
         perfect = all(any(set(separator) <= set(c) for c, _ in order[:j])
                       for j, (_, separator) in enumerate(order) if j)
         return tuple(order), perfect
+
+    @cached_property
+    def _clique_sums(self):
+        """(per maximal clique, in ``cliques`` order, a pair of its names and
+        the pairs (T, w_T) of the nonempty complete sets T it is the first
+        clique to contain, w_T nonzero; the spread, the sum of every |w_T|),
+        in names, computed on the first call.  w_T is the signed count of the
+        complete sets S containing T, each counted (-1)^(|S| - |T|): the
+        weight of T's mean in the least-squares projection onto sums of
+        clique terms (``factorization._clique_sum_projection``).  Only an
+        intersection of maximal cliques has w_T nonzero (any other T has a
+        vertex outside it in every clique containing it, and the supersets of
+        T cancel in pairs with and without that vertex), and Moebius
+        inversion of "every complete set is counted once" gives w_T = 1 minus
+        the w_S of the intersections S strictly containing T, so the
+        intersections are weighed largest first.  The empty set counts in
+        the spread, though its term, the mean of a centred table, is 0."""
+        cliques = self._cliques
+        masks = [self._mask(c) for c in cliques]
+        meets = {0}
+        for c in masks:
+            meets |= {c & m for m in meets} | {c}
+        weights = {}
+        for t in sorted(meets, key=lambda m: (-m.bit_count(), m)):
+            weights[t] = 1 - sum(w for s, w in weights.items() if s & t == t)
+        terms = [[] for _ in masks]
+        for t, w in weights.items():
+            if t and w:
+                terms[next(j for j, c in enumerate(masks) if c & t == t)].append(
+                    (self._members(t), w))
+        return tuple(zip(cliques, map(tuple, terms))), sum(map(abs, weights.values()))
 
     # -- connectivity ------------------------------------------------------------------
 

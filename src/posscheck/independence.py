@@ -240,9 +240,10 @@ def decide_many(table: PossibilityTable, tn: TNorm, statements, eps=DEFAULT_EPSI
 # for, which keeps that table's id from being reused: an exact table's
 # numerators, by (id of the table, t-norm, eps), the lattice of a decided
 # table (the numerators, for an exact one), by ("lattice", id of the table),
-# and a chain's verdicts by graph-mask triple, by ("verdicts", id of the
-# table) (``markov._run_checks``).  ``_inputs_kept`` sets it; None
-# elsewhere, where each call builds its own.
+# a chain's verdicts by graph-mask triple, by ("verdicts", id of the
+# table), and its refused certificate, by ("refused", id of the table)
+# (``markov._run_checks``).  ``_inputs_kept`` sets it; None elsewhere,
+# where each call builds its own.
 _KEPT = ContextVar("_KEPT", default=None)
 
 
@@ -250,8 +251,8 @@ class _inputs_kept:
     """Within the block, ``_decider`` builds each exact table's numerators
     once per t-norm and eps, the first lattice ``_decide_groups`` builds
     for a table is read by every later list on it, and a chain's Markov
-    calls share one verdict memo; they are dropped when the block exits or
-    raises.  A class, not a ``contextmanager`` generator,
+    calls share one verdict memo and a refused certificate; they are
+    dropped when the block exits or raises.  A class, not a ``contextmanager`` generator,
     which costs a scan of four variables about 1 % more."""
 
     def __enter__(self):

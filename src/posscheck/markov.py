@@ -42,45 +42,58 @@ built once per call: one list lookup per flood step.
 Before deciding the triples it lacks, a call of the component mode tries a
 certificate (``_certified``): a float table at an eps above rho = 2^-40
 that lies within (eps - rho) / 4 of the fold psi of its clique factors
-(``factorization._clique_fold``) makes every separated triple hold at eps,
-so each of those triples gets True undecided.  The candidate is, under
-Goedel, the clique marginals, on any graph; under product, product^p with
-p in the supported exponent range [0.1, 10], and Lukasiewicz, the
-junction-tree residuals phi_j = R(pi(C_j), pi(S_j)) along the graph's
-clique order, computed in the base kernel, and only where that order is
-perfect (a chordal graph), which is checked before any marginal is read.
+(``factorization._clique_fold``), less a bound on the fold's rounding that
+depends on the table, makes every separated triple hold at eps, so each of
+those triples gets True undecided.  The candidate is, under Goedel, the
+clique marginals, on any graph.  Under product, product^p with p in the
+supported exponent range [0.1, 10], and Lukasiewicz, it is, where the
+graph's clique order is perfect (a chordal graph), the junction-tree
+residuals phi_j = R(pi(C_j), pi(S_j)) along it, computed in the base
+kernel; on another graph of at most 24 maximal cliques, the least-squares
+clique terms theta_C of f = log pi on a strictly positive table (product)
+or of f = pi (Lukasiewicz), with psi = exp(sum theta_C) or
+max(0, sum theta_C).  Both are chosen before any marginal or cell is read.
 Otherwise, and always for an exact table, an eps of rho or less,
 ``lukasiewicz^p`` and the exhaustive mode (the oracle), the call decides
 its list.  ``checked``, ``skipped``, ``witness`` and ``mode`` are those of
-deciding it.  In a chain, every property call with triples left tries the
-certificate anew, reading the clique marginals through
-``table.marginalize``.
+deciding it.  In a chain, a call with triples left after a certified one
+tries the certificate anew (the junction-tree residuals read the clique
+marginals through ``table.marginalize``), but a refusal is kept beside the
+verdict memo, and no later call of the chain folds again.
 
 Why the certificate holds.  Write y = pi(A, S), x = pi(S), b = pi(B, S):
-maxima put them in D = {y <= x, b <= x}, where rec = T(R(y, x), b) is
+maxima put them in D = {0 <= y <= x, 0 <= b <= x}, where rec = T(R(y, x), b)
+is
 
 - min(y, b) for Goedel, as R(y, x) is y where x > y and 1 where x = y >= b;
 - yb / x for product and every product^p (x^p y^p to the power 1/p is xy,
   so product^p is product), and 0 where x = 0 (then b = 0);
 - max(0, y - x + b) for Lukasiewicz, as R(y, x) = y - x + 1 on D.
 
-1. Folds are reproduced exactly.  Let psi be the T-fold of [0, 1]
-   functions of the maximal cliques, and (A, B | S) a separated triple
-   covering V.  No clique meets both A and B, so psi = T(f, g) with f the
-   fold of the cliques inside A u S and g that of the rest, inside B u S.
-   Maxima commute with a continuous isotone T, so psi(AS) = T(f, g_S),
-   psi(S) = T(f_S, g_S) and psi(BS) = T(f_S, g), where f_S = max_A f >= f
-   and g_S = max_B g >= g.  Then rec gives psi(ABS) = T(f, g): min(f, g_S,
-   f_S, g) = min(f, g); f g_S f_S g / (f_S g_S) = fg, and fg = 0 where
-   f_S g_S = 0; for Lukasiewicz, y - x + b = f + g - 1 where x, y and b are
-   all positive, and otherwise f + g <= 1 and rec = 0 (where y = 0, rec =
-   max(0, b - x) = 0, and where b = 0 likewise).  A separated triple that
-   does not cover V extends to one that does: A' the vertices that S does
-   not separate from A, and B' the rest.  Splitting psi = T(f, g) over
-   that cover, psi(ABS) is the maximum of T(f, g) over A' - A and B' - B,
-   that is T of f's maximum over A' - A, a function of (A, S), and g's over
-   B' - B, a function of (B, S), and the same algebra applies
-   (decomposition, with factor 1).
+These formulas extend rec to all of D, values above 1 included.
+
+1. Folds are reproduced exactly.  Let psi be a fold over the maximal
+   cliques: the min of [0, 1] functions (Goedel), the product of
+   nonnegative real functions (product), or max(0, sum h_C) of real h_C
+   (Lukasiewicz; the Lukasiewicz fold of [0, 1] factors phi_C is this with
+   h_C = phi_C - 1 but for one clique, whose h_C is phi_C).  None of them
+   need lie in [0, 1].  Let (A, B | S) be a separated triple covering V.
+   No clique meets both A and B, so psi = min(f, g), fg or max(0, f + g),
+   with f the part of the cliques inside A u S and g that of the rest,
+   inside B u S.  Maxima commute with min, with a nonnegative factor and
+   with an added function, so with f_S = max_A f >= f and g_S = max_B g >=
+   g, psi(AS), psi(S) and psi(BS) are the same combination of (f, g_S),
+   (f_S, g_S) and (f_S, g).  Then rec gives psi(ABS): min(f, g_S, f_S, g)
+   = min(f, g); f g_S f_S g / (f_S g_S) = fg, and fg = 0 where f_S g_S =
+   0; for Lukasiewicz, where y and b are positive, so is x, and y - x + b
+   = (f + g_S) - (f_S + g_S) + (f_S + g) = f + g, while where y = 0,
+   f + g <= f + g_S <= 0 and rec = max(0, b - x) = 0 = psi(ABS), and where
+   b = 0 likewise.  A separated triple that does not cover V extends to
+   one that does: A' the vertices that S does not separate from A, and B'
+   the rest.  Splitting psi over that cover, psi(ABS) is the maximum of
+   psi over A' - A and B' - B, that is the same combination of f's maximum
+   over A' - A, a function of (A, S), and g's over B' - B, a function of
+   (B, S), and the same algebra applies (decomposition, with factor 1).
 2. Errors grow at most fourfold.  On D, rec is 1-Lipschitz in each
    argument (the partial derivatives of yb / x are b / x, y / x and
    -yb / x^2, at most 1 in size on the convex D; min(y, b) and
@@ -89,21 +102,33 @@ maxima put them in D = {y <= x, b <= x}, where rec = T(R(y, x), b) is
    triple, max |rec(pi) - pi(ABS)|, is at most 3 delta + delta = 4 delta.
 3. Rounding.  Let u = 2^-53 and eps <= 1 (above 1, every float
    recombination and cell lies in [0, 1], so every statement holds
-   anyway).  The fold of k factors in the base kernel is off by at most
-   (k - 1) u: min is exact, and each product or Lukasiewicz step rounds by
-   at most u and is 1-Lipschitz in its arguments.  An Archimedean fold has
-   k <= 24, since a chordal graph has at most n maximal cliques and a
-   schema of at most 2^24 cells at most 24 variables.  The test passes
-   when fl(|pi - fold|) <= fl(fl(eps - rho) / 4), so 4 delta <= eps - rho +
-   eps u + 4 (1 + 23) u.  The decider's float rec is within 3u of rec for
-   Goedel, product and Lukasiewicz (none, a division and a product, or
-   three rounded additions).  For product^p it is within a relative (4e + 2u) / p + 2e
-   <= 42e + 20u, where e is the relative error of numpy's power, plus
-   2^-100 absolute where x^p y^p underflows, which it does only on cells
-   below 1e-30; with e up to 64u (32 ulps) that is 2708u.  Its comparison
-   rounds |rec - pi| by at most u.  The float error is thus at most
-   eps - rho + 2806u, and rho = 2^-40 = 8192u is more: the decider's test
-   |rec - pi| > eps fails on every cell.
+   anyway).  psi is the exact fold of the factors as computed; its float
+   value is what rounds.  The fold of k factors in the base kernel is off
+   by at most (k - 1) u: min is exact, and each product or Lukasiewicz step
+   rounds by at most u and is 1-Lipschitz in its arguments.  A junction
+   fold has k <= 24, since a chordal graph has at most n maximal cliques
+   and a schema of at most 2^24 cells at most 24 variables.  The test
+   passes when fl(|pi - fold|) <= fl(fl(eps - rho) / 4), so 4 delta <=
+   eps - rho + eps u + 4 (1 + 23) u.  The clique-sum fold takes one sum of
+   k <= 24 terms (more cliques are refused, as a non-chordal graph can
+   have many), off by at most gamma_(k-1) sum |theta_C| <= k u M, with M
+   the float sum of the terms' largest magnitudes; then max(0, .) is exact
+   and numpy's exp adds a relative error of at most 64u (32 ulps, as for
+   its power below), so where the test can pass (a float fold of at most
+   5/4) the float fold is within 4 k u M + 256u of psi.  That
+   depends on the table, so the test's tolerance gives up r = 2^-50 (k M +
+   64), twice as much, which covers the rounding of r and of the
+   subtraction too: fl(|pi - fold|) <= fl(fl(fl(eps - rho) / 4) - r) gives
+   4 delta <= eps - rho + 4 eps u, within the bound above.  The decider's
+   float rec is within 3u of rec for Goedel, product and Lukasiewicz
+   (none, a division and a product, or three rounded additions).  For
+   product^p it is within a relative (4e + 2u) / p + 2e <= 42e + 20u,
+   where e is the relative error of numpy's power, plus 2^-100 absolute
+   where x^p y^p underflows, which it does only on cells below 1e-30; with
+   e up to 64u (32 ulps) that is 2708u.  Its comparison rounds |rec - pi|
+   by at most u.  The float error is thus at most eps - rho + 2806u, and
+   rho = 2^-40 = 8192u is more: the decider's test |rec - pi| > eps fails
+   on every cell.
 
 ``chain_report`` polices a verified "yes" with an Archimedean t-norm
 against global at the same tolerance: its factors must fold, in the base
@@ -182,28 +207,37 @@ def _axis_masks(table, graph, triples):
 
 
 def _certified(table, graph, tn, eps):
-    """Whether the float table lies within (eps - rho) / 4 of the fold of
-    its clique factors (``factorization._clique_fold``), which makes every
-    separated triple hold at eps (see the module docstring).  Never for an
-    exact table, an eps of rho or less, or a t-norm with no closed-form
-    base."""
+    """Whether the float table lies within (eps - rho) / 4, less the
+    candidate's rounding bound, of the fold of its clique factors
+    (``factorization._clique_fold``), which makes every separated triple
+    hold at eps (see the module docstring).  Never for an exact table, an
+    eps of rho or less, or a t-norm with no closed-form base."""
     base = _closed_form_base(tn)
     if table.values.dtype == object or not eps > _RHO or base is None:
         return False
-    fold = _clique_fold(table, graph, base)
-    return fold is not None and not mismatch_mask(table.values, fold, (eps - _RHO) / 4).any()
+    candidate = _clique_fold(table, graph, base)
+    if candidate is None:
+        return False
+    fold, rounding = candidate
+    tol = (eps - _RHO) / 4 - rounding
+    return tol > 0 and not mismatch_mask(table.values, fold, tol).any()
 
 
 def _run_checks(table, graph, tn, triples, eps, property_name, mode="components"):
     triples = list(triples)
     statements, skipped = _named(graph, triples)
-    # by graph-mask triple (a, b, s); kept for a chain's three calls
+    # kept for a chain's three calls: the verdicts by graph-mask triple
+    # (a, b, s), and a refused certificate, which a later call does not retry
     memo = _kept(("verdicts", id(table)), table, dict)
+    refused = _kept(("refused", id(table)), table, list)
     decided = [t for t in triples if t[0] and t[1]]
     missing = [t for t in decided if t not in memo]  # each enumeration lists a triple once
-    if missing and mode == "components" and _certified(table, graph, tn, eps):
+    tried = missing and mode == "components" and not refused
+    if tried and _certified(table, graph, tn, eps):
         memo.update(dict.fromkeys(missing, True))
     else:
+        if tried:
+            refused.append(True)
         masks = _axis_masks(table, graph, missing)
         groups = _joint_groups(*masks, table.schema.variables)
         memo.update(zip(missing, _decide_groups(table, tn, masks, groups, eps).tolist()))
@@ -339,12 +373,16 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
     the table's lattice, filled once; the reports are those of the
     standalone calls.
 
-    Any result pattern violating global => local => pairwise, or a verified
-    factorization with an Archimedean t-norm that fails the global property,
-    signals an engine bug and raises InternalInconsistencyError.  A "yes" is
-    policed only where the certificate's bound makes global follow from it
-    (``_implies_global``): a regime may verify at 1e-7, and a fold within
-    eps alone does not make every statement hold at eps.
+    Global holding where local fails, local holding where pairwise fails on
+    an exact table at eps 0, or a verified factorization with an
+    Archimedean t-norm that fails the global property signals an engine bug
+    and raises InternalInconsistencyError.  Local => pairwise is policed
+    only where weak union and decomposition are exact: at eps > 0 a local
+    statement can hold within eps while a pairwise one it implies misses
+    by a little more.  A "yes" is policed only where the certificate's bound
+    makes global follow from it (``_implies_global``): a regime may verify
+    at 1e-7, and a fold within eps alone does not make every statement hold
+    at eps.
     """
     f_result = factorizes(table, graph, tn, eps) if include_factorization else None
     with _inputs_kept():
@@ -353,7 +391,7 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
         p = pairwise_markov(table, graph, tn, eps)
     if g.holds and not l.holds:
         raise InternalInconsistencyError("global holds but local fails")
-    if l.holds and not p.holds:
+    if l.holds and not p.holds and table.values.dtype == object and eps == 0:
         raise InternalInconsistencyError("local holds but pairwise fails")
     if (
         f_result is not None

@@ -653,13 +653,15 @@ class TestExampleSelection:
 
 class TestChainChecks:
     def test_markov_all_exits_70_when_the_chain_breaks(self, model_path, monkeypatch, capsys):
-        # on the four-cycle all three properties hold; a pairwise check that
-        # fails contradicts local => pairwise
+        # on the exact four-cycle at eps 0 all three properties hold; a
+        # pairwise check that fails contradicts local => pairwise, which is
+        # exact there
         def failing_pairwise(*args, **kwargs):
             return posscheck.markov.MarkovReport("pairwise", False, ())
 
         monkeypatch.setattr(posscheck.markov, "pairwise_markov", failing_pairwise)
-        assert main(["markov", "--model", model_path(5), "--property", "all"]) == posscheck.cli.EX_INTERNAL
+        assert main(["markov", "--model", model_path(5), "--property", "all",
+                     "--exact", "--epsilon", "0"]) == posscheck.cli.EX_INTERNAL
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("posscheck: internal inconsistency: "

@@ -426,10 +426,30 @@ class TestProjection:
             matrix, _, _ = TestDesignMatrix._loop_matrix(schema, graph.cliques())
             f = rng.normal(3.0, 1.0, schema.shape)
             solution, _, _, _ = np.linalg.lstsq(matrix, f.ravel(), rcond=None)
-            got, spread = _clique_sum_projection(f, schema, graph.cliques())
-            assert got.shape == schema.shape
+            terms = _clique_sum_projection(f, schema, graph)
+            for clique, term in zip(graph.cliques(), terms):
+                assert term.shape == tuple(k if v in clique else 1
+                                           for v, k in zip(schema.variables, schema.shape))
+            got = np.broadcast_to(sum(terms), schema.shape)
             assert np.abs(got.ravel() - matrix @ solution).max() <= 1e-10
-            assert spread == loop_spread(graph)
+            assert graph._clique_sums[1] == loop_spread(graph)
+
+    def test_weights_are_the_signed_counts_of_complete_sets(self, rng):
+        for _, graph in self._cases(rng):
+            names = graph.vertices
+            complete = [s for r in range(len(names) + 1) for s in combinations(sorted(names), r)
+                        if all(b in graph.neighbors(a) for a, b in combinations(s, 2))]
+            counts = {t: sum((-1) ** (len(s) - len(t)) for s in complete if set(t) <= set(s))
+                      for t in complete if t}
+            plan, _ = graph._clique_sums
+            assert [clique for clique, _ in plan] == graph.cliques()
+            got = {}
+            for clique, sets in plan:
+                for t, w in sets:
+                    # each set goes to the first clique containing it
+                    assert next(c for c in graph.cliques() if set(t) <= set(c)) == clique
+                    got[t] = w
+            assert got == {t: w for t, w in counts.items() if w}
 
     def test_anchored_cells_fix_every_cell(self, rng):
         for schema, graph in self._cases(rng):
@@ -451,7 +471,7 @@ class TestProjection:
             cliques = graph.cliques()
             matrix, _, offsets = TestDesignMatrix._loop_matrix(schema, cliques)
             projector = matrix @ np.linalg.pinv(matrix)
-            _, spread = _clique_sum_projection(np.zeros(schema.shape), schema, cliques)
+            spread = graph._clique_sums[1]
             assert np.abs(projector).sum(axis=1).max() <= spread + 1e-9
             k = len(cliques)
             if tn.base == "product":

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import posscheck.markov
@@ -18,6 +18,7 @@ from posscheck import (
     DEFAULT_EPSILON,
     DomainError,
     Factorization,
+    IndependenceStatement,
     InternalInconsistencyError,
     MarkovReport,
     PossibilityTable,
@@ -57,6 +58,32 @@ from conftest import (
     random_table,
     routes_taken,
 )
+
+
+def clique_fold_table(rng, graph, tn, eps, jitter, low=None):
+    """(a table, the fold of clique factors it lies within ``jitter * eps``
+    of), each cell of the fold moved by that much up or down (clipped to
+    [0, 1]).  A fifth of the variables are ternary.  The factors are uniform in [0, 1] with a
+    fifth of their cells 0, or, given ``low``, strictly positive with a fold
+    of at least ``low``: for k cliques, uniform in [low^(1/k), 1] under
+    product, and under Lukasiewicz within 0.9 / k of 1, where the fold never
+    truncates."""
+    schema = Schema([(v, "012" if rng.random() < 0.2 else "01") for v in graph.vertices])
+    cliques = graph.cliques()
+    factors = {}
+    for clique in cliques:
+        sub = schema.project(clique)
+        if low is None:
+            values = rng.uniform(0.0, 1.0, sub.shape)
+            values[rng.random(sub.shape) < 0.2] = 0.0
+        elif tn.base == "lukasiewicz":
+            values = 1.0 - rng.uniform(0.0, 0.9 / len(cliques), sub.shape)
+        else:
+            values = rng.uniform(low ** (1 / len(cliques)), 1.0, sub.shape)
+        factors[clique] = PossibilityTable(sub, values)
+    fold = Factorization(tn, factors).fold(schema)
+    return PossibilityTable(schema, np.clip(
+        fold + rng.choice([-1, 1], schema.shape) * jitter * eps, 0.0, 1.0)), fold
 
 
 def model(number):
@@ -441,14 +468,29 @@ class TestImplicationChain:
             chain_report(t, g, TNorm.godel())
 
     def test_local_without_pairwise_raises(self, monkeypatch):
-        t, g = model(5)
+        # exact at eps 0, where local => pairwise is a theorem
+        m = builtin_example(5)
+        t, g = m.table(exact=True), m.graph()
+        assert chain_report(t, g, TNorm.godel(), 0).pairwise_report.holds
 
         def failing_pairwise(*args, **kwargs):
             return MarkovReport("pairwise", False, ())
 
         monkeypatch.setattr(posscheck.markov, "pairwise_markov", failing_pairwise)
         with pytest.raises(InternalInconsistencyError, match="local holds but pairwise fails"):
-            chain_report(t, g, TNorm.godel())
+            chain_report(t, g, TNorm.godel(), 0)
+
+    def test_local_without_pairwise_is_no_engine_bug_at_eps(self):
+        # the empty graph on V0:3, V1:2, V2:2 and a product fold moved by
+        # eps / 2: local I(V1; V0,V2 | {}) holds within eps, but pairwise
+        # I(V1; V2 | V0) does not, as weak union is exact only at eps 0
+        graph = UndirectedGraph(["V0", "V1", "V2"])
+        t, _ = clique_fold_table(np.random.default_rng(3), graph, TNorm.product(),
+                                 DEFAULT_EPSILON, 1 / 2)
+        rep = chain_report(t, graph, TNorm.product())
+        assert rep.local_report.holds and not rep.pairwise_report.holds
+        assert rep.pairwise_report.witness == (
+            IndependenceStatement(("V1",), ("V2",), ("V0",)), {"V0": "2", "V1": "0", "V2": "0"})
 
     def test_archimedean_factorization_without_global_raises(self, monkeypatch):
         # factors that recombine to the table within eps imply global under
@@ -887,6 +929,29 @@ def certificate_graphs(draw):
     return UndirectedGraph(names, edges)
 
 
+@st.composite
+def non_chordal_graphs(draw):
+    """Cycles of 4 to 7 vertices, 2 x k and 3 x k grids (k = 2 or 3, the
+    3 x 3 grid rarely) and random graphs of 4 to 6 vertices, on V0..V(n-1),
+    each of them non-chordal: its clique order is not perfect."""
+    kind = draw(st.sampled_from(["cycle", "grid", "random"]))
+    if kind == "cycle":
+        n = draw(st.integers(4, 7))
+        names = [f"V{i}" for i in range(n)]
+        return UndirectedGraph(names, zip(names, names[1:] + names[:1]))
+    if kind == "grid":
+        rows, cols = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 3), (3, 3)]))
+        names = [f"V{i}" for i in range(rows * cols)]
+        edges = [(names[i], names[i + 1]) for i in range(rows * cols) if (i + 1) % cols]
+        edges += [(names[i], names[i + cols]) for i in range(rows * cols - cols)]
+        return UndirectedGraph(names, edges)
+    n = draw(st.integers(4, 6))
+    names = [f"V{i}" for i in range(n)]
+    graph = UndirectedGraph(names, [p for p in combinations(names, 2) if draw(st.booleans())])
+    assume(not graph._clique_order[1])
+    return graph
+
+
 class TestCertificate:
     """A property call certified by a clique-factor fold within (eps - rho)
     / 4 of the table reports what deciding its list reports, and decides
@@ -914,19 +979,26 @@ class TestCertificate:
                                    1, 10]))
     def test_reports_equal_the_uncertified_ones(self, data, graph, tn, eps, jitter):
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-        names = graph.vertices
-        schema = Schema([(v, "012" if rng.random() < 0.2 else "01") for v in names])
-        factors = {}
-        for clique in graph.cliques():
-            sub = schema.project(clique)
-            values = rng.uniform(0.0, 1.0, sub.shape)
-            values[rng.random(sub.shape) < 0.2] = 0.0
-            factors[clique] = PossibilityTable(sub, values)
-        fold = Factorization(tn, factors).fold(schema)
-        t = PossibilityTable(schema, np.clip(
-            fold + rng.choice([-1, 1], schema.shape) * jitter * eps, 0.0, 1.0))
-        delta = np.abs(t.values - fold).max()
+        self.assert_reports_equal_the_uncertified_ones(
+            *clique_fold_table(rng, graph, tn, eps, jitter), graph, tn, eps)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), graph=non_chordal_graphs(),
+           tn=st.sampled_from([TNorm.product(), TNorm.product(0.5), TNorm.product(2.0),
+                               TNorm.lukasiewicz()]),
+           eps=st.sampled_from([1e-9, 1e-4]),
+           jitter=st.sampled_from([0, 1 / 8, (1 - 1e-3) / 4, (1 + 1e-3) / 4, 1 / 2, 3 / 4,
+                                   1, 10]))
+    def test_non_chordal_positive_reports_equal_the_uncertified_ones(self, data, graph, tn,
+                                                                     eps, jitter):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        t, fold = clique_fold_table(rng, graph, tn, eps, jitter,
+                                    low=data.draw(st.sampled_from([0.05, 0.3, 0.8])))
+        assert t.is_strictly_positive()
+        self.assert_reports_equal_the_uncertified_ones(t, fold, graph, tn, eps)
+
+    @staticmethod
+    def assert_reports_equal_the_uncertified_ones(t, planted_fold, graph, tn, eps):
         certified = chain_report(t, graph, tn, eps)
         alone = [global_markov(t, graph, tn, eps), local_markov(t, graph, tn, eps),
                  pairwise_markov(t, graph, tn, eps)]
@@ -939,12 +1011,13 @@ class TestCertificate:
             assert report_fields(report) == report_fields(uncertified)
             assert report_fields(standalone) == report_fields(uncertified)
         # the bound holds for the planted fold and for the certificate's own
-        # candidate, where there is one
+        # candidate, where there is one, up to that candidate's rounding bound
         worst = max(separated_errors(t, graph, tn), default=0)
-        assert worst <= 4 * delta + posscheck.markov._RHO
+        assert worst <= 4 * np.abs(t.values - planted_fold).max() + posscheck.markov._RHO
         candidate = _clique_fold(t, graph, _closed_form_base(tn))
         if candidate is not None:
-            assert worst <= 4 * np.abs(t.values - candidate).max() + posscheck.markov._RHO
+            fold, rounding = candidate
+            assert worst <= 4 * (np.abs(t.values - fold).max() + rounding) + posscheck.markov._RHO
 
     @pytest.mark.parametrize("tn", [TNorm.godel(), TNorm.product(), TNorm.product(0.5),
                                     TNorm.product(2.0), TNorm.lukasiewicz()],
@@ -1021,23 +1094,93 @@ class TestCertificate:
             assert attempts == []
             assert posscheck.markov._certified(t, g, tn, eps)
 
-    def test_a_non_chordal_archimedean_call_reads_no_marginal(self, monkeypatch, rng):
-        schema = Schema.binary("V0", "V1", "V2", "V3")
-        cycle = UndirectedGraph(schema.variables,
-                                [("V0", "V1"), ("V1", "V2"), ("V2", "V3"), ("V3", "V0")])
-        read = []
+    @pytest.fixture
+    def read(self, monkeypatch):
+        """The variables of each marginal read through ``marginalize``."""
+        kept = []
         unhooked = PossibilityTable.marginalize
 
         def counted(table, keep):
-            read.append(keep)
+            kept.append(keep)
             return unhooked(table, keep)
 
+        monkeypatch.setattr(PossibilityTable, "marginalize", counted)
+        return kept
+
+    CYCLE = UndirectedGraph(["V0", "V1", "V2", "V3"],
+                            [("V0", "V1"), ("V1", "V2"), ("V2", "V3"), ("V3", "V0")])
+
+    def test_a_non_chordal_archimedean_call_reads_no_marginal(self, read, rng):
+        # it certifies from the clique sums, and reads the table alone
+        schema = Schema.binary(*self.CYCLE.vertices)
         for tn in (TNorm.product(), TNorm.product(2.0), TNorm.lukasiewicz()):
-            t, _ = planted(schema, cycle, tn, rng, 0.3)
-            with monkeypatch.context() as patched:
-                patched.setattr(PossibilityTable, "marginalize", counted)
-                assert not posscheck.markov._certified(t, cycle, tn, DEFAULT_EPSILON)
+            # factors near 1, whose Lukasiewicz fold does not truncate
+            t, anchor = planted(schema, self.CYCLE, tn, rng, 0.8)
+            assert posscheck.markov._certified(t, self.CYCLE, tn, DEFAULT_EPSILON)
+            rep = chain_report(t, self.CYCLE, tn)
+            assert rep.global_report.holds and rep.local_report.holds
+            assert rep.pairwise_report.holds
+            # one cell halved is no fold of clique terms: its list is decided
+            values = t.values.copy()
+            values[next(c for c in np.ndindex(schema.shape) if c != anchor)] /= 2
+            halved = PossibilityTable(schema, values)
+            assert not posscheck.markov._certified(halved, self.CYCLE, tn, DEFAULT_EPSILON)
             assert read == []
+            # (its witness lookup reads the failing statement's joint)
+            assert not global_markov(halved, self.CYCLE, tn).holds
+            read.clear()
         # under Goedel the clique marginals are tried on any graph
-        t, _ = planted(schema, cycle, TNorm.godel(), rng, 0.3)
-        assert posscheck.markov._certified(t, cycle, TNorm.godel(), DEFAULT_EPSILON)
+        t, _ = planted(schema, self.CYCLE, TNorm.godel(), rng, 0.3)
+        assert posscheck.markov._certified(t, self.CYCLE, TNorm.godel(), DEFAULT_EPSILON)
+        assert sorted(read) == self.CYCLE.cliques()
+
+    def test_under_product_a_zero_cell_gets_no_candidate(self, rng):
+        schema = Schema.binary(*self.CYCLE.vertices)
+        t, anchor = planted(schema, self.CYCLE, TNorm.product(), rng, 0.8)
+        values = t.values.copy()
+        values[next(c for c in np.ndindex(schema.shape) if c != anchor)] = 0.0
+        zero = PossibilityTable(schema, values)
+        assert _clique_fold(zero, self.CYCLE, _closed_form_base(TNorm.product())) is None
+        assert not posscheck.markov._certified(zero, self.CYCLE, TNorm.product(),
+                                               DEFAULT_EPSILON)
+        # under Lukasiewicz zero cells are no obstacle
+        assert _clique_fold(zero, self.CYCLE, _closed_form_base(TNorm.lukasiewicz())) is not None
+
+    @pytest.mark.parametrize("tn", [TNorm.product(), TNorm.lukasiewicz()],
+                             ids=lambda t: t.describe())
+    def test_more_cliques_than_the_cap_are_refused_before_any_value_is_read(self, tn, read,
+                                                                             monkeypatch, rng):
+        # the Moon-Moser graph on three triples: every pair of vertices in
+        # different triples is adjacent, and its 27 maximal cliques take one
+        # vertex of each triple
+        names = [f"V{i}" for i in range(9)]
+        graph = UndirectedGraph(names, [(a, b) for a, b in combinations(names, 2)
+                                        if int(a[1:]) // 3 != int(b[1:]) // 3])
+        assert len(graph.cliques()) == 27 > posscheck.factorization._MAX_TERMS
+        t, _ = planted(Schema.binary(*names), graph, tn, rng, 0.8)
+        projected = []
+        monkeypatch.setattr(posscheck.factorization, "_clique_sum_projection",
+                            lambda *args: projected.append(args))
+        assert _clique_fold(t, graph, _closed_form_base(tn)) is None
+        assert not posscheck.markov._certified(t, graph, tn, DEFAULT_EPSILON)
+        assert read == [] and projected == []
+        assert "_clique_sums" not in vars(graph)
+
+    def test_a_refused_certificate_is_tried_once_per_chain(self, attempts, rng):
+        schema = Schema.binary(*(f"V{i}" for i in range(6)))
+        g = UndirectedGraph(schema.variables, zip(schema.variables, schema.variables[1:]))
+        t, anchor = planted(schema, g, TNorm.product(), rng, 0.3)
+        moved = jittered(t, anchor, rng, 3 * DEFAULT_EPSILON)
+        chain_report(moved, g, TNorm.product())
+        assert attempts == [False]
+        # a certified chain tries again where a later list has triples left:
+        # local's I(V5; V0..V3 | V4), which global lists with sides swapped
+        attempts.clear()
+        rep = chain_report(t, g, TNorm.product())
+        assert attempts == [True, True]
+        assert rep.local_report.holds
+        # and a refusal lasts only as long as the chain
+        attempts.clear()
+        global_markov(moved, g, TNorm.product())
+        local_markov(moved, g, TNorm.product())
+        assert attempts == [False, False]
