@@ -42,7 +42,7 @@ misses the table.  Outside the regimes it reports "unknown":
   decide nothing at eps on exact cells.
 
 The Markov certificate (see ``markov``) folds the clique factors built here
-in a base t-norm's kernel (``_clique_fold``): the clique marginals under
+in the t-norm's own kernel (``_clique_fold``): the clique marginals under
 Goedel, on any graph, and under product, product^p and Lukasiewicz the
 clique residuals along a perfect clique order (``_junction_factors``, the
 same residuals an exact table tries first) on a chordal graph, and on
@@ -67,7 +67,7 @@ from .graphs import UndirectedGraph
 from .independence import _require_closed
 from .numeric import DEFAULT_EPSILON, first_true, require_eps
 from .possibility import PossibilityTable, Schema
-from .tnorm import BASES, GODEL, PRODUCT, STRICT, SUPPORTED_EXPONENT_RANGE, TNorm
+from .tnorm import GODEL, PRODUCT, STRICT, TNorm
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,33 +185,17 @@ def _residual_candidate(table, graph, tn):
     return Factorization(tn, factors)
 
 
-# The base t-norms, whose kernels the Markov certificate folds and
-# residuates in.
-_BASES = {base: TNorm(base) for base in BASES}
-
-
-def _closed_form_base(tn):
-    """The base t-norm whose recombination ``tn`` computes: the base of an
-    untransformed t-norm, and product for product^p with p in the supported
-    exponent range (x^p y^p raised to 1/p is xy, so product^p is product
-    computed through powers); None for a transformed Lukasiewicz t-norm,
-    whose recombination is not Lukasiewicz's, and for exponents outside that
-    range, whose powers underflow."""
-    if tn.transform is None:
-        return _BASES[tn.base]
-    lo, hi = SUPPORTED_EXPONENT_RANGE
-    return _BASES[PRODUCT] if tn.base == PRODUCT and lo <= tn.transform.p <= hi else None
-
-
 # The most clique terms the sum candidate of the Markov certificate adds:
 # its rounding allowance is derived for at most this many (see ``markov``).
 _MAX_TERMS = 24
 
 
-def _clique_fold(table, graph, base):
-    """(the fold psi, in the ``base`` kernel, of the clique factors the Markov
+def _clique_fold(table, graph, tn):
+    """(the fold psi, in ``tn``'s kernel, of the clique factors the Markov
     certificate tries; a bound on its rounding that the certificate's
-    tolerance must give up), or None where there is no candidate.
+    tolerance must give up), or None where there is no candidate.  ``tn``
+    is not a transformed Lukasiewicz t-norm, whose recombination the
+    certificate does not cover; product^p computes as product.
 
     Under Goedel the clique marginals, on any graph; under product and
     Lukasiewicz, on a graph whose clique order is perfect (a chordal one),
@@ -225,11 +209,11 @@ def _clique_fold(table, graph, base):
     2^-50 (k sum max |theta_C| + 64).  None on more cliques, before any
     value is read, and under product on a table with a zero cell."""
     order, perfect = graph._clique_order
-    if base.base == GODEL:
-        return base.fold_arrays(_junction_factors(table, [(c, ()) for c, _ in order], base)), 0.0
+    if tn.base == GODEL:
+        return tn.fold_arrays(_junction_factors(table, [(c, ()) for c, _ in order], tn)), 0.0
     if perfect:
-        return base.fold_arrays(_junction_factors(table, order, base)), 0.0
-    product = base.base == PRODUCT
+        return tn.fold_arrays(_junction_factors(table, order, tn)), 0.0
+    product = tn.base == PRODUCT
     if len(order) > _MAX_TERMS or (product and not table.values.min() > 0):
         return None
     terms = _clique_sum_projection(np.log(table.values) if product else table.values,

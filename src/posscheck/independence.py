@@ -141,7 +141,7 @@ def canonical_axioms(names=None):
     return tuple(dict.fromkeys(map(canonical_axiom, names)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndependenceStatement:
     """A triple of pairwise-disjoint variable groups: a independent of b given s."""
 
@@ -167,7 +167,9 @@ class IndependenceStatement:
         distinct names, pairwise disjoint, with ``a`` and ``b`` nonempty, as
         the Markov enumerations build them; skips ``__post_init__``."""
         stmt = object.__new__(cls)
-        stmt.__dict__.update(a=a, b=b, given=given)
+        object.__setattr__(stmt, "a", a)
+        object.__setattr__(stmt, "b", b)
+        object.__setattr__(stmt, "given", given)
         return stmt
 
     def __str__(self):

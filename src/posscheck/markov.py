@@ -45,11 +45,11 @@ that lies within (eps - rho) / 4 of the fold psi of its clique factors
 (``factorization._clique_fold``), less a bound on the fold's rounding that
 depends on the table, makes every separated triple hold at eps, so each of
 those triples gets True undecided.  The candidate is, under Goedel, the
-clique marginals, on any graph.  Under product, product^p with p in the
-supported exponent range [0.1, 10], and Lukasiewicz, it is, where the
-graph's clique order is perfect (a chordal graph), the junction-tree
-residuals phi_j = R(pi(C_j), pi(S_j)) along it, computed in the base
-kernel; on another graph of at most 24 maximal cliques, the least-squares
+clique marginals, on any graph.  Under product, product^p (for every p,
+as its kernels are product's) and Lukasiewicz, it is, where the graph's
+clique order is perfect (a chordal graph), the junction-tree residuals
+phi_j = R(pi(C_j), pi(S_j)) along it, computed in the t-norm's kernel; on
+another graph of at most 24 maximal cliques, the least-squares
 clique terms theta_C of f = log pi on a strictly positive table (product)
 or of f = pi (Lukasiewicz), with psi = exp(sum theta_C) or
 max(0, sum theta_C).  Both are chosen before any marginal or cell is read.
@@ -66,8 +66,9 @@ maxima put them in D = {0 <= y <= x, 0 <= b <= x}, where rec = T(R(y, x), b)
 is
 
 - min(y, b) for Goedel, as R(y, x) is y where x > y and 1 where x = y >= b;
-- yb / x for product and every product^p (x^p y^p to the power 1/p is xy,
-  so product^p is product), and 0 where x = 0 (then b = 0);
+- yb / x for product, and so for every product^p (x^p y^p to the power
+  1/p is xy, and ``tnorm`` computes product^p as product), and 0 where
+  x = 0 (then b = 0);
 - max(0, y - x + b) for Lukasiewicz, as R(y, x) = y - x + 1 on D.
 
 These formulas extend rec to all of D, values above 1 included.
@@ -103,38 +104,36 @@ These formulas extend rec to all of D, values above 1 included.
 3. Rounding.  Let u = 2^-53 and eps <= 1 (above 1, every float
    recombination and cell lies in [0, 1], so every statement holds
    anyway).  psi is the exact fold of the factors as computed; its float
-   value is what rounds.  The fold of k factors in the base kernel is off
-   by at most (k - 1) u: min is exact, and each product or Lukasiewicz step
-   rounds by at most u and is 1-Lipschitz in its arguments.  A junction
-   fold has k <= 24, since a chordal graph has at most n maximal cliques
-   and a schema of at most 2^24 cells at most 24 variables.  The test
-   passes when fl(|pi - fold|) <= fl(fl(eps - rho) / 4), so 4 delta <=
-   eps - rho + eps u + 4 (1 + 23) u.  The clique-sum fold takes one sum of
-   k <= 24 terms (more cliques are refused, as a non-chordal graph can
-   have many), off by at most gamma_(k-1) sum |theta_C| <= k u M, with M
-   the float sum of the terms' largest magnitudes; then max(0, .) is exact
-   and numpy's exp adds a relative error of at most 64u (32 ulps, as for
-   its power below), so where the test can pass (a float fold of at most
-   5/4) the float fold is within 4 k u M + 256u of psi.  That
-   depends on the table, so the test's tolerance gives up r = 2^-50 (k M +
-   64), twice as much, which covers the rounding of r and of the
-   subtraction too: fl(|pi - fold|) <= fl(fl(fl(eps - rho) / 4) - r) gives
+   value is what rounds.  The fold of k factors in the t-norm's kernel is
+   off by at most (k - 1) u: min is exact, and each product or Lukasiewicz
+   step rounds by at most u and is 1-Lipschitz in its arguments.  A
+   junction fold has k <= 24, since a chordal graph has at most n maximal
+   cliques and a schema of at most 2^24 cells at most 24 variables.  The
+   test passes when fl(|pi - fold|) <= fl(fl(eps - rho) / 4), so
+   4 delta <= eps - rho + eps u + 4 (1 + 23) u.  The clique-sum fold takes
+   one sum of k <= 24 terms (more cliques are refused, as a non-chordal
+   graph can have many), off by at most gamma_(k-1) sum |theta_C| <=
+   k u M, with M the float sum of the terms' largest magnitudes; then
+   max(0, .) is exact and numpy's exp adds a relative error of at most 64u
+   (32 ulps), so where the test can pass (a float fold of at most 5/4) the
+   float fold is within 4 k u M + 256u of psi.  That depends on the table,
+   so the test's tolerance gives up r = 2^-50 (k M + 64), twice as much,
+   which covers the rounding of r and of the subtraction too:
+   fl(|pi - fold|) <= fl(fl(fl(eps - rho) / 4) - r) gives
    4 delta <= eps - rho + 4 eps u, within the bound above.  The decider's
-   float rec is within 3u of rec for Goedel, product and Lukasiewicz
-   (none, a division and a product, or three rounded additions).  For
-   product^p it is within a relative (4e + 2u) / p + 2e <= 42e + 20u,
-   where e is the relative error of numpy's power, plus 2^-100 absolute
-   where x^p y^p underflows, which it does only on cells below 1e-30; with
-   e up to 64u (32 ulps) that is 2708u.  Its comparison rounds |rec - pi|
-   by at most u.  The float error is thus at most eps - rho + 2806u, and
-   rho = 2^-40 = 8192u is more: the decider's test |rec - pi| > eps fails
-   on every cell.
+   float rec is within 3u of rec for Goedel, product (product^p included)
+   and Lukasiewicz (none, a division and a product, or three rounded
+   additions), and its comparison rounds |rec - pi| by at most u.  The
+   float error is thus at most eps - rho + eps u + 100u <= eps - rho +
+   101u, and rho = 2^-40 = 8192u covers it with room to spare: the
+   decider's test |rec - pi| > eps fails on every cell.
 
 ``chain_report`` polices a verified "yes" with an Archimedean t-norm
-against global at the same tolerance: its factors must fold, in the base
-kernel, within (eps - rho) / 4 of a float table, or within eps / 4 of an
-exact one, whose factors fold as the rationals they equal (rho is 0 in
-exact arithmetic).  A "yes" outside the certificate's scope is not policed.
+against global at the same tolerance (``_tolerance``): its factors must
+fold, in the t-norm's kernel, within (eps - rho) / 4 of a float table, or
+within eps / 4 of an exact one, whose factors fold as the rationals they
+equal (rho is 0 in exact arithmetic).  A "yes" outside the certificate's
+scope is not policed.
 """
 
 from dataclasses import dataclass
@@ -146,14 +145,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import InternalInconsistencyError
-from .factorization import (FactorizationResult, _clique_fold, _closed_form_base,
-                            _validate_vertices, factorizes)
+from .factorization import FactorizationResult, _clique_fold, _validate_vertices, factorizes
 from .graphs import UndirectedGraph
 from .independence import (IndependenceStatement, _decide_groups, _inputs_kept, _joint_groups,
                            _kept, independent)
 from .numeric import DEFAULT_EPSILON, mismatch_mask
 from .possibility import PossibilityTable
-from .tnorm import TNorm
+from .tnorm import LUKASIEWICZ, TNorm
 
 PAIRWISE = "pairwise"
 LOCAL = "local"
@@ -206,21 +204,33 @@ def _axis_masks(table, graph, triples):
     return masks.T
 
 
+def _tolerance(table, tn, eps):
+    """The certificate's tolerance on the distance of a clique-factor fold,
+    in ``tn``'s kernel, from the table, before the fold's rounding: eps / 4
+    on an exact table, whose factors fold as the rationals they equal, and
+    (eps - rho) / 4 on a float table; None on a float table at an eps of
+    rho or less, and under ``lukasiewicz^p``, whose recombination the bound
+    does not cover (see the module docstring)."""
+    if tn.base == LUKASIEWICZ and tn.transform is not None:
+        return None
+    if table.values.dtype == object:
+        return eps / 4
+    return (eps - _RHO) / 4 if eps > _RHO else None
+
+
 def _certified(table, graph, tn, eps):
-    """Whether the float table lies within (eps - rho) / 4, less the
-    candidate's rounding bound, of the fold of its clique factors
+    """Whether the float table lies within the certificate's tolerance,
+    less the candidate's rounding bound, of the fold of its clique factors
     (``factorization._clique_fold``), which makes every separated triple
-    hold at eps (see the module docstring).  Never for an exact table, an
-    eps of rho or less, or a t-norm with no closed-form base."""
-    base = _closed_form_base(tn)
-    if table.values.dtype == object or not eps > _RHO or base is None:
-        return False
-    candidate = _clique_fold(table, graph, base)
+    hold at eps (see the module docstring).  Never for an exact table, nor
+    where ``_tolerance`` gives none, which is known before any marginal is
+    read."""
+    tol = None if table.values.dtype == object else _tolerance(table, tn, eps)
+    candidate = None if tol is None else _clique_fold(table, graph, tn)
     if candidate is None:
         return False
     fold, rounding = candidate
-    tol = (eps - _RHO) / 4 - rounding
-    return tol > 0 and not mismatch_mask(table.values, fold, tol).any()
+    return tol > rounding and not mismatch_mask(table.values, fold, tol - rounding).any()
 
 
 def _run_checks(table, graph, tn, triples, eps, property_name, mode="components"):
@@ -407,16 +417,13 @@ def chain_report(table: PossibilityTable, graph: UndirectedGraph, tn: TNorm,
 
 
 def _implies_global(table, tn, factorization, eps):
-    """Whether the factors fold, in the closed-form base kernel, within the
-    certificate's tolerance of the table, so that global must hold: (eps -
-    rho) / 4 for a float table, nothing when eps <= rho, and eps / 4 for an
-    exact table, whose factors fold as the rationals they equal."""
-    base = _closed_form_base(tn)
-    exact = table.values.dtype == object
-    if base is None or not (exact or eps > _RHO):
+    """Whether the factors fold, in ``tn``'s kernel, within the
+    certificate's tolerance (``_tolerance``) of the table, so that global
+    must hold."""
+    tol = _tolerance(table, tn, eps)
+    if tol is None:
         return False
     factors = (f.extend_values(table.schema) for f in factorization.factors.values())
-    if exact:
+    if table.values.dtype == object:
         factors = (np.vectorize(Fraction, otypes=[object])(f) for f in factors)
-    tol = eps / 4 if exact else (eps - _RHO) / 4
-    return not mismatch_mask(table.values, base.fold_arrays(factors), tol).any()
+    return not mismatch_mask(table.values, tn.fold_arrays(factors), tol).any()

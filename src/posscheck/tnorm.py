@@ -3,7 +3,13 @@
 Three base t-norms are supported (Goedel = min, product, Lukasiewicz =
 max(0, a+b-1)), optionally rescaled through a power automorphism of the
 unit interval.  All operations accept floats or exact rationals
-(``fractions.Fraction``); attaching a transform forces floating point.
+(``fractions.Fraction``).  A power transform leaves Goedel and product
+unchanged, as min commutes with it and (x^p y^p)^(1/p) = xy.  So product^p
+is computed as ``a * b``, with the residual y / x, never through the
+powers, which underflow (1e-40 ** 10 is 0.0); it keeps its transform only
+for naming and serialization, and its calls on ``Fraction`` arguments stay
+exact.  Only Lukasiewicz^p reads the transform, which forces floating
+point.
 
 Each formula is written once, as an array kernel (``apply_array``,
 ``fold_arrays``, ``residual_array``).  The scalar calls (``apply``,
@@ -33,7 +39,7 @@ NILPOTENT = "nilpotent"
 NON_ARCHIMEDEAN = "non_archimedean"
 
 # Exponents far outside this range underflow double precision before the
-# inverse transform can undo them.
+# inverse transform can undo them (which matters for Lukasiewicz^p only).
 SUPPORTED_EXPONENT_RANGE = (0.1, 10.0)
 
 
@@ -143,13 +149,11 @@ class TNorm:
         """Elementwise T over broadcastable arrays; no per-cell range checks."""
         if self.base == GODEL:
             return np.minimum(a, b)
+        if self.base == PRODUCT:  # product^p too
+            return a * b
         if self.transform is None:
-            if self.base == PRODUCT:
-                return a * b
             return np.maximum(a + b - 1, 0)
         phi, inv = self.transform.apply, self.transform.inverse
-        if self.base == PRODUCT:
-            return np.minimum(inv(phi(a) * phi(b)), 1.0)
         return inv(np.maximum(phi(a) + phi(b) - 1.0, 0.0))
 
     def fold_arrays(self, arrays):
@@ -162,27 +166,22 @@ class TNorm:
     def residual_array(self, y, x):
         """Elementwise residual of ``y`` by ``x`` over broadcastable arrays."""
         y, x = np.asarray(y), np.asarray(x)
-        fy, fx = y, x
-        if self.transform is not None:
-            fy, fx = self.transform.apply(y), self.transform.apply(x)
         if self.base == GODEL:  # never transformed
-            return np.where(fx > fy, fy, 1)
-        if self.base == PRODUCT:
-            ones = np.ones(np.broadcast(fy, fx).shape, dtype=np.result_type(fy, fx, 1.0))
-            out = np.divide(fy, fx, out=ones, where=fx > fy)
-        else:
-            out = np.minimum(fy - fx + 1, 1)
+            return np.where(x > y, y, 1)
+        if self.base == PRODUCT:  # product^p too
+            ones = np.ones(np.broadcast(y, x).shape, dtype=np.result_type(y, x, 1.0))
+            return np.divide(y, x, out=ones, where=x > y)
         if self.transform is None:
-            return out
-        out = np.minimum(self.transform.inverse(out), 1.0)
-        if self.base == LUKASIEWICZ:
-            # the inverse transform amplifies round-off at the truncation
-            # boundary; step down ulps so T(out, x) <= y really holds
-            for _ in range(4):
-                over = self.apply_array(out, x) > y
-                if not over.any():
-                    break
-                out = np.where(over, np.nextafter(np.asarray(out, dtype=float), 0.0), out)
+            return np.minimum(y - x + 1, 1)
+        phi = self.transform.apply
+        out = np.minimum(self.transform.inverse(np.minimum(phi(y) - phi(x) + 1, 1)), 1.0)
+        # the inverse transform amplifies round-off at the truncation
+        # boundary; step down ulps so T(out, x) <= y really holds
+        for _ in range(4):
+            over = self.apply_array(out, x) > y
+            if not over.any():
+                break
+            out = np.where(over, np.nextafter(np.asarray(out, dtype=float), 0.0), out)
         return out
 
     # -- classification ---------------------------------------------------------

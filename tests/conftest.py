@@ -52,24 +52,25 @@ ARCHIMEDEAN_TNORMS = tuple(t for t in ALL_TNORMS if t.is_archimedean)
 
 
 def oracle_apply(tn, a, b):
+    # product^p is product: (a^p b^p)^(1/p) = ab, with no powers to underflow
     if tn.base == "godel":
         return min(a, b)
-    p = tn.transform.p if tn.transform is not None else 1.0
     if tn.base == "product":
-        return (a ** p * b ** p) ** (1.0 / p)
+        return a * b
+    p = tn.transform.p if tn.transform is not None else 1.0
     inner = max(a ** p + b ** p - 1.0, 0.0)
     return inner ** (1.0 / p)
 
 
 def oracle_residual(tn, y, x):
+    if tn.base == "product":  # y is compared with x before any transform
+        return y / x if x > y else 1.0
     p = tn.transform.p if tn.transform is not None else 1.0
     fy, fx = y ** p, x ** p
     if fx <= fy:
         return 1.0
     if tn.base == "godel":
         return y
-    if tn.base == "product":
-        return (fy / fx) ** (1.0 / p)
     return (fy - fx + 1.0) ** (1.0 / p)
 
 

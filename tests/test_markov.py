@@ -34,7 +34,7 @@ from posscheck import (
     violations,
 )
 from posscheck.corpus import builtin_example
-from posscheck.factorization import _clique_fold, _closed_form_base
+from posscheck.factorization import _clique_fold
 from posscheck.independence import decide_many, independent
 from posscheck.markov import (
     _component_statements,
@@ -1014,13 +1014,18 @@ class TestCertificate:
         # candidate, where there is one, up to that candidate's rounding bound
         worst = max(separated_errors(t, graph, tn), default=0)
         assert worst <= 4 * np.abs(t.values - planted_fold).max() + posscheck.markov._RHO
-        candidate = _clique_fold(t, graph, _closed_form_base(tn))
+        candidate = _clique_fold(t, graph, tn)
         if candidate is not None:
             fold, rounding = candidate
             assert worst <= 4 * (np.abs(t.values - fold).max() + rounding) + posscheck.markov._RHO
 
+    # an exponent outside the powers' supported range still warns, but
+    # product^p computes as product, so it certifies like product
+    with pytest.warns(UserWarning, match="outside the supported range"):
+        PRODUCT_20 = TNorm.product(20.0)
+
     @pytest.mark.parametrize("tn", [TNorm.godel(), TNorm.product(), TNorm.product(0.5),
-                                    TNorm.product(2.0), TNorm.lukasiewicz()],
+                                    TNorm.product(2.0), PRODUCT_20, TNorm.lukasiewicz()],
                              ids=lambda t: t.describe())
     def test_planted_chordal_tables_certify(self, tn, attempts, rng):
         schema = Schema.binary(*(f"V{i}" for i in range(6)))
@@ -1140,11 +1145,11 @@ class TestCertificate:
         values = t.values.copy()
         values[next(c for c in np.ndindex(schema.shape) if c != anchor)] = 0.0
         zero = PossibilityTable(schema, values)
-        assert _clique_fold(zero, self.CYCLE, _closed_form_base(TNorm.product())) is None
+        assert _clique_fold(zero, self.CYCLE, TNorm.product()) is None
         assert not posscheck.markov._certified(zero, self.CYCLE, TNorm.product(),
                                                DEFAULT_EPSILON)
         # under Lukasiewicz zero cells are no obstacle
-        assert _clique_fold(zero, self.CYCLE, _closed_form_base(TNorm.lukasiewicz())) is not None
+        assert _clique_fold(zero, self.CYCLE, TNorm.lukasiewicz()) is not None
 
     @pytest.mark.parametrize("tn", [TNorm.product(), TNorm.lukasiewicz()],
                              ids=lambda t: t.describe())
@@ -1161,7 +1166,7 @@ class TestCertificate:
         projected = []
         monkeypatch.setattr(posscheck.factorization, "_clique_sum_projection",
                             lambda *args: projected.append(args))
-        assert _clique_fold(t, graph, _closed_form_base(tn)) is None
+        assert _clique_fold(t, graph, tn) is None
         assert not posscheck.markov._certified(t, graph, tn, DEFAULT_EPSILON)
         assert read == [] and projected == []
         assert "_clique_sums" not in vars(graph)

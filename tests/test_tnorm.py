@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from posscheck import DomainError, PowerTransform, TNorm
@@ -50,6 +50,10 @@ class TestApply:
     def test_transformed_product_matches_direct_evaluation(self):
         # phi(x) = x^2: T(0.5, 0.5) = phi_inv(0.25 * 0.25) = 0.0625 ** 0.5
         assert TNorm.product(2.0).apply(0.5, 0.5) == pytest.approx(0.0625 ** 0.5, abs=EPS)
+
+    def test_transformed_product_keeps_the_unit_law_below_the_powers_range(self):
+        # 1e-40 ** 10 underflows to 0.0, but T(a, 1) = a
+        assert TNorm.product(10.0).apply(1e-40, 1.0) == 1e-40
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
@@ -151,6 +155,11 @@ class TestResidual:
     def test_lukasiewicz_closed_form(self):
         assert TNorm.lukasiewicz().residual(0.3, 0.7) == pytest.approx(0.6, abs=EPS)
 
+    def test_transformed_product_residuals_below_the_powers_range(self):
+        # x^p and y^p underflow to 0.0 here, but R(y, x) = y / x where x > y
+        assert TNorm.product(2.0).residual(0.0, 1e-200) == 0.0
+        assert TNorm.product(10.0).residual(1e-40, 1e-35) == pytest.approx(1e-5, rel=1e-12)
+
     @pytest.mark.parametrize("tn", ALL_TNORMS, ids=lambda t: t.describe())
     def test_residual_by_one_is_identity(self, tn):
         for y in COARSE:
@@ -226,6 +235,7 @@ class TestScalarCallsRunTheKernels:
         self._assert_cells(tn, [Fraction(k, 10) for k in range(11)], object)
 
     @given(tn=tnorm_specs, pair=keepdims_marginals())
+    @example(tn=TNorm.product(2.0), pair=(np.array([0.0, 4.8e-284]), np.array([4.8e-284])))
     def test_residual_array_on_keepdims_marginals(self, tn, pair):
         joint, marginal = pair
         out = tn.residual_array(joint, marginal)
@@ -243,6 +253,13 @@ class TestExactMode:
         assert TNorm.lukasiewicz().residual(Fraction(3, 10), Fraction(7, 10)) == Fraction(3, 5)
         assert TNorm.godel().apply(Fraction(1, 3), Fraction(1, 2)) == Fraction(1, 3)
         assert TNorm.lukasiewicz().fold([Fraction(9, 10)] * 3) == Fraction(7, 10)
+
+    def test_transformed_product_stays_rational(self):
+        # product^p computes as product, so no power forces floating point
+        tn = TNorm.product(2.0)
+        assert tn.apply(Fraction(1, 2), Fraction(2, 3)) == Fraction(1, 3)
+        assert tn.residual(Fraction(1, 4), Fraction(1, 2)) == Fraction(1, 2)
+        assert tn.fold([Fraction(1, 2)] * 3) == Fraction(1, 8)
 
     def test_fraction_arrays(self):
         arr = np.array([Fraction(1, 2), Fraction(3, 4)], dtype=object)
@@ -294,6 +311,14 @@ class TestTransforms:
     def test_composition_multiplies_exponents(self):
         composed = PowerTransform.compose([PowerTransform(2.0), PowerTransform(3.0)])
         assert composed.p == 6.0
+
+    @pytest.mark.parametrize("p", [0.5, 3.7, 10.0])
+    def test_transformed_product_kernels_are_product_bit_for_bit(self, p):
+        grid = np.array([k / 40 for k in range(41)] + [1e-300, 5e-324])
+        ys, xs = grid[:, None], grid[None, :]
+        plain, transformed = TNorm.product(), TNorm.product(p)
+        assert np.array_equal(transformed.apply_array(ys, xs), plain.apply_array(ys, xs))
+        assert np.array_equal(transformed.residual_array(ys, xs), plain.residual_array(ys, xs))
 
     def test_godel_transform_collapses_with_warning(self):
         with pytest.warns(UserWarning):
