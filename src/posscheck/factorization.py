@@ -19,9 +19,10 @@ misses the table.  Outside the regimes it reports "unknown":
   cylinders adds no cell outside the 1-set.  The candidate is the clique
   marginals of the table snapped to {0, 1}; snapping at 0.5 is monotone,
   so it commutes with max and is done once, on the table.
-* strictly positive tables, Archimedean t-norms: rescaling by the
-  automorphism that presents the t-norm as a transform of product (or of
-  Lukasiewicz) turns the combination into a sum of clique-local terms.  The
+* strictly positive tables, Archimedean t-norms: rescaling by log (the
+  product family; product^p is product) or by the automorphism that
+  presents the t-norm as a transform of Lukasiewicz turns the combination
+  into a sum of clique-local terms.  The
   rescaled table f is such a sum exactly when it equals its least-squares
   projection P(f), which ``_clique_sum_projection`` returns as one term per
   maximal clique, from one reduction of the table per clique and weights
@@ -295,19 +296,20 @@ def _rescaled_candidate(table, graph, cliques, tn, eps):
     t-norm, or the "no" of the residual bound or of an infeasible LP.
 
     The unknowns are the clique terms of the rescaled table f: theta <= 0
-    with f = log phi(pi) and factors phi_inverse(exp theta) (strict base), or
-    rho in [0, 1] with f = phi(pi) + (cliques - 1) and factors
-    phi_inverse(rho) (nilpotent base; strict positivity keeps the fold from
-    truncating).  tau is the largest move of f when a cell moves by eps; if
-    some sum of clique terms g lies within tau of f, the residual
-    r = f - P(f) = (f - g) - P(f - g) stays within tau + spread * max(tau).
+    with f = log pi and factors exp theta (strict base, product^p included,
+    as it is product: its powers would underflow on tiny cells), or rho in
+    [0, 1] with f = phi(pi) + (cliques - 1) and factors phi_inverse(rho)
+    (nilpotent base; strict positivity keeps the fold from truncating).
+    tau is the largest move of f when a cell moves by eps; if some sum of
+    clique terms g lies within tau of f, the residual r = f - P(f) =
+    (f - g) - P(f - g) stays within tau + spread * max(tau).
     """
-    family = tn.classify()
+    strict = tn.classify() == STRICT
     phi = tn.transform.apply if tn.transform is not None else (lambda x: x)
     phi_inv = tn.transform.inverse if tn.transform is not None else (lambda x: x)
 
     def rescale(values):
-        return np.log(phi(values)) if family == STRICT else phi(values) + (len(cliques) - 1)
+        return np.log(values) if strict else phi(values) + (len(cliques) - 1)
 
     values = table.values.astype(float)
     f = rescale(values)
@@ -333,14 +335,14 @@ def _rescaled_candidate(table, graph, cliques, tn, eps):
     cells, matrix, sub_schemas, offsets = _anchored_system(table.schema, cliques)
     res = linprog(
         np.zeros(matrix.shape[1]), A_eq=matrix, b_eq=projection[cells],
-        bounds=(None, 0) if family == STRICT else (0, 1), method="highs",
+        bounds=(None, 0) if strict else (0, 1), method="highs",
     )
     if not res.success:
         return FactorizationResult(
             "no", reason="the clique-local linear system for the rescaled table is "
                          "infeasible within the unit interval",
         )
-    factor_values = phi_inv(np.exp(res.x) if family == STRICT else res.x)
+    factor_values = np.exp(res.x) if strict else phi_inv(res.x)
     return Factorization(tn, {
         clique: PossibilityTable(sub, np.clip(factor_values[lo:hi], 0.0, 1.0).reshape(sub.shape))
         for clique, sub, lo, hi in zip(cliques, sub_schemas, offsets, offsets[1:])

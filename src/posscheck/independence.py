@@ -30,10 +30,11 @@ are dropped when they span more than ``_CACHE_CELLS`` cells.  The statements
 of a joint are decided in chunks of at most ``_CHUNK_CELLS`` cells: their
 maxima are broadcast to the joint's shape and stacked along a new leading
 axis, gathered from the lattice in one ``take`` (``_blocks``) or copied
-from the kept maxima, so the residual, the recombination and the comparison
-with the joint each run once per chunk.  A statement whose joint is larger
-than that is a chunk of its own; without the lattice it keeps the keepdims
-shapes, so it makes no stacked copies.
+from the kept maxima, so the recombination T(R(y, x), b) of the residual
+(``TNorm.recombine_array``, one closed form for Lukasiewicz^p) and the
+comparison with the joint each run once per chunk.  A statement whose joint
+is larger than that is a chunk of its own; without the lattice it keeps the
+keepdims shapes, so it makes no stacked copies.
 
 ``independent`` takes its joint from ``table.marginalize`` and is a lone
 chunk, which never builds a lattice, as that spans more cells than the
@@ -165,11 +166,13 @@ class IndependenceStatement:
     def _trusted(cls, a, b, given):
         """The statement on sides that are already name-sorted tuples of
         distinct names, pairwise disjoint, with ``a`` and ``b`` nonempty, as
-        the Markov enumerations build them; skips ``__post_init__``."""
+        the Markov enumerations build them; skips ``__post_init__``, and
+        sets the slots through their own descriptors (``_set_slots``)."""
         stmt = object.__new__(cls)
-        object.__setattr__(stmt, "a", a)
-        object.__setattr__(stmt, "b", b)
-        object.__setattr__(stmt, "given", given)
+        set_a, set_b, set_given = cls._set_slots
+        set_a(stmt, a)
+        set_b(stmt, b)
+        set_given(stmt, given)
         return stmt
 
     def __str__(self):
@@ -180,6 +183,12 @@ class IndependenceStatement:
 
     def to_json_dict(self):
         return {"a": list(self.a), "b": list(self.b), "given": list(self.given)}
+
+
+# the slot descriptors' setters, which the frozen ``__setattr__`` does not
+# guard and which cost less per call than ``object.__setattr__``
+IndependenceStatement._set_slots = tuple(
+    getattr(IndependenceStatement, name).__set__ for name in ("a", "b", "given"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,15 +287,18 @@ def _kept(key, table, build):
 def _decider(table, tn, eps):
     """(the table whose maxima a decision reads, the mismatch test
     ``mismatch(y, x, b, pi)`` on them): the table itself and the t-norm's
-    recombination compared within eps, or for an exact table its integer
-    numerators (``_numerators``), kept within ``_inputs_kept``.  Raises
-    DomainError for a negative or NaN eps."""
+    recombination T(R(y, x), b) (``TNorm.recombine_array``, which for
+    Lukasiewicz^p is its closed form on maxima, with no residual and no
+    round trip through the transform) compared within eps, or for an exact
+    table its integer numerators (``_numerators``), kept within
+    ``_inputs_kept``.  Every route, the witness lookup included, decides
+    through this test.  Raises DomainError for a negative or NaN eps."""
     require_eps(eps)
     if table.values.dtype == object:
         return _kept((id(table), tn, eps), table, lambda: _numerators(table, tn, eps))
 
     def mismatch(y, x, b, pi):
-        return mismatch_mask(tn.apply_array(tn.residual_array(y, x), b), pi, eps)
+        return mismatch_mask(tn.recombine_array(y, x, b), pi, eps)
     return table, mismatch
 
 

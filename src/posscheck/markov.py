@@ -69,7 +69,12 @@ is
 - yb / x for product, and so for every product^p (x^p y^p to the power
   1/p is xy, and ``tnorm`` computes product^p as product), and 0 where
   x = 0 (then b = 0);
-- max(0, y - x + b) for Lukasiewicz, as R(y, x) = y - x + 1 on D.
+- max(0, y - x + b) for Lukasiewicz, as R(y, x) = y - x + 1 on D;
+- phi^-1(max(0, phi(y) - phi(x) + phi(b))) for Lukasiewicz^p, with
+  phi(v) = v^p, the Lukasiewicz line conjugated by phi, and the decider
+  computes it in that form (``TNorm.recombine_array``); the certificate
+  does not cover it, as near truncation it grows like a root of its
+  arguments' errors, so step 2 below has no constant for it.
 
 These formulas extend rec to all of D, values above 1 included.
 

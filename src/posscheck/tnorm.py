@@ -12,11 +12,16 @@ exact.  Only Lukasiewicz^p reads the transform, which forces floating
 point.
 
 Each formula is written once, as an array kernel (``apply_array``,
-``fold_arrays``, ``residual_array``).  The scalar calls (``apply``,
-``fold``, ``residual``) check their arguments and run those kernels on
-one-cell arrays, so they return exactly what the engine computes cell by
-cell.  (A 0-d array would not do: numpy hands back scalars from 0-d
-operations, and scalar powers round differently from array powers.)
+``fold_arrays``, ``residual_array``, ``recombine_array``).  The scalar
+calls (``apply``, ``fold``, ``residual``) check their arguments and run
+those kernels on one-cell arrays, so they return exactly what the engine
+computes cell by cell.  (A 0-d array would not do: numpy hands back
+scalars from 0-d operations, and scalar powers round differently from
+array powers.)  ``recombine_array`` is T(R(y, x), b) on the domain of
+maxima, where y, b <= x, which deciding independence computes on every
+cell: the composed kernels, but for Lukasiewicz^p, where it is the closed
+form phi^-1(max(phi(y) - phi(x) + phi(b), 0)), with four powers, no
+round trip through phi^-1 and phi, and no ulp-stepping loop.
 """
 
 import warnings
@@ -39,7 +44,8 @@ NILPOTENT = "nilpotent"
 NON_ARCHIMEDEAN = "non_archimedean"
 
 # Exponents far outside this range underflow double precision before the
-# inverse transform can undo them (which matters for Lukasiewicz^p only).
+# inverse transform can undo them; Lukasiewicz^p, the one t-norm that reads
+# the powers, warns outside it.
 SUPPORTED_EXPONENT_RANGE = (0.1, 10.0)
 
 
@@ -56,13 +62,6 @@ class PowerTransform:
     def __post_init__(self):
         if not 0 < self.p < float("inf"):
             raise DomainError(f"power transform exponent must be finite and > 0, got {self.p!r}")
-        lo, hi = SUPPORTED_EXPONENT_RANGE
-        if not lo <= self.p <= hi:
-            warnings.warn(
-                f"exponent {self.p} outside the supported range [{lo}, {hi}]; "
-                "results may lose precision",
-                stacklevel=2,
-            )
 
     def apply(self, x):
         return x ** self.p
@@ -101,6 +100,14 @@ class TNorm:
                 stacklevel=2,
             )
             object.__setattr__(self, "transform", None)
+        lo, hi = SUPPORTED_EXPONENT_RANGE
+        if self.base == LUKASIEWICZ and self.transform is not None \
+                and not lo <= self.transform.p <= hi:
+            warnings.warn(
+                f"exponent {self.transform.p} outside the supported range [{lo}, {hi}]; "
+                "results may lose precision",
+                stacklevel=2,
+            )
 
     # -- construction helpers -------------------------------------------------
 
@@ -183,6 +190,16 @@ class TNorm:
                 break
             out = np.where(over, np.nextafter(np.asarray(out, dtype=float), 0.0), out)
         return out
+
+    def recombine_array(self, y, x, b):
+        """Elementwise T(R(y, x), b) over broadcastable arrays with y <= x
+        and b <= x, as maxima are: ``apply_array(residual_array(y, x), b)``,
+        but for Lukasiewicz^p, where R(y, x) = phi^-1(phi(y) - phi(x) + 1)
+        there, so the recombination is phi^-1(max(phi(y) - phi(x) + phi(b), 0))."""
+        if self.base != LUKASIEWICZ or self.transform is None:
+            return self.apply_array(self.residual_array(y, x), b)
+        phi = self.transform.apply
+        return self.transform.inverse(np.maximum(phi(y) - phi(x) + phi(b), 0.0))
 
     # -- classification ---------------------------------------------------------
 

@@ -349,6 +349,24 @@ class TestStrictPositiveConstructor:
         assert got.is_yes
         assert np.abs(got.factorization.combine(schema).values - t.values).max() <= 1e-7
 
+    @pytest.mark.parametrize("p", [0.5, 10.0])
+    def test_transformed_product_answers_as_product_on_tiny_cells(self, p):
+        # a cell of 1e-39, whose tenth power underflows to 0: product^p is
+        # product, so its rescaling is log pi, which stays finite
+        schema = Schema.binary("X", "Y", "Z")
+        built = Factorization(TNorm.product(), {
+            ("X", "Y"): factor(["X", "Y"], [[1.0, 1e-20], [0.5, 0.7]]),
+            ("Y", "Z"): factor(["Y", "Z"], [[1.0, 0.6], [1e-19, 0.9]]),
+        })
+        t = built.combine(schema)
+        assert t.values.min() == pytest.approx(1e-39)
+        plain, transformed = (factorizes(t, chain_graph(), tn)
+                              for tn in (TNorm.product(), TNorm.product(p)))
+        assert transformed.is_yes and plain.is_yes
+        assert (transformed.witness, transformed.reason) == (plain.witness, plain.reason)
+        for clique, f in plain.factorization.factors.items():
+            assert np.array_equal(transformed.factorization.factors[clique].values, f.values)
+
     def test_dependent_positive_table_is_rejected_by_the_solve(self):
         # the strictly positive diagonal is not product-independent of
         # anything, so the rescaled table is no sum of clique terms

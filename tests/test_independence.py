@@ -4,7 +4,9 @@ The key cross-check pits the vectorized engine against the loop-based
 definition oracle in conftest on random tables, for every t-norm family.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product as iter_product
 
 import json
@@ -12,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import posscheck.independence
@@ -499,6 +501,120 @@ class TestDecideManyProperty:
             if tn.transform is None:  # transforms force floating point
                 # grid values keep every exact mismatch far above float round-off
                 assert decide_many(exact(t), tn, stmts, eps=0) == verdicts
+
+
+# every statement over four variables: each variable in A, B, S or unused
+FOUR = ("A", "B", "C", "D")
+FOUR_VARIABLE_STATEMENTS = [
+    IndependenceStatement(*(tuple(v for v, r in zip(FOUR, roles) if r == k) for k in range(3)))
+    for roles in iter_product(range(4), repeat=4) if 0 in roles and 1 in roles
+]
+U = Decimal(2) ** -53
+# the float test's error in the linear domain, in the bound derived below
+LINEAR_SLACK = 4 * U
+
+
+# the statements of one table read the same few powers
+@lru_cache(maxsize=1 << 16)
+def decimal_power(v, p):
+    """v^p to 60 digits, for a Decimal v (0 where v <= 0)."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return v ** Decimal(p) if v > 0 else Decimal(0)
+
+
+def decimal_lukasiewicz_power(table, stmt, p, eps):
+    """(holds, witness) of ``stmt`` under Lukasiewicz^p, with the powers
+    taken to 60 digits, or None where float rounding may change either.
+
+    On maxima y, b <= x the recombination is phi^-1(max(s, 0)) with s =
+    phi(y) - phi(x) + phi(b), phi(v) = v^p, so a cell mismatches iff
+    s > phi(pi + eps) or s < phi(pi - eps) where pi - eps > 0.  The float
+    kernel and comparison, with each power within one ulp (relative error
+    2u, u = 2^-53) and fl(1/p) as the inverse's exponent, err by at most
+    F = u (2 phi(y) + 4 phi(x) + 2 phi(b)) in s (three powers, a subtraction
+    of at most phi(x) and a sum of at most phi(x)) and by at most L = 4u in
+    the linear domain (the inverse's power, 2u r, the exponent's rounding,
+    u r |ln r| <= u / e, and the rounded |r - pi| near eps), so the float
+    test flags what the exact one flags wherever s lies outside
+    [phi(t - L) - F, phi(t + L) + F] (``LINEAR_SLACK`` is L) for both
+    thresholds t = pi +- eps.  A statement's verdict and witness are read
+    only when every cell up to its first mismatch (first variable cycling
+    fastest) clears that margin.
+    """
+    schema = table.schema
+    keep = schema.in_order(stmt.a + stmt.b + stmt.given)
+    pi = table.values.max(axis=tuple(i for i, v in enumerate(schema.variables) if v not in keep))
+
+    def maximum(drop):
+        return np.broadcast_to(pi.max(axis=tuple(keep.index(v) for v in drop), keepdims=True),
+                               pi.shape)
+
+    y, x, b = maximum(stmt.b), maximum(stmt.a + stmt.b), maximum(stmt.a)
+    zero, eps = Decimal(0), Decimal(eps)
+
+    def phi(v):
+        return decimal_power(Decimal(v), p)
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for idx in iter_product(*(range(k) for k in reversed(pi.shape))):
+            idx = idx[::-1]
+            fy, fx, fb = (phi(float(m[idx])) for m in (y, x, b))
+            s = fy - fx + fb
+            margin = U * (2 * fy + 4 * fx + 2 * fb)
+            high, low = Decimal(float(pi[idx])) + eps, Decimal(float(pi[idx])) - eps
+            for t in (high, low):
+                if t + LINEAR_SLACK > 0 and (phi(max(t - LINEAR_SLACK, zero)) - margin
+                                             <= s <= phi(t + LINEAR_SLACK) + margin):
+                    return None
+            if s > phi(high) or (low > 0 and s < phi(low)):
+                return False, {v: schema.domain(v)[i] for v, i in zip(keep, idx)}
+    return True, None
+
+
+class TestTransformedLukasiewiczAgainstDecimals:
+    """Lukasiewicz^p decisions and witnesses against 60-digit decimals, on
+    random tables and on planted chain factorizations jittered by N(0, eps):
+    the closed-form recombination, with no phi^-1 -> phi round trip, decides
+    every statement the float margin leaves clear as the decimals do."""
+
+    CHAIN = UndirectedGraph(FOUR, [("A", "B"), ("B", "C"), ("C", "D")])
+
+    @settings(max_examples=40)
+    @given(p=st.sampled_from([0.5, 2.0, 3.7]), eps=st.sampled_from([1e-9, 1e-4]),
+           planted_chain=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    # I(B; D | A,C) holds here, but the composed kernels, R then T, flag a cell
+    @example(p=2.0, eps=1e-9, planted_chain=True, seed=3)
+    def test_verdicts_and_witnesses(self, p, eps, planted_chain, seed):
+        tn = TNorm.lukasiewicz(p)
+        schema = Schema.binary(*FOUR)
+        rng = np.random.default_rng(seed)
+        if planted_chain:
+            t, anchor = planted(schema, self.CHAIN, tn, rng, 0.5)
+            values = np.clip(t.values + rng.normal(0, eps, schema.shape), 0.0, 1.0)
+            values[anchor] = 1.0
+        else:
+            values = rng.uniform(0.0, 1.0, schema.shape)
+            values[tuple(rng.integers(2, size=4))] = 1.0
+        t = PossibilityTable(schema, values)
+        verdicts = decide_many(t, tn, FOUR_VARIABLE_STATEMENTS, eps)
+        for stmt, holds in zip(FOUR_VARIABLE_STATEMENTS, verdicts):
+            expected = decimal_lukasiewicz_power(t, stmt, p, eps)
+            if expected is not None:
+                assert (holds, independent(t, tn, stmt, eps).witness) == expected, str(stmt)
+
+    def test_deciding_reads_no_residual(self, monkeypatch, rng):
+        def refuse(*args):
+            raise AssertionError("residual_array was called")
+        monkeypatch.setattr(TNorm, "residual_array", refuse)
+        tn = TNorm.lukasiewicz(2.0)
+        schema = Schema.binary(*FOUR)
+        t, _ = planted(schema, self.CHAIN, tn, rng, 0.5)
+        verdicts = decide_many(t, tn, FOUR_VARIABLE_STATEMENTS)
+        assert verdicts == [independent(t, tn, stmt).holds for stmt in FOUR_VARIABLE_STATEMENTS]
+        assert chain_report(t, self.CHAIN, tn).global_report.holds
+        assert len(scan_axioms(t, tn)) > 0
 
 
 def lattice_schemas(rng, count):

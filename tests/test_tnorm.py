@@ -1,6 +1,7 @@
 """Unit and property tests for t-norm evaluation, folds, residuals, transforms."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -246,6 +247,27 @@ class TestScalarCallsRunTheKernels:
             assert out[idx] == pytest.approx(want, abs=1e-7)
 
 
+class TestRecombine:
+    # y, x, b over the k/40 grid, kept where y <= x and b <= x (the domain of maxima)
+    GRID = np.array([k / 40 for k in range(41)])
+    Y, X, B = np.meshgrid(GRID, GRID, GRID, indexing="ij")
+    ON_D = (Y <= X) & (B <= X)
+    Y, X, B = Y[ON_D], X[ON_D], B[ON_D]
+
+    @pytest.mark.parametrize("tn", [TNorm.godel(), TNorm.product(), TNorm.product(0.5),
+                                    TNorm.product(3.7), TNorm.lukasiewicz()],
+                             ids=lambda t: t.describe())
+    def test_composed_kernels_bit_for_bit(self, tn):
+        composed = tn.apply_array(tn.residual_array(self.Y, self.X), self.B)
+        assert np.array_equal(tn.recombine_array(self.Y, self.X, self.B), composed)
+
+    @pytest.mark.parametrize("p", [0.5, 2.0, 3.7])
+    def test_transformed_lukasiewicz_closed_form(self, p):
+        tn = TNorm.lukasiewicz(p)
+        expected = np.maximum(self.Y ** p - self.X ** p + self.B ** p, 0.0) ** (1.0 / p)
+        assert np.array_equal(tn.recombine_array(self.Y, self.X, self.B), expected)
+
+
 class TestExactMode:
     def test_base_operations_stay_rational(self):
         y, x = Fraction(3, 10), Fraction(3, 5)
@@ -298,8 +320,14 @@ class TestTransforms:
             TNorm.product(p)
 
     def test_extreme_exponent_warns(self):
-        with pytest.warns(UserWarning):
-            PowerTransform(50.0)
+        with pytest.warns(UserWarning, match="outside the supported range"):
+            TNorm.lukasiewicz(50.0)
+
+    def test_extreme_exponent_of_product_does_not_warn(self):
+        # product^p computes as product, with no powers to lose precision
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            TNorm.product(50.0)
 
     def test_round_trip(self):
         phi = PowerTransform(3.0)
